@@ -6,6 +6,15 @@ exactly (no point sampling): a box is occupied iff the segment passes through
 its half-open cell, with boundary cells clamped so the grid covers the
 bounding box exactly. The dyadic ladder anchored at one corner makes N(eps)
 provably nonincreasing in eps.
+
+Each rung is array code over all segments. A segment inside one grid column
+occupies the rows between its endpoint rows; any other is clipped to each
+vertical strip it crosses, and each clipped piece occupies the rows between
+its ends. Both ragged expansions (strips per segment, rows per strip) allow a
+segment to cross any number of gridlines, as segments longer than the box
+size do. Occupied cells are counted as distinct int64 keys `i * ny + j`.
+Before a rung is expanded, the cells its grid walks visit,
+sum(|di| + |dj| + 1), are checked against the segment budget.
 """
 
 from __future__ import annotations
@@ -15,10 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, ScaleLadderInvalid
-from .geometry import SegmentSet
+from .errors import DegenerateGeometry, ScaleLadderInvalid, SegmentBudgetExceeded
+from .geometry import DEFAULT_SEGMENT_BUDGET, SegmentSet, expand_ranges
 
 _LADDER_RATIO = 0.5  # dyadic so coarse boxes are exact unions of fine ones
+_KEY_LIMIT = int(np.iinfo(np.int64).max)
+_CELL_BATCH = 1 << 14  # grid cells walked per batch of segments: bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -47,45 +58,76 @@ class BoxCountReport:
         }
 
 
-def _occupied_boxes(coords: np.ndarray, x0: float, y0: float, eps: float, nx: int, ny: int) -> int:
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    # sort-based: np.unique on int64 keys is ~20x slower with numpy 2.4
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _cell_keys(coords, cells, x0: float, y0: float, eps: float, ny: int) -> np.ndarray:
+    """Distinct keys i * ny + j of the cells the segments pass through."""
     inv = 1.0 / eps
-    i1 = np.clip(np.floor((coords[:, 0] - x0) * inv).astype(np.int64), 0, nx - 1)
-    j1 = np.clip(np.floor((coords[:, 1] - y0) * inv).astype(np.int64), 0, ny - 1)
-    i2 = np.clip(np.floor((coords[:, 2] - x0) * inv).astype(np.int64), 0, nx - 1)
-    j2 = np.clip(np.floor((coords[:, 3] - y0) * inv).astype(np.int64), 0, ny - 1)
+    i1, j1, i2, j2 = cells.T
+    # single column: rows between the endpoint rows, all touched
+    one = i1 == i2
+    cols = [i1[one]]
+    row_lo = [np.minimum(j1[one], j2[one])]
+    row_hi = [np.maximum(j1[one], j2[one])]
 
-    same = (i1 == i2) & (j1 == j2)
-    keys = set((i1[same] * ny + j1[same]).tolist())
+    # otherwise one row per vertical strip crossed: clip the segment to the
+    # strip and take the row range of the clipped piece
+    many = np.flatnonzero(~one)
+    idx, i = expand_ranges(np.minimum(i1[many], i2[many]), np.maximum(i1[many], i2[many]))
+    ax, ay, bx, by = coords[many[idx]].T
+    dx = bx - ax
+    dy = by - ay
+    xl = x0 + i * eps
+    xr = xl + eps
+    t_in = (xl - ax) / dx
+    t_out = (xr - ax) / dx
+    t_lo = np.maximum(0.0, np.minimum(t_in, t_out))
+    t_hi = np.minimum(1.0, np.maximum(t_in, t_out))
+    hit = t_lo <= t_hi
+    ya = ay + t_lo * dy
+    yb = ay + t_hi * dy
+    j_lo = np.clip(np.floor((np.minimum(ya, yb) - y0) * inv).astype(np.int64), 0, ny - 1)
+    j_hi = np.clip(np.floor((np.maximum(ya, yb) - y0) * inv).astype(np.int64), 0, ny - 1)
+    cols.append(i[hit])
+    row_lo.append(j_lo[hit])
+    row_hi.append(j_hi[hit])
 
-    for idx in np.nonzero(~same)[0]:
-        ax, ay, bx, by = coords[idx]
-        ia, ib = int(i1[idx]), int(i2[idx])
-        ja, jb = int(j1[idx]), int(j2[idx])
-        if ia == ib:
-            # single column: rows between the endpoint rows, all touched
-            for j in range(min(ja, jb), max(ja, jb) + 1):
-                keys.add(ia * ny + j)
-            continue
-        # walk vertical strips, clip the segment to each, take its row range
-        dx = bx - ax
-        dy = by - ay
-        lo_i, hi_i = (ia, ib) if ia <= ib else (ib, ia)
-        for i in range(lo_i, hi_i + 1):
-            xl = x0 + i * eps
-            xr = xl + eps
-            t_in = (xl - ax) / dx
-            t_out = (xr - ax) / dx
-            t_lo = max(0.0, min(t_in, t_out))
-            t_hi = min(1.0, max(t_in, t_out))
-            if t_lo > t_hi:
-                continue
-            ya = ay + t_lo * dy
-            yb = ay + t_hi * dy
-            j_lo = min(max(int(math.floor((min(ya, yb) - y0) * inv)), 0), ny - 1)
-            j_hi = min(max(int(math.floor((max(ya, yb) - y0) * inv)), 0), ny - 1)
-            for j in range(j_lo, j_hi + 1):
-                keys.add(i * ny + j)
-    return len(keys)
+    idx, j = expand_ranges(np.concatenate(row_lo), np.concatenate(row_hi))
+    return _distinct(np.concatenate(cols)[idx] * ny + j)
+
+
+def _occupied_boxes(
+    coords: np.ndarray, x0: float, y0: float, eps: float, nx: int, ny: int, budget: int
+) -> int:
+    # endpoint cells (i1, j1, i2, j2) per segment, clamped to the grid; floats
+    # until the checks below rule out int64 overflow
+    cells = np.clip(
+        np.floor((coords - [x0, y0, x0, y0]) * (1.0 / eps)),
+        0.0,
+        [float(nx - 1), float(ny - 1), float(nx - 1), float(ny - 1)],
+    )
+    ends = np.cumsum(np.abs(cells[:, 2] - cells[:, 0]) + np.abs(cells[:, 3] - cells[:, 1]) + 1.0)
+    if ends[-1] > budget:
+        raise SegmentBudgetExceeded(
+            int(ends[-1]), budget, f"box counting at scale {eps:.6g} would walk {{}} grid cells"
+        )
+    if nx * ny > _KEY_LIMIT:
+        raise ScaleLadderInvalid(
+            f"box grid at scale {eps:.6g} has {nx} x {ny} cells, more than 64-bit keys can number"
+        )
+    cells = cells.astype(np.int64)
+    # batches of whole segments walking about _CELL_BATCH cells each
+    starts = np.searchsorted(ends, np.arange(0.0, ends[-1], _CELL_BATCH), side="right")
+    bounds = np.append(np.unique(starts), len(coords))
+    keys = [
+        _cell_keys(coords[a:b], cells[a:b], x0, y0, eps, ny)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    return len(_distinct(np.concatenate(keys)))
 
 
 def _cells_along(span: float, eps: float) -> int:
@@ -97,13 +139,16 @@ def estimate_dimension(
     scale_count: int = 10,
     min_scale: float | None = None,
     theoretical: float | None = None,
+    budget: int = DEFAULT_SEGMENT_BUDGET,
 ) -> BoxCountReport:
     """Box-count `s` over a dyadic scale ladder and fit the scaling exponent.
 
     The ladder starts at bounding-box diagonal / 4 and halves down to
     `min_scale` (default: the smallest segment length, the finest generated
     detail) or until `scale_count` rungs are used, whichever stops first. The
-    grid is anchored at the bounding-box min corner.
+    grid is anchored at the bounding-box min corner. Raises
+    SegmentBudgetExceeded before counting a rung whose grid walks would visit
+    more than `budget` cells.
     """
     if scale_count < 4:
         raise ScaleLadderInvalid("need at least 4 scales")
@@ -135,11 +180,14 @@ def estimate_dimension(
             f"ladder from {eps_top:g} down to {min_scale:g} has only {len(scales)} scales"
         )
 
+    # finest rung first: it walks the most cells, so an over-budget ladder
+    # fails before any counting work
     counts = []
-    for eps in scales:
+    for eps in reversed(scales):
         nx = _cells_along(x1 - x0, eps)
         ny = _cells_along(y1 - y0, eps)
-        counts.append(_occupied_boxes(coords, x0, y0, eps, nx, ny))
+        counts.append(_occupied_boxes(coords, x0, y0, eps, nx, ny, budget))
+    counts.reverse()
 
     skip = 2 if len(scales) >= 6 else 0
     log_inv_eps = np.log(1.0 / np.asarray(scales[skip:]))

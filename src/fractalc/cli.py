@@ -238,12 +238,14 @@ def validate(expression: str, stage: int, scales: int, min_scale: float | None,
         alpha = moran.solve_moran(sched.spectrum()).alpha
     except SolverError as exc:
         _fail(EXIT_SOLVER, str(exc))
+    budget = _segment_budget()
     try:
-        segments = geometry.iterate(sched, stage, L0=l0, budget=_segment_budget())
+        segments = geometry.iterate(sched, stage, L0=l0, budget=budget)
+        report = boxcount.estimate_dimension(
+            segments, scales, min_scale, theoretical=alpha, budget=budget
+        )
     except SegmentBudgetExceeded as exc:
         _fail(EXIT_BUDGET, str(exc))
-    try:
-        report = boxcount.estimate_dimension(segments, scales, min_scale, theoretical=alpha)
     except (ScaleLadderInvalid, DegenerateGeometry) as exc:
         _fail(EXIT_USAGE, str(exc))
     within = abs(report.slope - alpha) <= tolerance

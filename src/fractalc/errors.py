@@ -34,14 +34,18 @@ class RatiosExceedUnit(FractalcError):
 
 
 class SegmentBudgetExceeded(FractalcError):
-    """Materializing the geometry would produce more segments than allowed."""
+    """Materializing the geometry would produce more segments than allowed.
 
-    def __init__(self, predicted: int, budget: int):
+    Box counting raises it too, for a rung that would walk more grid cells
+    than the budget; `what` words the message around the predicted count.
+    """
+
+    def __init__(
+        self, predicted: int, budget: int, what: str = "stage would produce {} segments"
+    ):
         self.predicted = predicted
         self.budget = budget
-        super().__init__(
-            f"stage would produce {predicted} segments, over the budget of {budget}"
-        )
+        super().__init__(f"{what.format(predicted)}, over the budget of {budget}")
 
 
 class SolverError(FractalcError):

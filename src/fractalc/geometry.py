@@ -31,6 +31,9 @@ RENDER_SEGMENT_LIMIT = 1_000_000
 # relative tolerance for merging census buckets of nearly equal length
 _LENGTH_MERGE_RTOL = 1e-12
 
+# candidate pairs per vectorized overlap test: bounds detect_overlap's memory
+_PAIR_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Piece:
@@ -264,19 +267,29 @@ def iterate(
 
 
 def _component_buckets(ratios: Sequence[float], t: int) -> list[tuple[float, int]]:
-    """Lengths and exact multinomial counts for one component applied t times."""
-    last = len(ratios) - 1
-    out: list[tuple[float, int]] = []
+    """Lengths and exact multinomial counts for one component applied t times.
 
-    def rec(idx: int, rem: int, value: float, count: int) -> None:
-        if idx == last:
-            out.append((value * ratios[idx] ** rem, count))
-            return
-        for g in range(rem + 1):
-            rec(idx + 1, rem - g, value * ratios[idx] ** g, count * math.comb(rem, g))
-
-    rec(0, t, 1.0, 1)
-    return out
+    Compositions (g_0, ..., g_last) of t come out in lexicographic order, each
+    length built as ((1.0 * r_0**g_0) * r_1**g_1) * ... left to right.
+    """
+    if len(ratios) == 1:
+        return [(ratios[0] ** t, 1)]
+    powers = [[ratio**g for g in range(t + 1)] for ratio in ratios]
+    # (applications left, length so far, count so far) per partial composition
+    partial = [(t, 1.0, 1)]
+    for pw in powers[:-2]:
+        partial = [
+            (rem - g, value * pw[g], count * math.comb(rem, g))
+            for rem, value, count in partial
+            for g in range(rem + 1)
+        ]
+    # the last two exponents are chosen together, so each leaf is built once
+    pa, pb = powers[-2:]
+    return [
+        (value * pa[g] * pb[rem - g], count * math.comb(rem, g))
+        for rem, value, count in partial
+        for g in range(rem + 1)
+    ]
 
 
 def _merge_buckets(buckets: Iterable[tuple[float, int]]) -> list[tuple[float, int]]:
@@ -409,40 +422,60 @@ def export_csv(s: SegmentSet, path) -> None:
 # --- overlap detection -------------------------------------------------------
 
 
-def _pair_overlaps(a: np.ndarray, b: np.ndarray, eps: float) -> bool:
-    """True iff two segments intersect in more than a shared endpoint."""
-    ax, ay, bx, by = a
-    cx, cy, dx, dy = b
+def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the integer ranges lo[k]..hi[k] (inclusive) in order.
+
+    Returns (k, value) for every element: the index of the range it came from
+    and its value.
+    """
+    sizes = hi - lo + 1
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    return owner, lo[owner] + (np.arange(len(owner)) - starts[owner])
+
+
+def _pairs_overlap(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    """Row-wise: True where segments a[k] and b[k] intersect in more than a shared endpoint."""
+    ax, ay, bx, by = a.T
+    cx, cy, dx, dy = b.T
     rx, ry = bx - ax, by - ay
     sx, sy = dx - cx, dy - cy
-    la = math.hypot(rx, ry)
-    lb = math.hypot(sx, sy)
+    la = np.hypot(rx, ry)
+    lb = np.hypot(sx, sy)
     qpx, qpy = cx - ax, cy - ay
     denom = rx * sy - ry * sx
-    if abs(denom) <= eps * la * lb:
+    cross = qpx * ry - qpy * rx
+    # a zero-length segment divides by zero below and overlaps nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parallel = np.abs(denom) <= eps * la * lb
         # parallel: overlap only when collinear with positive shared length
-        if abs(qpx * ry - qpy * rx) > eps * la:
-            return False
         t0 = (qpx * rx + qpy * ry) / (la * la)
         t1 = t0 + (sx * rx + sy * ry) / (la * la)
-        lo, hi = min(t0, t1), max(t0, t1)
-        return min(hi, 1.0) - max(lo, 0.0) > eps / la
-    t = (qpx * sy - qpy * sx) / denom
-    u = (qpx * ry - qpy * rx) / denom
-    ta, tb = eps / la, eps / lb
-    if not (-ta <= t <= 1.0 + ta and -tb <= u <= 1.0 + tb):
-        return False
-    at_a_end = t <= ta or t >= 1.0 - ta
-    at_b_end = u <= tb or u >= 1.0 - tb
-    return not (at_a_end and at_b_end)
+        lo, hi = np.minimum(t0, t1), np.maximum(t0, t1)
+        shared = np.minimum(hi, 1.0) - np.maximum(lo, 0.0)
+        collinear = ~(np.abs(cross) > eps * la) & (shared > eps / la)
+        # crossing: within both segments, and not at an endpoint of both
+        t = (qpx * sy - qpy * sx) / denom
+        u = cross / denom
+        ta, tb = eps / la, eps / lb
+        inside = (-ta <= t) & (t <= 1.0 + ta) & (-tb <= u) & (u <= 1.0 + tb)
+        at_a_end = (t <= ta) | (t >= 1.0 - ta)
+        at_b_end = (u <= tb) | (u >= 1.0 - tb)
+    return np.where(parallel, collinear, inside & ~(at_a_end & at_b_end))
 
 
 def detect_overlap(s: SegmentSet) -> bool:
     """True iff any two segments share more than an endpoint.
 
     When true, composite dimensions are only upper bounds for the figure's
-    real dimension. Exact pairwise predicate behind a spatial-hash broad
-    phase; tolerance 1e-12 relative to the geometry's extent.
+    real dimension. The broad phase lays a grid of cells at least as large as
+    the longest segment, expands each segment into the cells its eps-padded
+    bounding box covers, and sorts those (cell, segment) rows. Two segments
+    are a candidate pair in the lowest cell both cover, so each pair is tested
+    once. The narrow phase evaluates the exact pairwise predicate on the
+    candidates in chunks of a fixed number of pairs, which bounds memory
+    whatever the cell occupancy, and stops at the first overlapping chunk.
+    Tolerance 1e-12 relative to the geometry's extent.
     """
     n = len(s)
     if n > RENDER_SEGMENT_LIMIT:
@@ -454,25 +487,34 @@ def detect_overlap(s: SegmentSet) -> bool:
     extent = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
     eps = 1e-12 * max(extent, s.initiator_length)
     cell = max(float(s.lengths().max()), eps, extent * 1e-6)
-    grid: dict[tuple[int, int], list[int]] = {}
     inv = 1.0 / cell
-    for idx in range(n):
-        x1, y1, x2, y2 = coords[idx]
-        i0 = math.floor((min(x1, x2) - eps) * inv)
-        i1 = math.floor((max(x1, x2) + eps) * inv)
-        j0 = math.floor((min(y1, y2) - eps) * inv)
-        j1 = math.floor((max(y1, y2) + eps) * inv)
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                grid.setdefault((i, j), []).append(idx)
-    checked: set[tuple[int, int]] = set()
-    for bucket in grid.values():
-        for a_pos in range(len(bucket)):
-            for b_pos in range(a_pos + 1, len(bucket)):
-                pair = (bucket[a_pos], bucket[b_pos])
-                if pair in checked:
-                    continue
-                checked.add(pair)
-                if _pair_overlaps(coords[pair[0]], coords[pair[1]], eps):
-                    return True
+    i0 = np.floor((np.minimum(coords[:, 0], coords[:, 2]) - eps) * inv).astype(np.int64)
+    i1 = np.floor((np.maximum(coords[:, 0], coords[:, 2]) + eps) * inv).astype(np.int64)
+    j0 = np.floor((np.minimum(coords[:, 1], coords[:, 3]) - eps) * inv).astype(np.int64)
+    j1 = np.floor((np.maximum(coords[:, 1], coords[:, 3]) + eps) * inv).astype(np.int64)
+
+    # one row per (segment, covered cell), sorted by cell, then segment
+    seg, ci = expand_ranges(i0, i1)
+    row, cj = expand_ranges(j0[seg], j1[seg])
+    seg, ci = seg[row], ci[row]
+    j_min = int(j0.min())
+    key = (ci - int(i0.min())) * (int(j1.max()) - j_min + 1) + (cj - j_min)
+    order = np.argsort(key, kind="stable")
+    seg, ci, cj, key = seg[order], ci[order], cj[order], key[order]
+
+    # pair each row with every later row of its cell; pair p belongs to the
+    # row r with first[r] <= p < first[r] + later[r]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    sizes = np.diff(np.append(starts, len(key)))
+    later = np.repeat(starts + sizes, sizes) - np.arange(len(key)) - 1
+    ends = np.cumsum(later)
+    first = ends - later
+    for p0 in range(0, int(ends[-1]), _PAIR_CHUNK):
+        p = np.arange(p0, min(p0 + _PAIR_CHUNK, int(ends[-1])))
+        r = np.searchsorted(ends, p, side="right")
+        a, b = seg[r], seg[r + 1 + (p - first[r])]
+        lowest = (ci[r] == np.maximum(i0[a], i0[b])) & (cj[r] == np.maximum(j0[a], j0[b]))
+        a, b = a[lowest], b[lowest]
+        if _pairs_overlap(coords[a], coords[b], eps).any():
+            return True
     return False

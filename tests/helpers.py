@@ -6,6 +6,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 import fractalc as fc
 from fractalc.parser import Angle, PieceExpr, ScheduleExpr, ScheduleItem
 
@@ -142,3 +144,135 @@ def histogram_of_lengths(lengths, rtol: float = 1e-12) -> list[tuple[float, int]
         else:
             buckets.append((value, 1))
     return buckets
+
+
+# --- loop references for the array code ---------------------------------------
+
+
+def reference_component_buckets(ratios, t: int) -> list[tuple[float, int]]:
+    """Census buckets of one component applied t times, by depth-first recursion."""
+    last = len(ratios) - 1
+    out: list[tuple[float, int]] = []
+
+    def rec(idx: int, rem: int, value: float, count: int) -> None:
+        if idx == last:
+            out.append((value * ratios[idx] ** rem, count))
+            return
+        for g in range(rem + 1):
+            rec(idx + 1, rem - g, value * ratios[idx] ** g, count * math.comb(rem, g))
+
+    rec(0, t, 1.0, 1)
+    return out
+
+
+def reference_occupied_boxes(coords, x0: float, y0: float, eps: float, nx: int, ny: int) -> int:
+    """Occupied-box count at one rung, one segment and one strip at a time."""
+    inv = 1.0 / eps
+    i1 = np.clip(np.floor((coords[:, 0] - x0) * inv).astype(np.int64), 0, nx - 1)
+    j1 = np.clip(np.floor((coords[:, 1] - y0) * inv).astype(np.int64), 0, ny - 1)
+    i2 = np.clip(np.floor((coords[:, 2] - x0) * inv).astype(np.int64), 0, nx - 1)
+    j2 = np.clip(np.floor((coords[:, 3] - y0) * inv).astype(np.int64), 0, ny - 1)
+
+    same = (i1 == i2) & (j1 == j2)
+    keys = set((i1[same] * ny + j1[same]).tolist())
+
+    for idx in np.nonzero(~same)[0]:
+        ax, ay, bx, by = coords[idx]
+        ia, ib = int(i1[idx]), int(i2[idx])
+        ja, jb = int(j1[idx]), int(j2[idx])
+        if ia == ib:
+            for j in range(min(ja, jb), max(ja, jb) + 1):
+                keys.add(ia * ny + j)
+            continue
+        dx = bx - ax
+        dy = by - ay
+        lo_i, hi_i = (ia, ib) if ia <= ib else (ib, ia)
+        for i in range(lo_i, hi_i + 1):
+            xl = x0 + i * eps
+            xr = xl + eps
+            t_in = (xl - ax) / dx
+            t_out = (xr - ax) / dx
+            t_lo = max(0.0, min(t_in, t_out))
+            t_hi = min(1.0, max(t_in, t_out))
+            if t_lo > t_hi:
+                continue
+            ya = ay + t_lo * dy
+            yb = ay + t_hi * dy
+            j_lo = min(max(int(math.floor((min(ya, yb) - y0) * inv)), 0), ny - 1)
+            j_hi = min(max(int(math.floor((max(ya, yb) - y0) * inv)), 0), ny - 1)
+            for j in range(j_lo, j_hi + 1):
+                keys.add(i * ny + j)
+    return len(keys)
+
+
+def reference_counts(s: fc.SegmentSet, scales) -> tuple[int, ...]:
+    """Per-rung reference counts on the grid estimate_dimension lays for `s`."""
+    c = s.coords
+    x0, x1 = float(min(c[:, 0].min(), c[:, 2].min())), float(max(c[:, 0].max(), c[:, 2].max()))
+    y0, y1 = float(min(c[:, 1].min(), c[:, 3].min())), float(max(c[:, 1].max(), c[:, 3].max()))
+    counts = []
+    for eps in scales:
+        nx = max(1, int(math.ceil((x1 - x0) / eps - 1e-12)))
+        ny = max(1, int(math.ceil((y1 - y0) / eps - 1e-12)))
+        counts.append(reference_occupied_boxes(c, x0, y0, eps, nx, ny))
+    return tuple(counts)
+
+
+def _reference_pair_overlaps(a, b, eps: float) -> bool:
+    ax, ay, bx, by = a
+    cx, cy, dx, dy = b
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    la = math.hypot(rx, ry)
+    lb = math.hypot(sx, sy)
+    qpx, qpy = cx - ax, cy - ay
+    denom = rx * sy - ry * sx
+    if abs(denom) <= eps * la * lb:
+        if abs(qpx * ry - qpy * rx) > eps * la:
+            return False
+        t0 = (qpx * rx + qpy * ry) / (la * la)
+        t1 = t0 + (sx * rx + sy * ry) / (la * la)
+        lo, hi = min(t0, t1), max(t0, t1)
+        return min(hi, 1.0) - max(lo, 0.0) > eps / la
+    t = (qpx * sy - qpy * sx) / denom
+    u = (qpx * ry - qpy * rx) / denom
+    ta, tb = eps / la, eps / lb
+    if not (-ta <= t <= 1.0 + ta and -tb <= u <= 1.0 + tb):
+        return False
+    at_a_end = t <= ta or t >= 1.0 - ta
+    at_b_end = u <= tb or u >= 1.0 - tb
+    return not (at_a_end and at_b_end)
+
+
+def reference_detect_overlap(s: fc.SegmentSet) -> bool:
+    """Overlap verdict from a dict spatial hash and the scalar pair predicate."""
+    n = len(s)
+    if n < 2:
+        return False
+    coords = s.coords
+    pts = coords.reshape(-1, 2)
+    extent = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
+    eps = 1e-12 * max(extent, s.initiator_length)
+    cell = max(float(s.lengths().max()), eps, extent * 1e-6)
+    grid: dict[tuple[int, int], list[int]] = {}
+    inv = 1.0 / cell
+    for idx in range(n):
+        x1, y1, x2, y2 = coords[idx]
+        i0 = math.floor((min(x1, x2) - eps) * inv)
+        i1 = math.floor((max(x1, x2) + eps) * inv)
+        j0 = math.floor((min(y1, y2) - eps) * inv)
+        j1 = math.floor((max(y1, y2) + eps) * inv)
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                grid.setdefault((i, j), []).append(idx)
+    checked: set[tuple[int, int]] = set()
+    for bucket in grid.values():
+        for a_pos in range(len(bucket)):
+            for b_pos in range(a_pos + 1, len(bucket)):
+                pair = (bucket[a_pos], bucket[b_pos])
+                if pair in checked:
+                    continue
+                checked.add(pair)
+                if _reference_pair_overlaps(coords[pair[0]], coords[pair[1]], eps):
+                    return True
+    return False

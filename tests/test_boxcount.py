@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import fractalc as fc
-from fractalc.errors import DegenerateGeometry, ScaleLadderInvalid
+from fractalc import boxcount
+from fractalc.errors import DegenerateGeometry, ScaleLadderInvalid, SegmentBudgetExceeded
+from helpers import reference_occupied_boxes
 
 KOCH_DIM = math.log(4) / math.log(3)
 CANTOR_DIM = math.log(2) / math.log(3)
@@ -103,3 +105,20 @@ def test_vertical_and_diagonal_lines():
     assert abs(report.slope - 1.0) <= 0.02
     report = fc.estimate_dimension(line_set(1.0, 1.0), scale_count=8, min_scale=1 / 512)
     assert abs(report.slope - 1.0) <= 0.05
+
+
+def test_box_grid_too_large_for_int64_keys_rejected():
+    # two short segments at opposite corners of a 1e10 x 1e10 grid
+    coords = np.array([[0.0, 0.0, 5e-9, 3e-9], [1.0, 1.0, 1.0 - 4e-9, 1.0 - 6e-9]])
+    with pytest.raises(ScaleLadderInvalid):
+        boxcount._occupied_boxes(coords, 0.0, 0.0, 1e-10, 10**10, 10**10, budget=10**6)
+    # at 1e9 x 1e9 the keys fit
+    expected = reference_occupied_boxes(coords, 0.0, 0.0, 1e-9, 10**9, 10**9)
+    assert boxcount._occupied_boxes(coords, 0.0, 0.0, 1e-9, 10**9, 10**9, budget=10**6) == expected
+
+
+def test_box_count_budget_checked_before_expanding():
+    s = fc.iterate(fc.schedule_from_text("K[pi/3]"), 1)
+    with pytest.raises(SegmentBudgetExceeded) as info:
+        fc.estimate_dimension(s, scale_count=40, min_scale=1e-12)
+    assert "grid cells" in str(info.value)

@@ -191,6 +191,17 @@ def test_validate_reports_failure_without_error_exit(runner):
     assert payload["verdict"] == "FAIL"
 
 
+def test_validate_box_grid_over_budget_exits_4(runner):
+    # rungs down to 1e-12 would walk ~1e12 grid cells along four segments
+    result = runner.invoke(
+        main, ["validate", "K[pi/3]", "--stage", "1", "--scales", "40", "--min-scale", "1e-12"]
+    )
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: box counting")
+
+
 # --- stats ----------------------------------------------------------------------
 
 

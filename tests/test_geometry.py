@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -310,3 +311,27 @@ def test_self_crossing_custom_generator_detected():
 
 def test_cantor_dust_never_overlaps():
     assert fc.detect_overlap(fc.iterate(fc.schedule_from_text("C[1/2,1/3]"), 4)) is False
+
+
+def test_line_of_cantor_segments_does_not_overlap():
+    # every segment on one line and cells far larger than most segments
+    s = fc.iterate(fc.schedule_from_text("C[1/9,2/3,1/9]"), 8)
+    assert fc.detect_overlap(s) is False
+
+
+def test_zero_length_segments_overlap_nothing():
+    # the finest pieces, 1e-24 long, collapse onto one point in float coordinates
+    s = fc.iterate(fc.schedule_from_text("C[1/1000,1/2]"), 8)
+    assert (s.coords[:, 0] == s.coords[:, 2]).any()
+    assert fc.detect_overlap(s) is False
+
+
+def test_census_leaves_no_reference_cycles():
+    schedule = fc.schedule_from_text("C[1/2,1/3] K[pi/3]")
+    gc.collect()
+    gc.disable()
+    try:
+        fc.segment_census(schedule, 10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
