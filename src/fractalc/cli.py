@@ -160,7 +160,8 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
 
 @main.command()
 @click.argument("expression")
-@click.option("--stage", "-k", default=3, show_default=True, help="Full periods to apply.")
+@click.option("--stage", "-k", default=3, show_default=True, type=click.IntRange(min=0),
+              help="Full periods to apply.")
 @click.option("--output", "-o", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Also dump segments as x1,y1,x2,y2 lines.")
@@ -199,13 +200,16 @@ def render(expression: str, stage: int, out_path: str, csv_path: str | None,
 
 @main.command()
 @click.argument("expression")
-@click.option("--stage", "-k", default=3, show_default=True)
+@click.option("--stage", "-k", default=3, show_default=True, type=click.IntRange(min=0))
 @click.option("--l0", default=1.0, show_default=True)
 @click.option("--human", is_flag=True)
 def census(expression: str, stage: int, l0: float, human: bool):
     """Exact (length, count) table at a stage, via multinomial expansion."""
     sched = _load_schedule(expression)
-    buckets = geometry.segment_census(sched, stage, l0)
+    try:
+        buckets = geometry.segment_census(sched, stage, l0, budget=_segment_budget())
+    except SegmentBudgetExceeded as exc:
+        _fail(EXIT_BUDGET, str(exc))
     total = sum(count for _, count in buckets)
     if human:
         click.echo(f"{'length':>24} {'count':>16}")
@@ -223,7 +227,7 @@ def census(expression: str, stage: int, l0: float, human: bool):
 
 @main.command()
 @click.argument("expression")
-@click.option("--stage", "-k", default=8, show_default=True)
+@click.option("--stage", "-k", default=8, show_default=True, type=click.IntRange(min=0))
 @click.option("--scales", default=10, show_default=True, help="Max rungs of the dyadic ladder.")
 @click.option("--min-scale", default=None, type=float,
               help="Finest box size (default: smallest segment length).")
@@ -260,15 +264,17 @@ def validate(expression: str, stage: int, scales: int, min_scale: float | None,
 
 @main.command()
 @click.argument("expression")
-@click.option("--stage", "-k", default=4, show_default=True)
+@click.option("--stage", "-k", default=4, show_default=True, type=click.IntRange(min=0))
 @click.option("--human", is_flag=True)
 def stats(expression: str, stage: int, human: bool):
     """Incomplete-statistics report: normalization and factorization checks."""
     sched = _load_schedule(expression)
     try:
-        payload = incstats.stats_report(sched, stage)
+        payload = incstats.stats_report(sched, stage, budget=_segment_budget())
     except SolverError as exc:
         _fail(EXIT_SOLVER, str(exc))
+    except SegmentBudgetExceeded as exc:
+        _fail(EXIT_BUDGET, str(exc))
     _emit(payload, human)
 
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the library."""
 
+import math
+
 
 class FractalcError(Exception):
     """Base class for all errors raised by this package."""
@@ -37,14 +39,19 @@ class SegmentBudgetExceeded(FractalcError):
     """Materializing the geometry would produce more segments than allowed.
 
     Box counting raises it too, for a rung that would walk more grid cells
-    than the budget; `what` words the message around the predicted count.
+    than the budget, and the census for a product with more buckets than the
+    budget; `what` words the message around the predicted count. A count of
+    more than 30 digits is given by its power of ten. `predicted` is None when
+    the count was too large to build, and `what` then words it alone.
     """
 
     def __init__(
-        self, predicted: int, budget: int, what: str = "stage would produce {} segments"
+        self, predicted: int | None, budget: int, what: str = "stage would produce {} segments"
     ):
         self.predicted = predicted
         self.budget = budget
+        if predicted is not None and predicted >= 10**30:
+            predicted = f"about 10^{math.log10(predicted):.6g}"
         super().__init__(f"{what.format(predicted)}, over the budget of {budget}")
 
 

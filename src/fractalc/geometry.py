@@ -84,6 +84,13 @@ class CompositionSchedule:
             count *= gen.copies ** (n * k)
         return count
 
+    def census_size(self, k: int) -> int:
+        """Census buckets before merging at stage k: prod_i C(n_i*k + l_i - 1, l_i - 1)."""
+        size = 1
+        for gen, n in self.items:
+            size *= math.comb(n * k + gen.copies - 1, gen.copies - 1)
+        return size
+
 
 @dataclass(frozen=True)
 class SegmentSet:
@@ -244,13 +251,23 @@ def iterate(
 ) -> SegmentSet:
     """Materialize k full periods of the schedule on the initiator [(0,0)->(L0,0)].
 
-    Raises SegmentBudgetExceeded (with the predicted count) before doing any
-    work if the stage would be too large.
+    Raises SegmentBudgetExceeded before doing any work if the stage would be
+    too large. The exact count is built only when it is at most the budget
+    squared; a count beyond that is reported by its power of ten, with
+    `predicted` None.
     """
     if k < 0:
         raise ValueError("stage must be >= 0")
     if L0 <= 0.0:
         raise ValueError("initiator length must be positive")
+    try:
+        log_count = k * sum(n * math.log(gen.copies) for gen, n in schedule.items)
+    except OverflowError:
+        log_count = math.inf
+    if log_count > 2 * math.log(max(budget, 2)):
+        raise SegmentBudgetExceeded(
+            None, budget, f"stage would produce about 10^{log_count / math.log(10):.6g} segments"
+        )
     predicted = schedule.predicted_count(k)
     if predicted > budget:
         raise SegmentBudgetExceeded(predicted, budget)
@@ -303,26 +320,52 @@ def _merge_buckets(buckets: Iterable[tuple[float, int]]) -> list[tuple[float, in
     return merged
 
 
+def census_product(
+    factors: Iterable[Sequence[tuple[float, int]]], scale: float = 1.0
+) -> list[tuple[float, int]]:
+    """Merged product of (value, count) multisets, each value times `scale`.
+
+    Values multiply left to right over the factors, then by `scale`; counts
+    multiply exactly. The result is sorted by decreasing value, with values
+    within 1e-12 relative merged into the larger one.
+    """
+    factors = iter(factors)
+    cross = next(factors)
+    for factor in factors:
+        cross = [(v * w, c * d) for v, c in cross for w, d in factor]
+    return _merge_buckets((v * scale, c) for v, c in cross)
+
+
+def check_census_budget(schedule: CompositionSchedule, stages: Iterable[int], budget: int) -> None:
+    """Raise SegmentBudgetExceeded once the census buckets of `stages` sum over the budget."""
+    work = 0
+    for stage in stages:
+        work += schedule.census_size(stage)
+        if work > budget:
+            raise SegmentBudgetExceeded(work, budget, "census would enumerate {} buckets or more")
+
+
 def segment_census(
-    schedule: CompositionSchedule, k: int, L0: float = 1.0
+    schedule: CompositionSchedule,
+    k: int,
+    L0: float = 1.0,
+    budget: int = DEFAULT_SEGMENT_BUDGET,
 ) -> list[tuple[float, int]]:
     """Exact (length, count) multiset at stage k, without materializing geometry.
 
     Per component, t = n_i * k applications contribute multinomially many
     segments of length prod_j r_ij^g_j; the composite census is the product
     across components, merged by length (1e-12 relative). Counts are exact
-    integers; their total is prod_i l_i^(n_i * k).
+    integers; their total is prod_i l_i^(n_i * k). Raises
+    SegmentBudgetExceeded before any work when the product would enumerate
+    more than `budget` buckets.
     """
     if k < 0:
         raise ValueError("stage must be >= 0")
-    cross: list[tuple[float, int]] | None = None
-    for gen, repeat in schedule.items:
-        comp = _component_buckets(gen.draw_ratios, repeat * k)
-        if cross is None:
-            cross = comp
-        else:
-            cross = [(v * w, c * d) for v, c in cross for w, d in comp]
-    return _merge_buckets((v * L0, c) for v, c in cross)
+    check_census_budget(schedule, (k,), budget)
+    return census_product(
+        (_component_buckets(gen.draw_ratios, repeat * k) for gen, repeat in schedule.items), L0
+    )
 
 
 def total_length(s: SegmentSet) -> float:

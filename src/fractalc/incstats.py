@@ -7,6 +7,11 @@ factors, so the joint probability multiset must factor into the outer product
 of the component multisets. Both identities are computed from the analytic
 census, never from materialized geometry, so large stages stay cheap.
 
+The factorization check crosses per-part censuses with the census's own
+cross-product routine (`geometry.census_product`), so it checks that merging
+per part and then crossing agrees with crossing and then merging: a
+merge-consistency check, not an independent oracle for the census.
+
 The incompleteness exponent is taken to be the box dimension itself; for sets
 embedded with a nontrivial ambient dimension d one would divide by d first,
 which changes nothing here because the constructions are parametrized on the
@@ -16,9 +21,12 @@ unit initiator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .geometry import CompositionSchedule, _merge_buckets, segment_census
+from .geometry import (
+    DEFAULT_SEGMENT_BUDGET, CompositionSchedule, census_product, check_census_budget,
+    segment_census,
+)
 from .moran import solve_moran
 
 _VALUE_RTOL = 1e-12
@@ -39,10 +47,15 @@ class IncompleteDistribution:
 
     def normalization_residual(self) -> float:
         """|sum_i p_i^alpha - 1|, the defining incomplete normalization."""
-        acc = 0.0
-        for p, m in zip(self.probabilities, self.multiplicities):
-            acc += m * p**self.alpha
-        return abs(acc - 1.0)
+        return normalization_residual(zip(self.probabilities, self.multiplicities), self.alpha)
+
+
+def normalization_residual(buckets: Iterable[tuple[float, int]], alpha: float) -> float:
+    """|sum_i m_i * p_i^alpha - 1| over (probability, multiplicity) buckets."""
+    acc = 0.0
+    for p, m in buckets:
+        acc += m * p**alpha
+    return abs(acc - 1.0)
 
 
 def distribution(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> IncompleteDistribution:
@@ -63,23 +76,6 @@ class FactorizationReport:
     factorization_ok: bool
     max_value_error: float
     normalization_residual: float
-    # residual of the complete-distribution composition hypothesis
-    # p_ij^alpha = p_i^alpha_a * p_j^alpha_b; diagnostic only, it belongs to a
-    # different normalization convention and is not asserted anywhere
-    complete_hypothesis_residual: float
-
-
-def _outer_product(
-    dists: Sequence[IncompleteDistribution],
-) -> list[tuple[float, int]]:
-    cross: list[tuple[float, int]] | None = None
-    for d in dists:
-        buckets = list(zip(d.probabilities, d.multiplicities))
-        if cross is None:
-            cross = buckets
-        else:
-            cross = [(v * w, c * m) for v, c in cross for w, m in buckets]
-    return _merge_buckets(cross)
 
 
 def multisets_match(
@@ -101,6 +97,12 @@ def multisets_match(
     return True, worst
 
 
+def _factorization(joint_census, parts, k: int, budget: int = DEFAULT_SEGMENT_BUDGET):
+    """(product, ok, worst error): the parts' stage-k censuses crossed, against the joint."""
+    product = census_product([segment_census(p, k, budget=budget) for p in parts])
+    return (product, *multisets_match(joint_census, product))
+
+
 def joint_factorization_check(
     a: CompositionSchedule, b: CompositionSchedule, k: int
 ) -> FactorizationReport:
@@ -112,47 +114,30 @@ def joint_factorization_check(
     composite alpha.
     """
     joint = CompositionSchedule(a.items + b.items)
-    da, db = distribution(a, k), distribution(b, k)
-    joint_census = [(value, count) for value, count in segment_census(joint, k)]
-    product = _outer_product([da, db])
-    ok, worst = multisets_match(joint_census, product)
-
     alpha = solve_moran(joint.spectrum()).alpha
-    norm = abs(sum(c * v**alpha for v, c in product) - 1.0)
-
-    hyp = 0.0
-    for pa, ma in zip(da.probabilities, da.multiplicities):
-        for pb, mb in zip(db.probabilities, db.multiplicities):
-            lhs = (pa * pb) ** alpha
-            rhs = pa**da.alpha * pb**db.alpha
-            hyp = max(hyp, abs(lhs - rhs))
-
-    return FactorizationReport(
-        alpha=alpha,
-        stage=k,
-        factorization_ok=ok,
-        max_value_error=worst,
-        normalization_residual=norm,
-        complete_hypothesis_residual=hyp,
-    )
+    product, ok, worst = _factorization(segment_census(joint, k), (a, b), k)
+    return FactorizationReport(alpha, k, ok, worst, normalization_residual(product, alpha))
 
 
-def stats_report(schedule: CompositionSchedule, k: int) -> dict:
+def stats_report(
+    schedule: CompositionSchedule, k: int, budget: int = DEFAULT_SEGMENT_BUDGET
+) -> dict:
     """JSON-ready summary: {alpha, max_normalization_residual, factorization_ok}.
 
-    The normalization residual is the worst over stages 1..k. Factorization
-    splits the schedule into its items and compares the product of their
-    stage-k distributions against the joint census; with a single item the
-    product is the census itself and the check is trivially true.
+    The normalization residual is the worst over stages 0..k (stage 0 is
+    exact). Factorization compares the product of the items' stage-k censuses
+    against the joint census; with a single item the product is the census
+    itself, so the check is trivially true. Raises SegmentBudgetExceeded
+    before any work when stages 0..k would enumerate over `budget` buckets.
     """
+    check_census_budget(schedule, range(k, -1, -1), budget)
     alpha = solve_moran(schedule.spectrum()).alpha
     max_resid = 0.0
-    for stage in range(1, k + 1):
-        max_resid = max(max_resid, distribution(schedule, stage).normalization_residual())
+    for stage in range(k + 1):
+        census = segment_census(schedule, stage, budget=budget)
+        max_resid = max(max_resid, normalization_residual(census, alpha))
     parts = [CompositionSchedule((item,)) for item in schedule.items]
-    product = _outer_product([distribution(p, k) for p in parts])
-    joint_census = segment_census(schedule, k)
-    ok, _ = multisets_match(joint_census, product)
+    ok = len(parts) == 1 or _factorization(census, parts, k, budget)[1]
     return {
         "alpha": alpha,
         "max_normalization_residual": max_resid,

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 import fractalc as fc
+from fractalc.incstats import multisets_match
 from fractalc.parser import Angle, PieceExpr, ScheduleExpr, ScheduleItem
 
 
@@ -165,6 +166,15 @@ def reference_component_buckets(ratios, t: int) -> list[tuple[float, int]]:
     return out
 
 
+def reference_segment_census(schedule, k: int, L0: float = 1.0) -> list[tuple[float, int]]:
+    """Census from the recursive component buckets, crossed left to right, then merged."""
+    cross = None
+    for gen, repeat in schedule.items:
+        comp = reference_component_buckets(gen.draw_ratios, repeat * k)
+        cross = comp if cross is None else [(v * w, c * d) for v, c in cross for w, d in comp]
+    return reference_merge_buckets((v * L0, c) for v, c in cross)
+
+
 def reference_occupied_boxes(coords, x0: float, y0: float, eps: float, nx: int, ny: int) -> int:
     """Occupied-box count at one rung, one segment and one strip at a time."""
     inv = 1.0 / eps
@@ -276,3 +286,71 @@ def reference_detect_overlap(s: fc.SegmentSet) -> bool:
                 if _reference_pair_overlaps(coords[pair[0]], coords[pair[1]], eps):
                     return True
     return False
+
+
+# --- loop references for the incomplete-statistics layer -----------------------
+
+
+def reference_merge_buckets(buckets) -> list[tuple[float, int]]:
+    """Sort by decreasing value and merge values within 1e-12 relative."""
+    ordered = sorted(buckets, key=lambda b: -b[0])
+    merged: list[tuple[float, int]] = []
+    for value, count in ordered:
+        if merged and merged[-1][0] - value <= 1e-12 * merged[-1][0]:
+            merged[-1] = (merged[-1][0], merged[-1][1] + count)
+        else:
+            merged.append((value, count))
+    return merged
+
+
+def reference_outer_product(dists) -> list[tuple[float, int]]:
+    """Merged outer product of IncompleteDistributions, crossed left to right."""
+    cross = None
+    for d in dists:
+        buckets = list(zip(d.probabilities, d.multiplicities))
+        if cross is None:
+            cross = buckets
+        else:
+            cross = [(v * w, c * m) for v, c in cross for w, m in buckets]
+    return reference_merge_buckets(cross)
+
+
+def _reference_residual(d) -> float:
+    acc = 0.0
+    for p, m in zip(d.probabilities, d.multiplicities):
+        acc += m * p**d.alpha
+    return abs(acc - 1.0)
+
+
+def reference_joint_factorization_check(a, b, k: int) -> dict:
+    """FactorizationReport fields from separate distributions, census and outer product."""
+    joint = fc.CompositionSchedule(a.items + b.items)
+    da, db = fc.distribution(a, k), fc.distribution(b, k)
+    joint_census = list(fc.segment_census(joint, k))
+    product = reference_outer_product([da, db])
+    ok, worst = multisets_match(joint_census, product)
+    alpha = fc.solve_moran(joint.spectrum()).alpha
+    norm = abs(sum(c * v**alpha for v, c in product) - 1.0)
+    return {
+        "alpha": alpha,
+        "stage": k,
+        "factorization_ok": ok,
+        "max_value_error": worst,
+        "normalization_residual": norm,
+    }
+
+
+def reference_stats_report(schedule, k: int) -> dict:
+    """stats_report with a distribution per stage and an item-wise outer product."""
+    alpha = fc.solve_moran(schedule.spectrum()).alpha
+    max_resid = 0.0
+    for stage in range(1, k + 1):
+        max_resid = max(max_resid, _reference_residual(fc.distribution(schedule, stage)))
+    parts = [fc.CompositionSchedule((item,)) for item in schedule.items]
+    product = reference_outer_product([fc.distribution(p, k) for p in parts])
+    ok, _ = multisets_match(fc.segment_census(schedule, k), product)
+    return {
+        "alpha": alpha,
+        "max_normalization_residual": max_resid,
+        "factorization_ok": ok,
+    }

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -171,6 +172,55 @@ def test_census_human(runner):
     result = runner.invoke(main, ["census", "K[pi/3]", "--stage", "2", "--human"])
     assert result.exit_code == 0
     assert "total 16" in result.output
+
+
+@pytest.mark.parametrize("stage", ["2000", "9" * 1500])
+@pytest.mark.parametrize("command", ["census", "stats"])
+def test_census_over_budget_exits_4_at_once(runner, command, stage):
+    # C(2003, 3) ~ 1.3e9 compositions, over the default budget of 1e7 buckets;
+    # a 1500-digit stage gives a count too long to print in digits
+    start = time.perf_counter()
+    result = runner.invoke(main, [command, "K[pi/3]", "--stage", stage])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: census would enumerate")
+
+
+def test_census_budget_from_environment(runner):
+    result = runner.invoke(
+        main, ["census", "K[pi/3]", "--stage", "8"], env={"FRACTALC_SEGMENT_BUDGET": "100"}
+    )
+    assert result.exit_code == 4
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["census", "K[pi/3]"],
+        ["stats", "K[pi/3]"],
+        ["validate", "K[pi/3]"],
+        ["render", "K[pi/3]", "-o", "never.svg"],
+    ],
+)
+def test_negative_stage_exits_2(runner, args):
+    result = runner.invoke(main, args + ["--stage", "-1"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "expression,stage",
+    [("K[pi/3]", "10000"), ("K[pi/3]^" + "9" * 30, "1"), ("K[pi/3]", "9" * 400)],
+)
+def test_render_far_over_budget_exits_4(runner, tmp_path, expression, stage):
+    out = tmp_path / "big.svg"
+    result = runner.invoke(main, ["render", expression, "--stage", stage, "-o", str(out)])
+    assert result.exit_code == 4
+    assert result.stdout == "" and not out.exists()
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: stage would produce about 10^")
 
 
 # --- validate -----------------------------------------------------------------

@@ -124,6 +124,35 @@ def test_budget_exceeded():
     assert err.value.predicted == 4**9
 
 
+def test_budget_far_exceeded_reports_power_of_ten():
+    with pytest.raises(SegmentBudgetExceeded) as err:
+        fc.iterate(koch(), 10_000)
+    assert err.value.predicted is None
+    assert "about 10^6020.6 segments" in str(err.value)
+    huge_repeat = fc.schedule_from_text("K[pi/3]^" + "9" * 30)
+    with pytest.raises(SegmentBudgetExceeded) as err:
+        fc.iterate(huge_repeat, 1)
+    assert err.value.predicted is None and "10^6.0206e+29" in str(err.value)
+
+
+def test_budget_message_gives_power_of_ten_for_long_counts():
+    err = SegmentBudgetExceeded(4**10_000, 10)
+    assert str(err) == "stage would produce about 10^6020.6 segments, over the budget of 10"
+    assert err.predicted == 4**10_000
+
+
+def test_census_budget_checked_before_enumerating():
+    with pytest.raises(SegmentBudgetExceeded) as err:
+        fc.segment_census(koch(), 2000)
+    assert err.value.predicted == math.comb(2003, 3)
+    sched = binary_koch()
+    size = sched.census_size(5)
+    assert size == 6 * math.comb(8, 3)
+    assert sum(c for _, c in fc.segment_census(sched, 5, budget=size)) == 8**5
+    with pytest.raises(SegmentBudgetExceeded):
+        fc.segment_census(sched, 5, budget=size - 1)
+
+
 def test_stage_count_law():
     rng = random.Random(61)
     for _ in range(20):

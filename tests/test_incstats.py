@@ -4,6 +4,7 @@ import random
 import pytest
 
 import fractalc as fc
+from fractalc.errors import SegmentBudgetExceeded
 from helpers import census_feasible_stage, census_size, random_schedule
 
 
@@ -59,7 +60,6 @@ def test_binary_times_koch_factorizes():
     assert report.factorization_ok
     assert report.max_value_error <= 1e-12
     assert report.normalization_residual < 1e-9
-    assert report.complete_hypothesis_residual >= 0.0
 
 
 def test_three_subsystem_product_normalizes():
@@ -115,3 +115,14 @@ def test_normalization_fuzz():
         for stage in range(1, k + 1):
             assert fc.distribution(sched, stage).normalization_residual() < 1e-9
         done += 1
+
+
+def test_stats_report_budget_covers_every_stage():
+    sched = fc.schedule_from_text("C[1/2,1/3] K[pi/3]")
+    work = sum(census_size(sched, stage) for stage in range(5))
+    assert fc.stats_report(sched, 4, budget=work)["factorization_ok"] is True
+    with pytest.raises(SegmentBudgetExceeded):
+        fc.stats_report(sched, 4, budget=work - 1)
+    # each stage alone is within the budget, their sum is not
+    with pytest.raises(SegmentBudgetExceeded):
+        fc.stats_report(koch(), 300)

@@ -1,11 +1,26 @@
-"""Box counting, overlap detection and the census against their loop references."""
+"""Box counting, overlap detection, the census and the incomplete-statistics
+layer against their loop references."""
+
+import dataclasses
+import json
+import random
 
 import numpy as np
 import pytest
 
 import fractalc as fc
 from fractalc import boxcount, geometry
-from helpers import reference_component_buckets, reference_counts, reference_detect_overlap
+from helpers import (
+    census_feasible_stage,
+    census_size,
+    random_schedule,
+    reference_component_buckets,
+    reference_counts,
+    reference_detect_overlap,
+    reference_joint_factorization_check,
+    reference_segment_census,
+    reference_stats_report,
+)
 
 CROSSING = "G[(0.9,0,draw);(0.5,3.1,gap);(0.5,-0.05,draw)]"
 UNEQUAL = "G[(0.19,0.03,draw);(0.19,1.11,draw);(0.52,-0.64,draw)]"
@@ -73,3 +88,79 @@ def test_box_counts_match_loop_reference_in_small_batches(monkeypatch):
 def test_component_buckets_match_recursive_reference(ratios):
     for t in (0, 1, 2, 7, 19):
         assert geometry._component_buckets(ratios, t) == reference_component_buckets(ratios, t)
+
+
+# --- incomplete statistics ----------------------------------------------------
+
+STATS_CORPUS = (
+    [("K[pi/3]", k) for k in range(0, 13)]
+    + [("C[1/2,1/3] K[pi/3]", k) for k in (0, 1, 2, 4, 6)]
+    + [("C[1/2,1/4,1/6] K[pi/4] K[pi/3]", k) for k in (0, 1, 2, 3)]
+)
+
+FACTOR_PAIRS = [
+    ("C[1/2,1/3]", "K[pi/3]"),
+    ("K[pi/3]", "K[pi/3]"),
+    ("C[1/2,1/4,1/6]", "K[pi/4] K[pi/3]"),
+    ("C[1/2,1/4,1/6] K[pi/4]", "K[pi/3]"),
+]
+
+
+def _fuzz_cases(seed: int, count: int, cap: int = 5_000, max_stage: int = 5):
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        sched = random_schedule(rng)
+        k = census_feasible_stage(sched, cap, max_stage=max_stage)
+        if census_size(sched, k) <= cap:
+            cases.append((sched, k))
+    return cases
+
+
+def _same_stats(sched, k):
+    got = json.dumps(fc.stats_report(sched, k))
+    assert got == json.dumps(reference_stats_report(sched, k))
+
+
+@pytest.mark.parametrize("text,stage", STATS_CORPUS)
+def test_stats_report_matches_reference(text, stage):
+    _same_stats(fc.schedule_from_text(text), stage)
+
+
+def test_stats_report_matches_reference_on_fuzz():
+    for sched, k in _fuzz_cases(89, 60):
+        for stage in (0, 1, k):
+            _same_stats(sched, stage)
+
+
+def _same_factorization(a, b, k):
+    got = dataclasses.asdict(fc.joint_factorization_check(a, b, k))
+    assert json.dumps(got) == json.dumps(reference_joint_factorization_check(a, b, k))
+
+
+@pytest.mark.parametrize("left,right", FACTOR_PAIRS)
+def test_joint_factorization_matches_reference(left, right):
+    a, b = fc.schedule_from_text(left), fc.schedule_from_text(right)
+    for k in range(4):
+        _same_factorization(a, b, k)
+
+
+def test_joint_factorization_matches_reference_on_fuzz():
+    rng = random.Random(97)
+    done = 0
+    while done < 30:
+        a = random_schedule(rng, max_items=2, max_repeat=2)
+        b = random_schedule(rng, max_items=2, max_repeat=2)
+        joint = fc.CompositionSchedule(a.items + b.items)
+        k = census_feasible_stage(joint, 5_000, max_stage=3)
+        if census_size(joint, k) > 5_000:
+            continue
+        _same_factorization(a, b, k)
+        done += 1
+
+
+def test_segment_census_matches_reference():
+    cases = _fuzz_cases(101, 60) + [(fc.schedule_from_text(t), k) for t, k in STATS_CORPUS]
+    for sched, k in cases:
+        for L0 in (1.0, 2.5):
+            assert fc.segment_census(sched, k, L0) == reference_segment_census(sched, k, L0)
