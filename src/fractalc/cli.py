@@ -9,6 +9,7 @@ variable FRACTALC_SEGMENT_BUDGET overrides the default segment cap.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -34,6 +35,12 @@ _OVERLAP_CAVEAT = (
     "warning: overlapping segments detected; the composite dimension is only "
     "an upper bound for this figure"
 )
+_UNDERFLOW_WARNING = (
+    "warning: the smallest stage-{} lengths are below the float range and "
+    "underflow to 0.0"
+)
+# ln of the smallest positive double, 2**-1074
+_LOG_TINIEST = math.log(5e-324)
 
 
 def _fail(code: int, message: str) -> None:
@@ -58,6 +65,17 @@ def _segment_budget() -> int:
         return int(raw)
     except ValueError:
         _fail(EXIT_USAGE, f"FRACTALC_SEGMENT_BUDGET must be an integer, got {raw!r}")
+
+
+def _initiator_length(ctx, param, value: float) -> float:
+    if not (math.isfinite(value) and value > 0.0):
+        raise click.BadParameter(f"must be a finite number > 0, got {value!r}")
+    return value
+
+
+def _warn_underflow(sched: geometry.CompositionSchedule, stage: int, l0: float = 1.0) -> None:
+    if geometry.smallest_log_length(sched, stage, l0) < _LOG_TINIEST:
+        click.echo(_UNDERFLOW_WARNING.format(stage), err=True)
 
 
 def _emit(payload: dict, human: bool) -> None:
@@ -165,7 +183,8 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
 @click.option("--output", "-o", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Also dump segments as x1,y1,x2,y2 lines.")
-@click.option("--l0", default=1.0, show_default=True, help="Initiator length.")
+@click.option("--l0", default=1.0, show_default=True, callback=_initiator_length,
+              help="Initiator length.")
 @click.option("--warn-overlap/--no-warn-overlap", default=True,
               help="Check for self-intersection and print the upper-bound caveat.")
 def render(expression: str, stage: int, out_path: str, csv_path: str | None,
@@ -201,7 +220,7 @@ def render(expression: str, stage: int, out_path: str, csv_path: str | None,
 @main.command()
 @click.argument("expression")
 @click.option("--stage", "-k", default=3, show_default=True, type=click.IntRange(min=0))
-@click.option("--l0", default=1.0, show_default=True)
+@click.option("--l0", default=1.0, show_default=True, callback=_initiator_length)
 @click.option("--human", is_flag=True)
 def census(expression: str, stage: int, l0: float, human: bool):
     """Exact (length, count) table at a stage, via multinomial expansion."""
@@ -210,6 +229,7 @@ def census(expression: str, stage: int, l0: float, human: bool):
         buckets = geometry.segment_census(sched, stage, l0, budget=_segment_budget())
     except SegmentBudgetExceeded as exc:
         _fail(EXIT_BUDGET, str(exc))
+    _warn_underflow(sched, stage, l0)
     total = sum(count for _, count in buckets)
     if human:
         click.echo(f"{'length':>24} {'count':>16}")
@@ -232,7 +252,7 @@ def census(expression: str, stage: int, l0: float, human: bool):
 @click.option("--min-scale", default=None, type=float,
               help="Finest box size (default: smallest segment length).")
 @click.option("--tolerance", default=0.05, show_default=True)
-@click.option("--l0", default=1.0, show_default=True)
+@click.option("--l0", default=1.0, show_default=True, callback=_initiator_length)
 @click.option("--human", is_flag=True)
 def validate(expression: str, stage: int, scales: int, min_scale: float | None,
              tolerance: float, l0: float, human: bool):
@@ -275,6 +295,7 @@ def stats(expression: str, stage: int, human: bool):
         _fail(EXIT_SOLVER, str(exc))
     except SegmentBudgetExceeded as exc:
         _fail(EXIT_BUDGET, str(exc))
+    _warn_underflow(sched, stage)
     _emit(payload, human)
 
 

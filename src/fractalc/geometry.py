@@ -243,6 +243,11 @@ def _apply_substage(
     return new_coords, new_lengths
 
 
+def _check_initiator(L0: float) -> None:
+    if not (math.isfinite(L0) and L0 > 0.0):
+        raise ValueError(f"initiator length must be positive and finite, got {L0!r}")
+
+
 def iterate(
     schedule: CompositionSchedule,
     k: int,
@@ -258,8 +263,7 @@ def iterate(
     """
     if k < 0:
         raise ValueError("stage must be >= 0")
-    if L0 <= 0.0:
-        raise ValueError("initiator length must be positive")
+    _check_initiator(L0)
     try:
         log_count = k * sum(n * math.log(gen.copies) for gen, n in schedule.items)
     except OverflowError:
@@ -283,28 +287,47 @@ def iterate(
 # --- analytic census ---------------------------------------------------------
 
 
-def _component_buckets(ratios: Sequence[float], t: int) -> list[tuple[float, int]]:
-    """Lengths and exact multinomial counts for one component applied t times.
+def _binomial_row(rem: int, ma: int, mb: int = 1) -> list[int]:
+    """comb(rem, g) * ma**g * mb**(rem - g) for g = 0..rem."""
+    if ma == mb == 1:
+        return [math.comb(rem, g) for g in range(rem + 1)]
+    return [math.comb(rem, g) * ma**g * mb ** (rem - g) for g in range(rem + 1)]
 
-    Compositions (g_0, ..., g_last) of t come out in lexicographic order, each
-    length built as ((1.0 * r_0**g_0) * r_1**g_1) * ... left to right.
+
+def _component_buckets(ratios: Sequence[float], t: int) -> list[tuple[float, int]]:
+    """Lengths and exact counts for one component applied t times.
+
+    Equal ratios fold into one: with distinct ratios rho_1..rho_d (in order of
+    first appearance) of multiplicities m_1..m_d, each composition
+    (h_1, ..., h_d) of t is one bucket of length
+    ((1.0 * rho_1**h_1) * rho_2**h_2) * ..., built left to right, and count
+    multinomial(t; h) * prod_j m_j**h_j. Compositions come out in
+    lexicographic order. A single distinct ratio gives [(rho**t, m**t)]; with
+    no repeated ratio this is the plain multinomial expansion over the pieces.
     """
-    if len(ratios) == 1:
-        return [(ratios[0] ** t, 1)]
-    powers = [[ratio**g for g in range(t + 1)] for ratio in ratios]
-    # (applications left, length so far, count so far) per partial composition
+    distinct = list(dict.fromkeys(ratios))
+    if len(distinct) == 1:
+        return [(distinct[0] ** t, len(ratios) ** t)]
+    powers = [[rho**g for g in range(t + 1)] for rho in distinct]
+    mult = [ratios.count(rho) for rho in distinct]
+    # (applications left, length so far, count so far) per partial composition;
+    # the count factors are built once per distinct number of applications left
     partial = [(t, 1.0, 1)]
-    for pw in powers[:-2]:
+    for pw, m in zip(powers[:-2], mult):
+        rows = {rem: _binomial_row(rem, m) for rem in {p[0] for p in partial}}
         partial = [
-            (rem - g, value * pw[g], count * math.comb(rem, g))
+            (rem - g, value * pw[g], count * row[g])
             for rem, value, count in partial
+            for row in (rows[rem],)
             for g in range(rem + 1)
         ]
     # the last two exponents are chosen together, so each leaf is built once
     pa, pb = powers[-2:]
+    rows = {rem: _binomial_row(rem, *mult[-2:]) for rem in {p[0] for p in partial}}
     return [
-        (value * pa[g] * pb[rem - g], count * math.comb(rem, g))
+        (value * pa[g] * pb[rem - g], count * row[g])
         for rem, value, count in partial
+        for row in (rows[rem],)
         for g in range(rem + 1)
     ]
 
@@ -354,17 +377,32 @@ def segment_census(
     """Exact (length, count) multiset at stage k, without materializing geometry.
 
     Per component, t = n_i * k applications contribute multinomially many
-    segments of length prod_j r_ij^g_j; the composite census is the product
-    across components, merged by length (1e-12 relative). Counts are exact
-    integers; their total is prod_i l_i^(n_i * k). Raises
-    SegmentBudgetExceeded before any work when the product would enumerate
-    more than `budget` buckets.
+    segments of length prod_j rho_ij^h_j over the component's distinct ratios
+    rho_ij (equal pieces fold into one ratio, their multiplicity joining the
+    count), so each distinct-ratio exponent vector is computed once; the
+    composite census is the product across components, times L0, merged by
+    length (1e-12 relative). Counts are exact integers; their total is
+    prod_i l_i^(n_i * k). Raises SegmentBudgetExceeded before any work when
+    the compositions over the pieces, counted before folding, exceed
+    `budget`, and ValueError unless L0 is positive and finite.
     """
     if k < 0:
         raise ValueError("stage must be >= 0")
+    _check_initiator(L0)
     check_census_budget(schedule, (k,), budget)
     return census_product(
         (_component_buckets(gen.draw_ratios, repeat * k) for gen, repeat in schedule.items), L0
+    )
+
+
+def smallest_log_length(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> float:
+    """ln of the smallest stage-k segment length: ln L0 + k * sum_i n_i ln min_j r_ij.
+
+    Computed in the log domain, so it stays finite where the length itself
+    underflows to 0.0.
+    """
+    return math.log(L0) + k * math.fsum(
+        n * math.log(min(gen.draw_ratios)) for gen, n in schedule.items
     )
 
 

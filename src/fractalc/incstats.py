@@ -90,7 +90,8 @@ def multisets_match(
     for (va, ca), (vb, cb) in zip(a, b):
         if ca != cb:
             return False, float("inf")
-        err = abs(va - vb) / max(va, vb)
+        # equal values, 0.0 included, match exactly; 0.0 against a length does not
+        err = 0.0 if va == vb else abs(va - vb) / max(va, vb)
         worst = max(worst, err)
         if err > rtol:
             return False, worst

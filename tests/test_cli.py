@@ -223,6 +223,36 @@ def test_render_far_over_budget_exits_4(runner, tmp_path, expression, stage):
     assert len(lines) == 1 and lines[0].startswith("error: stage would produce about 10^")
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["census", "K[pi/3]"],
+        ["validate", "K[pi/3]"],
+        ["render", "K[pi/3]", "-o", "never.svg"],
+    ],
+)
+def test_bad_initiator_length_exits_2(runner, args, value):
+    result = runner.invoke(main, args + ["--stage", "1", "--l0", value])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--l0" in result.stderr and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["census", "stats"])
+def test_underflowed_lengths_warn_without_traceback(runner, command):
+    # stage-110 lengths of C[1/1000] are ~1e-330, below the smallest double
+    result = runner.invoke(main, [command, "C[1/1000] C[1/2,1/4]", "--stage", "110"])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    json.loads(result.stdout)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning:")
+    assert "below the float range" in lines[0]
+    quiet = runner.invoke(main, [command, "C[1/1000] C[1/2,1/4]", "--stage", "80"])
+    assert quiet.exit_code == 0 and quiet.stderr == ""
+
+
 # --- validate -----------------------------------------------------------------
 
 

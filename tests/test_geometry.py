@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -193,6 +194,37 @@ def test_census_uniform_single_bucket():
     value, count = census[0]
     assert count == 4**5
     assert value == pytest.approx(2.0 / 3**5, rel=1e-12)
+
+
+@pytest.mark.parametrize("text,stage", [("K[pi/3]", 100), ("Q[pi/2]^3", 30)])
+def test_census_of_equal_ratios_is_one_folded_bucket(text, stage):
+    # C(103, 3) and C(94, 4) compositions before folding, one bucket after
+    sched = fc.schedule_from_text(text)
+    (gen, repeat), = sched.items
+    t, rho = repeat * stage, gen.draw_ratios[0]
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        census = fc.segment_census(sched, stage)
+        best = min(best, time.perf_counter() - start)
+    assert census == [(rho**t, gen.copies**t)]
+    assert best < 0.01
+
+
+def test_census_rejects_bad_initiator_length():
+    for L0 in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            fc.segment_census(koch(), 2, L0)
+        with pytest.raises(ValueError):
+            fc.iterate(koch(), 2, L0)
+
+
+def test_smallest_log_length():
+    sched = fc.schedule_from_text("C[1/1000] C[1/2,1/4]^2")
+    want = math.log(2.5) + 7 * (math.log(1e-3) + 2 * math.log(0.25))
+    assert fc.geometry.smallest_log_length(sched, 7, 2.5) == pytest.approx(want, rel=1e-15)
+    # finite where the length itself underflows
+    assert fc.geometry.smallest_log_length(sched, 110) < math.log(5e-324)
 
 
 def test_census_stage_zero():

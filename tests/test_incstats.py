@@ -88,6 +88,17 @@ def test_single_item_factorization_is_trivially_true():
     assert summary["factorization_ok"] is True
 
 
+def test_multisets_match_with_underflowed_buckets():
+    from fractalc.incstats import multisets_match
+
+    assert multisets_match([(0.5, 2), (0.0, 3)], [(0.5, 2), (0.0, 3)]) == (True, 0.0)
+    ok, _ = multisets_match([(0.5, 2), (0.0, 3)], [(0.5, 2), (1e-300, 3)])
+    assert not ok
+    # a multi-item stats report whose stage-k lengths underflow to 0.0
+    summary = fc.stats_report(fc.schedule_from_text("C[1/1000] C[1/2,1/4]"), 110)
+    assert summary["factorization_ok"] is True
+
+
 def test_factorization_fuzz():
     rng = random.Random(73)
     done = 0
