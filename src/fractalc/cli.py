@@ -36,8 +36,8 @@ _OVERLAP_CAVEAT = (
     "an upper bound for this figure"
 )
 _UNDERFLOW_WARNING = (
-    "warning: the smallest stage-{} lengths are below the float range and "
-    "underflow to 0.0"
+    "warning: the smallest stage-{} lengths fall below the float range while "
+    "the census is computed and read 0.0"
 )
 # ln of the smallest positive double, 2**-1074
 _LOG_TINIEST = math.log(5e-324)
@@ -74,7 +74,7 @@ def _initiator_length(ctx, param, value: float) -> float:
 
 
 def _warn_underflow(sched: geometry.CompositionSchedule, stage: int, l0: float = 1.0) -> None:
-    if geometry.smallest_log_length(sched, stage, l0) < _LOG_TINIEST:
+    if geometry.census_log_floor(sched, stage, l0) < _LOG_TINIEST:
         click.echo(_UNDERFLOW_WARNING.format(stage), err=True)
 
 

@@ -287,13 +287,6 @@ def iterate(
 # --- analytic census ---------------------------------------------------------
 
 
-def _binomial_row(rem: int, ma: int, mb: int = 1) -> list[int]:
-    """comb(rem, g) * ma**g * mb**(rem - g) for g = 0..rem."""
-    if ma == mb == 1:
-        return [math.comb(rem, g) for g in range(rem + 1)]
-    return [math.comb(rem, g) * ma**g * mb ** (rem - g) for g in range(rem + 1)]
-
-
 def _component_buckets(ratios: Sequence[float], t: int) -> list[tuple[float, int]]:
     """Lengths and exact counts for one component applied t times.
 
@@ -309,25 +302,21 @@ def _component_buckets(ratios: Sequence[float], t: int) -> list[tuple[float, int
     if len(distinct) == 1:
         return [(distinct[0] ** t, len(ratios) ** t)]
     powers = [[rho**g for g in range(t + 1)] for rho in distinct]
-    mult = [ratios.count(rho) for rho in distinct]
-    # (applications left, length so far, count so far) per partial composition;
-    # the count factors are built once per distinct number of applications left
+    weights = [[ratios.count(rho) ** g for g in range(t + 1)] for rho in distinct]
+    # (applications left, length so far, count so far) per partial composition
     partial = [(t, 1.0, 1)]
-    for pw, m in zip(powers[:-2], mult):
-        rows = {rem: _binomial_row(rem, m) for rem in {p[0] for p in partial}}
+    for pw, wt in zip(powers[:-2], weights):
         partial = [
-            (rem - g, value * pw[g], count * row[g])
+            (rem - g, value * pw[g], count * wt[g] * math.comb(rem, g))
             for rem, value, count in partial
-            for row in (rows[rem],)
             for g in range(rem + 1)
         ]
     # the last two exponents are chosen together, so each leaf is built once
     pa, pb = powers[-2:]
-    rows = {rem: _binomial_row(rem, *mult[-2:]) for rem in {p[0] for p in partial}}
+    wa, wb = weights[-2:]
     return [
-        (value * pa[g] * pb[rem - g], count * row[g])
+        (value * pa[g] * pb[rem - g], count * wa[g] * wb[rem - g] * math.comb(rem, g))
         for rem, value, count in partial
-        for row in (rows[rem],)
         for g in range(rem + 1)
     ]
 
@@ -395,13 +384,15 @@ def segment_census(
     )
 
 
-def smallest_log_length(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> float:
-    """ln of the smallest stage-k segment length: ln L0 + k * sum_i n_i ln min_j r_ij.
+def census_log_floor(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> float:
+    """ln of the smallest value segment_census forms at stage k.
 
-    Computed in the log domain, so it stays finite where the length itself
-    underflows to 0.0.
+    That is min(ln L0, 0) + k * sum_i n_i ln min_j r_ij, computed in the log
+    domain so it stays finite where the value underflows to 0.0. The census
+    crosses the unscaled lengths (all ratios are below 1) and scales by L0
+    last, so an L0 above 1 cannot lift a product that has already underflowed.
     """
-    return math.log(L0) + k * math.fsum(
+    return min(math.log(L0), 0.0) + k * math.fsum(
         n * math.log(min(gen.draw_ratios)) for gen, n in schedule.items
     )
 

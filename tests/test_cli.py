@@ -253,6 +253,18 @@ def test_underflowed_lengths_warn_without_traceback(runner, command):
     assert quiet.exit_code == 0 and quiet.stderr == ""
 
 
+def test_census_warns_when_lengths_underflow_before_scaling(runner):
+    # 0.001**110 underflows before the census scales by L0, so the 1e-30
+    # length reads 0.0 and must be flagged; at stage 100 it stays 1.0
+    result = runner.invoke(main, ["census", "C[1/1000]", "--stage", "110", "--l0", "1e300"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["buckets"][-1]["length"] == 0.0
+    assert result.stderr.startswith("warning:")
+    quiet = runner.invoke(main, ["census", "C[1/1000]", "--stage", "100", "--l0", "1e300"])
+    assert quiet.exit_code == 0 and quiet.stderr == ""
+    assert json.loads(quiet.stdout)["buckets"][-1]["length"] > 0.0
+
+
 # --- validate -----------------------------------------------------------------
 
 

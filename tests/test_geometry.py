@@ -219,12 +219,28 @@ def test_census_rejects_bad_initiator_length():
             fc.iterate(koch(), 2, L0)
 
 
-def test_smallest_log_length():
+def test_census_log_floor():
     sched = fc.schedule_from_text("C[1/1000] C[1/2,1/4]^2")
-    want = math.log(2.5) + 7 * (math.log(1e-3) + 2 * math.log(0.25))
-    assert fc.geometry.smallest_log_length(sched, 7, 2.5) == pytest.approx(want, rel=1e-15)
+    unscaled = 7 * (math.log(1e-3) + 2 * math.log(0.25))
+    assert fc.geometry.census_log_floor(sched, 7, 0.4) == pytest.approx(
+        math.log(0.4) + unscaled, rel=1e-15
+    )
+    # an L0 above 1 scales the crossed lengths only after they are formed
+    assert fc.geometry.census_log_floor(sched, 7, 2.5) == pytest.approx(unscaled, rel=1e-15)
     # finite where the length itself underflows
-    assert fc.geometry.smallest_log_length(sched, 110) < math.log(5e-324)
+    assert fc.geometry.census_log_floor(sched, 110) < math.log(5e-324)
+
+
+@pytest.mark.parametrize(
+    "stage, L0",
+    [(60, 1.0), (110, 1.0), (60, 1e300), (110, 1e300), (80, 1e-30), (100, 1e-30)],
+)
+def test_census_log_floor_predicts_zero_lengths(stage, L0):
+    sched = fc.schedule_from_text("C[1/1000] C[1/2,1/4]")
+    buckets = fc.segment_census(sched, stage, L0)
+    assert (buckets[-1][0] == 0.0) == (
+        fc.geometry.census_log_floor(sched, stage, L0) < math.log(5e-324)
+    )
 
 
 def test_census_stage_zero():
