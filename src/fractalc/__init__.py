@@ -40,6 +40,7 @@ from .moran import (
     binary_special_dimension,
     component_dimension,
     composite_dimension_uniform,
+    dimension,
     dimension_bounds,
     rational_limit_dimension,
     single_dimension,
@@ -72,6 +73,7 @@ __all__ = [
     "composite_dimension_uniform",
     "content",
     "detect_overlap",
+    "dimension",
     "dimension_bounds",
     "distribution",
     "estimate_dimension",

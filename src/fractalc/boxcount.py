@@ -164,8 +164,8 @@ def estimate_dimension(
         raise DegenerateGeometry("all points coincident")
     if min_scale is None:
         min_scale = float(s.lengths().min())
-    if min_scale <= 0.0:
-        raise ScaleLadderInvalid("min_scale must be positive")
+    if not (math.isfinite(min_scale) and min_scale > 0.0):
+        raise ScaleLadderInvalid(f"min_scale must be a finite number > 0, got {min_scale!r}")
 
     eps_top = diag / 4.0
     scales = []

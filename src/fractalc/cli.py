@@ -62,14 +62,23 @@ def _segment_budget() -> int:
     if raw is None:
         return geometry.DEFAULT_SEGMENT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        _fail(EXIT_USAGE, f"FRACTALC_SEGMENT_BUDGET must be an integer, got {raw!r}")
+        budget = 0
+    if budget < 1:
+        _fail(EXIT_USAGE, f"FRACTALC_SEGMENT_BUDGET must be an integer >= 1, got {raw!r}")
+    return budget
 
 
 def _initiator_length(ctx, param, value: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise click.BadParameter(f"must be a finite number > 0, got {value!r}")
+    return value
+
+
+def _tolerance(ctx, param, value: float) -> float:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise click.BadParameter(f"must be a finite number >= 0, got {value!r}")
     return value
 
 
@@ -92,32 +101,6 @@ def _emit(payload: dict, human: bool) -> None:
         click.echo(f"{key:<24} {text}")
 
 
-def _closed_form(sched: geometry.CompositionSchedule):
-    """(alpha, method) when a closed form applies, else None."""
-    uniform = []
-    for gen, repeat in sched.items:
-        ratios = gen.draw_ratios
-        if any(r != ratios[0] for r in ratios):
-            uniform = None
-            break
-        uniform.append((moran.UniformFractal(len(ratios), ratios[0]), repeat))
-    if uniform is not None:
-        return moran.composite_dimension_uniform(uniform), "closed-form"
-
-    if len(sched.items) == 2 and all(n == 1 for _, n in sched.items):
-        for first, second in (sched.items, sched.items[::-1]):
-            binary = first[0].draw_ratios
-            other = second[0].draw_ratios
-            if len(binary) != 2 or any(r != other[0] for r in other):
-                continue
-            r1, r2 = max(binary), min(binary)
-            rho = other[0]
-            if abs(r2 - r1 * r1 * rho) <= 1e-12 * r2:
-                f = moran.UniformFractal(len(other), rho)
-                return moran.binary_special_dimension(r1, f), "binary-analytic"
-    return None
-
-
 @click.group()
 def main():
     """Composite fractal dimensions from composition-schedule expressions."""
@@ -134,27 +117,20 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
     """Composite dimension of EXPRESSION (analytic where possible)."""
     sched = _load_schedule(expression)
     spectrum = sched.spectrum()
-    component_dims = [moran.component_dimension(g.draw_ratios) for g, _ in sched.items]
-    bounds = moran.dimension_bounds(component_dims)
-
-    closed = _closed_form(sched)
-    if closed_form_only and closed is None:
+    try:
+        report = moran.dimension(spectrum)
+        component_dims = [moran.component_dimension(g.draw_ratios) for g, _ in sched.items]
+    except SolverError as exc:
+        _fail(EXIT_SOLVER, str(exc))
+    closed = report.method != "moran-numeric"
+    if closed_form_only and not closed:
         _fail(EXIT_USAGE, "no closed form applies to this schedule")
-    if closed is not None:
-        alpha, method = closed
-        residual = spectrum.moran_product(alpha) - 1.0
-    else:
-        try:
-            report = moran.solve_moran(spectrum)
-        except SolverError as exc:
-            _fail(EXIT_SOLVER, str(exc))
-        alpha, method, residual = report.alpha, report.method, report.residual
 
     payload = {
-        "alpha": alpha,
-        "method": method,
-        "residual": residual,
-        "bounds": list(bounds),
+        "alpha": report.alpha,
+        "method": report.method,
+        "residual": report.residual,
+        "bounds": list(moran.dimension_bounds(component_dims)),
         "component_dimensions": component_dims,
     }
     if check:
@@ -162,9 +138,9 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
             numeric = moran.solve_moran(spectrum)
         except SolverError as exc:
             _fail(EXIT_SOLVER, str(exc))
-        difference = abs(alpha - numeric.alpha) if closed is not None else None
+        difference = abs(report.alpha - numeric.alpha) if closed else None
         payload["check"] = {
-            "closed_form": alpha if closed is not None else None,
+            "closed_form": report.alpha if closed else None,
             "numeric": numeric.alpha,
             "difference": difference,
         }
@@ -251,7 +227,7 @@ def census(expression: str, stage: int, l0: float, human: bool):
 @click.option("--scales", default=10, show_default=True, help="Max rungs of the dyadic ladder.")
 @click.option("--min-scale", default=None, type=float,
               help="Finest box size (default: smallest segment length).")
-@click.option("--tolerance", default=0.05, show_default=True)
+@click.option("--tolerance", default=0.05, show_default=True, callback=_tolerance)
 @click.option("--l0", default=1.0, show_default=True, callback=_initiator_length)
 @click.option("--human", is_flag=True)
 def validate(expression: str, stage: int, scales: int, min_scale: float | None,
@@ -259,7 +235,7 @@ def validate(expression: str, stage: int, scales: int, min_scale: float | None,
     """Cross-validate the theoretical dimension against empirical box counting."""
     sched = _load_schedule(expression)
     try:
-        alpha = moran.solve_moran(sched.spectrum()).alpha
+        alpha = moran.dimension(sched.spectrum()).alpha
     except SolverError as exc:
         _fail(EXIT_SOLVER, str(exc))
     budget = _segment_budget()

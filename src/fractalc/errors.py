@@ -56,7 +56,9 @@ class SegmentBudgetExceeded(FractalcError):
 
 
 class SolverError(FractalcError):
-    """Root solver could not bracket or converge (unreachable for valid input)."""
+    """The Moran solver missed its residual tolerance: with repeat counts in the
+    hundreds of thousands, even the closest float alpha can leave the product
+    further from 1 than the tolerance."""
 
 
 class ScaleLadderInvalid(FractalcError):

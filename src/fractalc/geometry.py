@@ -403,6 +403,7 @@ def total_length(s: SegmentSet) -> float:
 
 def predicted_length(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> float:
     """Closed-form stage-k length: prod_i (sum_j r_ij)^(n_i * k) * L0."""
+    _check_initiator(L0)
     value = 1.0
     for gen, repeat in schedule.items:
         value *= math.fsum(gen.draw_ratios) ** (repeat * k)
@@ -413,11 +414,16 @@ def content(schedule: CompositionSchedule, k: int, beta: float, L0: float = 1.0)
     """Order-beta content at stage k via the census closed form.
 
     Constant in k exactly when beta is the composite dimension; at beta = 1 it
-    is the stage length.
+    is the stage length. Computed as exp(k ln M(beta) + beta ln L0) from the
+    log Moran product M, and math.inf when that exceeds the float range.
     """
+    _check_initiator(L0)
     if beta < 0.0:
         raise ValueError("beta must be >= 0")
-    return schedule.spectrum().moran_product(beta) ** k * L0**beta
+    try:
+        return math.exp(k * schedule.spectrum().log_moran(beta) + beta * math.log(L0))
+    except OverflowError:
+        return math.inf
 
 
 # --- export ------------------------------------------------------------------

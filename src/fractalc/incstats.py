@@ -27,7 +27,7 @@ from .geometry import (
     DEFAULT_SEGMENT_BUDGET, CompositionSchedule, census_product, check_census_budget,
     segment_census,
 )
-from .moran import solve_moran
+from .moran import dimension
 
 _VALUE_RTOL = 1e-12
 
@@ -61,7 +61,7 @@ def normalization_residual(buckets: Iterable[tuple[float, int]], alpha: float) -
 def distribution(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> IncompleteDistribution:
     """Probabilities p = length / L0 from the stage-k census, with solved alpha."""
     census = segment_census(schedule, k, L0)
-    alpha = solve_moran(schedule.spectrum()).alpha
+    alpha = dimension(schedule.spectrum()).alpha
     probs = tuple(value / L0 for value, _ in census)
     counts = tuple(count for _, count in census)
     return IncompleteDistribution(probs, counts, alpha, k)
@@ -115,7 +115,7 @@ def joint_factorization_check(
     composite alpha.
     """
     joint = CompositionSchedule(a.items + b.items)
-    alpha = solve_moran(joint.spectrum()).alpha
+    alpha = dimension(joint.spectrum()).alpha
     product, ok, worst = _factorization(segment_census(joint, k), (a, b), k)
     return FactorizationReport(alpha, k, ok, worst, normalization_residual(product, alpha))
 
@@ -132,7 +132,7 @@ def stats_report(
     before any work when stages 0..k would enumerate over `budget` buckets.
     """
     check_census_budget(schedule, range(k, -1, -1), budget)
-    alpha = solve_moran(schedule.spectrum()).alpha
+    alpha = dimension(schedule.spectrum()).alpha
     max_resid = 0.0
     for stage in range(k + 1):
         census = segment_census(schedule, stage, budget=budget)

@@ -1,9 +1,11 @@
 """Dimension algebra for composition schedules.
 
-Closed-form composite dimensions for uniform components, the generalized
-Moran-product root solver for multifractal components, the binary-multifractal
-analytic special case, dimension bounds, and the rational-dimension limit
-construction.
+`dimension` is the one dispatcher behind every reported dimension: the closed
+form for uniform components, the binary-multifractal analytic case, otherwise
+the generalized Moran-product root from `solve_moran`. Also the dimension
+bounds and the rational-dimension limit construction. The Moran product is
+evaluated only through its logarithm (`ScaleSpectrum.log_moran`), so huge
+repeat counts do not overflow.
 
 Everything here is a pure function over immutable values; all arithmetic is
 double precision on logarithms.
@@ -12,14 +14,13 @@ double precision on logarithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import SolverError
 
 DEFAULT_TOL = 1e-12
 MAX_BISECT_ITER = 200
-_MAX_DOUBLINGS = 64
 
 
 def _validated_ratios(ratios: Iterable[float]) -> tuple[float, ...]:
@@ -63,6 +64,10 @@ class ScaleSpectrum:
     """
 
     components: tuple[tuple[tuple[float, ...], int], ...]
+    # per component (n_i, ln m_i, ln(r_ij / m_i) of the other ratios), m_i = max_j r_ij
+    _log_terms: tuple[tuple[int, float, tuple[float, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(self, components: Iterable[tuple[Sequence[float], int]]):
         merged: dict[tuple[float, ...], int] = {}
@@ -75,16 +80,28 @@ class ScaleSpectrum:
             raise ValueError("spectrum needs at least one component")
         canon = tuple(sorted((ratios, n) for ratios, n in merged.items()))
         object.__setattr__(self, "components", canon)
+        # sorted ratios end with the largest; ln r - ln m keeps what r / m loses near 1
+        logs = [(n, [math.log(r) for r in ratios]) for ratios, n in canon]
+        terms = tuple((n, lg[-1], tuple(x - lg[-1] for x in lg[:-1])) for n, lg in logs)
+        object.__setattr__(self, "_log_terms", terms)
+
+    def log_moran(self, alpha: float) -> float:
+        """ln of the Moran product at `alpha` >= 0; strictly decreasing.
+
+        sum_i n_i (alpha ln m_i + log1p(sum_{j != max} (r_ij/m_i)^alpha)), with
+        m_i = max_j r_ij: no term overflows or underflows at any repeat count.
+        """
+        total = 0.0
+        for n, log_max, log_rel in self._log_terms:
+            s = 0.0
+            for x in log_rel:
+                s += math.exp(alpha * x)
+            total += n * (alpha * log_max + math.log1p(s))
+        return total
 
     def moran_product(self, alpha: float) -> float:
-        """Evaluate the product of per-component ratio-power sums at `alpha`."""
-        value = 1.0
-        for ratios, repeat in self.components:
-            s = 0.0
-            for r in ratios:
-                s += r**alpha
-            value *= s**repeat
-        return value
+        """The Moran product prod_i (sum_j r_ij^alpha)^n_i, as exp(log_moran)."""
+        return math.exp(self.log_moran(alpha))
 
     @property
     def is_degenerate(self) -> bool:
@@ -102,15 +119,14 @@ class DimensionReport:
     alpha: float
     method: str  # "closed-form" | "moran-numeric" | "binary-analytic"
     residual: float  # Moran product minus 1, evaluated at alpha
+    # final bisection bracket; (alpha, alpha) for the exact methods
     bracket: tuple[float, float]
     iterations: int
 
 
 def single_dimension(f: UniformFractal) -> float:
     """Box dimension of one uniform fractal: ln N / ln(1/rho). Zero when N=1."""
-    if f.copies == 1:
-        return 0.0
-    return math.log(f.copies) / math.log(1.0 / f.ratio)
+    return composite_dimension_uniform([(f, 1)])
 
 
 def composite_dimension_uniform(parts: Sequence[tuple[UniformFractal, int]]) -> float:
@@ -133,21 +149,52 @@ def composite_dimension_uniform(parts: Sequence[tuple[UniformFractal, int]]) -> 
 
 def component_dimension(ratios: Sequence[float]) -> float:
     """Unique alpha with sum_j r_j^alpha = 1; zero for a single ratio."""
-    spectrum = ScaleSpectrum([(ratios, 1)])
-    return solve_moran(spectrum).alpha
+    return dimension(ScaleSpectrum([(ratios, 1)])).alpha
+
+
+def dimension(spectrum: ScaleSpectrum) -> DimensionReport:
+    """Composite dimension of `spectrum` by the most exact method that applies.
+
+    Repeats are divided by their gcd first, which leaves the root unchanged;
+    the report describes the reduced spectrum. "closed-form" when every
+    component has equal ratios; "binary-analytic" for a [r1, r1^2 rho]
+    component beside a uniform (N, rho) one, each with repeat 1; otherwise
+    `solve_moran` ("moran-numeric"), which may raise SolverError.
+    """
+    gcd = math.gcd(*(n for _, n in spectrum.components))
+    if gcd > 1:
+        spectrum = ScaleSpectrum([(ratios, n // gcd) for ratios, n in spectrum.components])
+    comps = spectrum.components
+    if all(ratios[0] == ratios[-1] for ratios, _ in comps):
+        parts = [(UniformFractal(len(ratios), ratios[0]), n) for ratios, n in comps]
+        return _exact_report(spectrum, composite_dimension_uniform(parts), "closed-form")
+    if len(comps) == 2 and all(n == 1 for _, n in comps):
+        for (binary, _), (other, _) in (comps, comps[::-1]):
+            if len(binary) != 2 or other[0] != other[-1]:
+                continue
+            r2, r1 = binary
+            rho = other[0]
+            if abs(r2 - r1 * r1 * rho) <= 1e-12 * r2:
+                alpha = binary_special_dimension(r1, UniformFractal(len(other), rho))
+                return _exact_report(spectrum, alpha, "binary-analytic")
+    return solve_moran(spectrum)
+
+
+def _exact_report(spectrum: ScaleSpectrum, alpha: float, method: str) -> DimensionReport:
+    return DimensionReport(alpha, method, spectrum.moran_product(alpha) - 1.0, (alpha, alpha), 0)
 
 
 def solve_moran(s: ScaleSpectrum, tol: float = DEFAULT_TOL) -> DimensionReport:
     """Solve the generalized Moran product prod_i (sum_j r_ij^alpha)^n_i = 1.
 
-    Each factor is strictly decreasing in alpha (all ratios below 1), so the
-    product crosses 1 exactly once. Bisection on [0, hi], hi found by doubling;
-    chosen over Newton because it is unconditionally convergent. Iterates until
-    the bracket cannot shrink in double precision, so the residual is far below
-    `tol` in practice; `tol` is the acceptance threshold on the final residual.
-
-    Conditioning degrades as ratios approach 1 (the product flattens); inputs
-    with ratios above ~0.999 may need more of the iteration budget.
+    Bisection on the sign of `log_moran`, which is strictly decreasing;
+    chosen over Newton because it is unconditionally convergent. Component
+    i's own root lies in [ln l_i/ln(1/min_j r_ij), ln l_i/ln(1/max_j r_ij)]
+    and the composite root between the component roots, so the search starts
+    on [min_i ln l_i/ln(1/min_j r_ij), max_i ln l_i/ln(1/max_j r_ij)] and runs
+    until the bracket cannot shrink in double precision. Raises SolverError
+    when the product residual is above `tol`, which repeat counts in the
+    hundreds of thousands can cause at every float alpha.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -155,28 +202,21 @@ def solve_moran(s: ScaleSpectrum, tol: float = DEFAULT_TOL) -> DimensionReport:
         # Every factor is r^0 = 1 at alpha = 0; the product never exceeds 1.
         return DimensionReport(0.0, "closed-form", s.moran_product(0.0) - 1.0, (0.0, 0.0), 0)
 
-    f = s.moran_product
-    hi = 1.0
-    doublings = 0
-    while f(hi) > 1.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > _MAX_DOUBLINGS:
-            raise SolverError("could not bracket the Moran root by doubling")
-
-    lo = 0.0
+    lo = min(math.log(len(ratios)) / -math.log(ratios[0]) for ratios, _ in s.components)
+    hi = max(math.log(len(ratios)) / -math.log(ratios[-1]) for ratios, _ in s.components)
+    f = s.log_moran
     iterations = 0
     for _ in range(MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
         iterations += 1
-        if f(mid) > 1.0:
+        if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
     alpha = 0.5 * (lo + hi)
-    residual = f(alpha) - 1.0
+    residual = s.moran_product(alpha) - 1.0
     if abs(residual) > tol:
         raise SolverError(f"residual {residual} above tolerance {tol} after bisection")
     return DimensionReport(alpha, "moran-numeric", residual, (lo, hi), iterations)

@@ -94,6 +94,27 @@ def census_feasible_stage(schedule: fc.CompositionSchedule, cap: int, max_stage:
     return stage
 
 
+# corpus of the incomplete-statistics and agreement checks: (expression, stage)
+STATS_CORPUS = (
+    [("K[pi/3]", k) for k in range(0, 13)]
+    + [("C[1/2,1/3] K[pi/3]", k) for k in (0, 1, 2, 4, 6)]
+    + [("C[1/2,1/4,1/6] K[pi/4] K[pi/3]", k) for k in (0, 1, 2, 3)]
+)
+
+
+def fuzz_cases(seed: int, count: int, cap: int = 5_000, max_stage: int = 5):
+    """`count` seeded random schedules, each at its largest stage up to `max_stage`
+    whose census stays within `cap` compositions."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        sched = random_schedule(rng)
+        k = census_feasible_stage(sched, cap, max_stage=max_stage)
+        if census_size(sched, k) <= cap:
+            cases.append((sched, k))
+    return cases
+
+
 # --- parser expression fuzz --------------------------------------------------
 
 
@@ -329,7 +350,7 @@ def reference_joint_factorization_check(a, b, k: int) -> dict:
     joint_census = list(fc.segment_census(joint, k))
     product = reference_outer_product([da, db])
     ok, worst = multisets_match(joint_census, product)
-    alpha = fc.solve_moran(joint.spectrum()).alpha
+    alpha = fc.dimension(joint.spectrum()).alpha
     norm = abs(sum(c * v**alpha for v, c in product) - 1.0)
     return {
         "alpha": alpha,
@@ -342,7 +363,7 @@ def reference_joint_factorization_check(a, b, k: int) -> dict:
 
 def reference_stats_report(schedule, k: int) -> dict:
     """stats_report with a distribution per stage and an item-wise outer product."""
-    alpha = fc.solve_moran(schedule.spectrum()).alpha
+    alpha = fc.dimension(schedule.spectrum()).alpha
     max_resid = 0.0
     for stage in range(1, k + 1):
         max_resid = max(max_resid, _reference_residual(fc.distribution(schedule, stage)))

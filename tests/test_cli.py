@@ -1,11 +1,14 @@
 import json
 import math
 import time
+from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
 
+import fractalc as fc
 from fractalc.cli import main
+from helpers import STATS_CORPUS, fuzz_cases
 
 
 @pytest.fixture()
@@ -76,6 +79,68 @@ def test_dim_deterministic(runner):
     first = runner.invoke(main, ["dim", "C[1/2,1/3] K[pi/3]"]).output
     second = runner.invoke(main, ["dim", "C[1/2,1/3] K[pi/3]"]).output
     assert first == second
+
+
+def _piece_text(piece) -> str:
+    # exact decimal expansions: the parser reads them back to the same floats
+    pen = "draw" if piece.draw else "gap"
+    return f"({format(Decimal(piece.ratio), 'f')},{format(Decimal(piece.angle), 'f')},{pen})"
+
+
+def _schedule_text(sched) -> str:
+    """A G[...] expression with the same pieces as `sched`."""
+    items = []
+    for gen, n in sched.items:
+        text = "G[" + ";".join(_piece_text(p) for p in gen.pieces) + "]"
+        items.append(text + (f"^{n}" if n > 1 else ""))
+    return " ".join(items)
+
+
+def _agreement_cases():
+    cases = dict(STATS_CORPUS)
+    cases.update({"G[(0.5,0,draw);(0.5,0,draw)]": 3, "Q[pi/2]^3": 1})
+    for sched, k in fuzz_cases(101, 60):
+        text = _schedule_text(sched)
+        assert fc.schedule_from_text(text).spectrum() == sched.spectrum()
+        cases[text] = k
+    return cases
+
+
+def test_dim_stats_and_validate_report_one_alpha(runner):
+    # every command takes alpha from the one dispatcher, and the component
+    # dimensions behind the bounds come from it too
+    validated = 0
+    for text, k in _agreement_cases().items():
+        dim = invoke_json(runner, ["dim", text])
+        lo, hi = dim["bounds"]
+        assert lo <= dim["alpha"] <= hi, text
+        stats = invoke_json(runner, ["stats", text, "--stage", str(k)])
+        assert stats["alpha"] == dim["alpha"], text
+        result = runner.invoke(
+            main, ["validate", text, "--stage", "3"], env={"FRACTALC_SEGMENT_BUDGET": "20000"}
+        )
+        if result.exit_code == 0:
+            assert json.loads(result.stdout)["theoretical"] == dim["alpha"], text
+            validated += 1
+    assert validated >= 20
+    koch = invoke_json(runner, ["dim", "K[pi/3]"])
+    assert koch["bounds"] == [koch["alpha"], koch["alpha"]]
+
+
+def test_overflowing_repeat_count_answers(runner):
+    # (1/2^a + 1/3^a)^100000 overflows a double; the log form does not
+    alpha = invoke_json(runner, ["dim", "C[1/2,1/3]"])["alpha"]
+    assert invoke_json(runner, ["dim", "C[1/2,1/3]^100000"])["alpha"] == alpha
+    stats = invoke_json(runner, ["stats", "C[1/2,1/3]^100000", "--stage", "0"])
+    assert stats["alpha"] == alpha
+    result = runner.invoke(main, ["dim", "C[1/2,1/3]^100000 K[pi/3]"])
+    assert result.exit_code in (0, 3), result.output
+    if result.exit_code == 3:
+        assert result.stderr.startswith("error: residual")
+    # stage 0 is a single segment, too coarse for a box-counting ladder
+    result = runner.invoke(main, ["validate", "C[1/2,1/3]^100000", "--stage", "0"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ladder")
 
 
 # --- render -----------------------------------------------------------------
@@ -281,6 +346,29 @@ def test_validate_reports_failure_without_error_exit(runner):
         runner, ["validate", "K[pi/3]", "--stage", "6", "--tolerance", "1e-9"]
     )
     assert payload["verdict"] == "FAIL"
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [("--tolerance", "nan"), ("--tolerance", "-1"), ("--tolerance", "inf"),
+     ("--min-scale", "nan"), ("--min-scale", "-1"), ("--min-scale", "0"),
+     ("--min-scale", "inf")],
+)
+def test_validate_rejects_bad_tolerance_and_min_scale(runner, option, value):
+    result = runner.invoke(main, ["validate", "K[pi/3]", "--stage", "4", option, value])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "ten"])
+def test_segment_budget_must_be_a_positive_integer(runner, value):
+    result = runner.invoke(
+        main, ["census", "K[pi/3]", "--stage", "2"], env={"FRACTALC_SEGMENT_BUDGET": value}
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: FRACTALC_SEGMENT_BUDGET must be an integer >= 1")
 
 
 def test_validate_box_grid_over_budget_exits_4(runner):

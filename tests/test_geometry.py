@@ -299,6 +299,28 @@ def test_content_constancy_at_solved_alpha():
         assert v == pytest.approx(values[0], rel=1e-9)
 
 
+def test_content_with_huge_repeats_stays_finite():
+    # each factor (sum_j r_j^alpha)^100000 alone overflows a double at alpha
+    sched = fc.schedule_from_text("C[1/2,1/3]^100000 C[1/4,1/9]^100000")
+    alpha = fc.dimension(sched.spectrum()).alpha
+    value = fc.content(sched, 2, alpha)
+    assert math.isfinite(value)
+    assert value == pytest.approx(1.0, rel=1e-6)
+
+
+def test_content_above_the_float_range_is_inf():
+    # 4^10000 pieces, each of content 1 at beta = 0
+    assert fc.content(koch(), 10000, 0.0) == math.inf
+
+
+@pytest.mark.parametrize("L0", [-1.0, 0.0, math.nan, math.inf])
+def test_content_and_predicted_length_reject_bad_initiator(L0):
+    with pytest.raises(ValueError):
+        fc.content(koch(), 2, 1.5, L0)
+    with pytest.raises(ValueError):
+        fc.predicted_length(koch(), 2, L0)
+
+
 # --- svg / csv export --------------------------------------------------------------------
 
 

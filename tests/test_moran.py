@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 import fractalc as fc
@@ -162,6 +163,113 @@ def test_solver_validation():
         fc.ScaleSpectrum([([0.5, 1.5], 1)])
     with pytest.raises(ValueError):
         fc.ScaleSpectrum([([0.5], 0)])
+
+
+# --- log_moran ------------------------------------------------------------------
+
+
+def test_log_moran_matches_direct_product():
+    # oracle: the plain float product, for repeats small enough not to overflow
+    rng = random.Random(37)
+    for _ in range(150):
+        spectrum = random_spectrum(rng)
+        alpha = rng.uniform(0.0, 3.0)
+        direct = 1.0
+        for ratios, n in spectrum.components:
+            direct *= sum(r**alpha for r in ratios) ** n
+        assert spectrum.log_moran(alpha) == pytest.approx(math.log(direct), rel=1e-12, abs=1e-13)
+        assert spectrum.moran_product(alpha) == pytest.approx(direct, rel=1e-12)
+
+
+def test_log_moran_does_not_overflow():
+    spectrum = fc.ScaleSpectrum([([1 / 2, 1 / 3], 10**6), ([1e-300, 1e-290], 10**6)])
+    assert spectrum.log_moran(0.0) == pytest.approx(2e6 * LN(2), rel=1e-12)
+    assert spectrum.log_moran(1.0) == pytest.approx(1e6 * (LN(5 / 6) + LN(1e-300 + 1e-290)), rel=1e-12)
+
+
+# --- dimension (the dispatcher) ---------------------------------------------------
+
+
+def test_dimension_picks_the_exact_method():
+    koch = [1 / 3] * 4
+    closed = fc.dimension(fc.ScaleSpectrum([(koch, 1), ([1 / 3] * 2, 2)]))
+    assert closed.method == "closed-form"
+    assert closed.alpha == fc.composite_dimension_uniform(
+        [(fc.UniformFractal(2, 1 / 3), 2), (fc.UniformFractal(4, 1 / 3), 1)]
+    )
+    assert closed.iterations == 0 and closed.bracket == (closed.alpha, closed.alpha)
+    binary = fc.dimension(fc.ScaleSpectrum([([1 / 2, 1 / 12], 1), (koch, 1)]))
+    assert binary.method == "binary-analytic"
+    assert binary.alpha == fc.binary_special_dimension(1 / 2, fc.UniformFractal(4, 1 / 3))
+    assert abs(binary.residual) <= 1e-12
+    numeric = fc.dimension(fc.ScaleSpectrum([([1 / 2, 1 / 3], 1), (koch, 1)]))
+    assert numeric.method == "moran-numeric"
+    assert numeric == fc.solve_moran(fc.ScaleSpectrum([([1 / 2, 1 / 3], 1), (koch, 1)]))
+    assert fc.dimension(fc.ScaleSpectrum([([0.5], 3), ([0.3], 1)])).alpha == 0.0
+
+
+def test_dimension_divides_repeats_by_their_gcd():
+    koch = [1 / (2 * (1 + math.cos(math.pi / 3)))] * 4
+    assert fc.dimension(fc.ScaleSpectrum([(koch, 3)])).alpha == fc.component_dimension(koch)
+    # the product (r1^a + r2^a)^100000 overflows a double before the root
+    huge = fc.dimension(fc.ScaleSpectrum([([1 / 2, 1 / 3], 100_000)]))
+    assert huge == fc.dimension(fc.ScaleSpectrum([([1 / 2, 1 / 3], 1)]))
+    pair = fc.dimension(fc.ScaleSpectrum([([1 / 2, 1 / 12], 2), ([1 / 3] * 4, 2)]))
+    assert pair.method == "binary-analytic"
+    assert pair.alpha == fc.binary_special_dimension(1 / 2, fc.UniformFractal(4, 1 / 3))
+
+
+def _mpmath_root(components):
+    """50-digit root of sum_i n_i ln sum_j r_ij^a, by bisection on a doubled bracket."""
+    with mpmath.workdps(50):
+        comps = [([mpmath.mpf(r) for r in ratios], n) for ratios, n in components]
+
+        def g(a):
+            return mpmath.fsum(n * mpmath.log(mpmath.fsum(r**a for r in rs)) for rs, n in comps)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        if g(lo) == 0:  # every component keeps one piece
+            return lo
+        while g(hi) > 0:
+            lo, hi = hi, 2 * hi
+        while hi - lo > hi * mpmath.mpf(10) ** -40:
+            mid = (lo + hi) / 2
+            if g(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def _stress_ratio(rng):
+    roll = rng.random()
+    if roll < 0.3:
+        return 1.0 - 10.0 ** -rng.uniform(1, 15)  # near 1
+    if roll < 0.6:
+        return 10.0 ** -rng.uniform(250, 300)  # near 1e-300
+    return rng.uniform(0.01, 0.99)
+
+
+def test_dimension_matches_mpmath_on_stress_spectra():
+    rng = random.Random(41)
+    solved = 0
+    for _ in range(150):
+        components = []
+        for _ in range(rng.randint(1, 3)):
+            ratios = [_stress_ratio(rng) for _ in range(rng.randint(1, 4))]
+            components.append((ratios, rng.choice([1, 2, 7, 1000, 10**5, 10**6])))
+        spectrum = fc.ScaleSpectrum(components)
+        try:
+            alpha = fc.dimension(spectrum).alpha
+        except SolverError:
+            continue
+        want = _mpmath_root(spectrum.components)
+        if want == 0:
+            assert alpha == 0.0
+        else:
+            assert abs(mpmath.mpf(alpha) - want) <= 1e-9 * want, spectrum
+        solved += 1
+    assert solved >= 100
 
 
 # --- component_dimension --------------------------------------------------------

@@ -15,8 +15,10 @@ import pytest
 import fractalc as fc
 from fractalc import boxcount, geometry
 from helpers import (
+    STATS_CORPUS,
     census_feasible_stage,
     census_size,
+    fuzz_cases,
     random_schedule,
     reference_component_buckets,
     reference_counts,
@@ -116,29 +118,12 @@ def test_component_buckets_match_recursive_reference(ratios):
 
 # --- incomplete statistics ----------------------------------------------------
 
-STATS_CORPUS = (
-    [("K[pi/3]", k) for k in range(0, 13)]
-    + [("C[1/2,1/3] K[pi/3]", k) for k in (0, 1, 2, 4, 6)]
-    + [("C[1/2,1/4,1/6] K[pi/4] K[pi/3]", k) for k in (0, 1, 2, 3)]
-)
-
 FACTOR_PAIRS = [
     ("C[1/2,1/3]", "K[pi/3]"),
     ("K[pi/3]", "K[pi/3]"),
     ("C[1/2,1/4,1/6]", "K[pi/4] K[pi/3]"),
     ("C[1/2,1/4,1/6] K[pi/4]", "K[pi/3]"),
 ]
-
-
-def _fuzz_cases(seed: int, count: int, cap: int = 5_000, max_stage: int = 5):
-    rng = random.Random(seed)
-    cases = []
-    while len(cases) < count:
-        sched = random_schedule(rng)
-        k = census_feasible_stage(sched, cap, max_stage=max_stage)
-        if census_size(sched, k) <= cap:
-            cases.append((sched, k))
-    return cases
 
 
 def _same_stats(sched, k):
@@ -152,7 +137,7 @@ def test_stats_report_matches_reference(text, stage):
 
 
 def test_stats_report_matches_reference_on_fuzz():
-    for sched, k in _fuzz_cases(89, 60):
+    for sched, k in fuzz_cases(89, 60):
         for stage in (0, 1, k):
             _same_stats(sched, stage)
 
@@ -184,7 +169,7 @@ def test_joint_factorization_matches_reference_on_fuzz():
 
 
 def _census_cases():
-    return _fuzz_cases(101, 60) + [(fc.schedule_from_text(t), k) for t, k in STATS_CORPUS]
+    return fuzz_cases(101, 60) + [(fc.schedule_from_text(t), k) for t, k in STATS_CORPUS]
 
 
 def test_segment_census_matches_reference():
