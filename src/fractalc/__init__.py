@@ -21,7 +21,6 @@ from .geometry import (
     export_svg,
     iterate,
     koch_scale,
-    predicted_length,
     schedule_from_text,
     segment_census,
     total_length,
@@ -84,7 +83,6 @@ __all__ = [
     "joint_factorization_check",
     "koch_scale",
     "parse",
-    "predicted_length",
     "rational_limit_dimension",
     "schedule_from_text",
     "segment_census",

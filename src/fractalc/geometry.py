@@ -256,10 +256,11 @@ def iterate(
 ) -> SegmentSet:
     """Materialize k full periods of the schedule on the initiator [(0,0)->(L0,0)].
 
-    Raises SegmentBudgetExceeded before doing any work if the stage would be
-    too large. The exact count is built only when it is at most the budget
-    squared; a count beyond that is reported by its power of ten, with
-    `predicted` None.
+    Raises SegmentBudgetExceeded before doing any work if the stage would
+    produce more segments than the budget, or apply more substages (k times
+    the sum of the repeats) than the budget. The exact segment count is built
+    only when it is at most the budget squared; a count beyond that is
+    reported by its power of ten, with `predicted` None.
     """
     if k < 0:
         raise ValueError("stage must be >= 0")
@@ -275,6 +276,10 @@ def iterate(
     predicted = schedule.predicted_count(k)
     if predicted > budget:
         raise SegmentBudgetExceeded(predicted, budget)
+    # one-piece generators keep the count at 1, so charge the work per substage too
+    applications = k * sum(n for _, n in schedule.items)
+    if applications > budget:
+        raise SegmentBudgetExceeded(applications, budget, "stage would apply {} substages")
     coords = np.array([[0.0, 0.0, L0, 0.0]])
     lengths = np.array([L0])
     for _ in range(k):
@@ -401,32 +406,35 @@ def total_length(s: SegmentSet) -> float:
     return float(s.lengths().sum())
 
 
-def predicted_length(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> float:
-    """Closed-form stage-k length: prod_i (sum_j r_ij)^(n_i * k) * L0."""
-    _check_initiator(L0)
-    value = 1.0
-    for gen, repeat in schedule.items:
-        value *= math.fsum(gen.draw_ratios) ** (repeat * k)
-    return value * L0
-
-
 def content(schedule: CompositionSchedule, k: int, beta: float, L0: float = 1.0) -> float:
     """Order-beta content at stage k via the census closed form.
 
     Constant in k exactly when beta is the composite dimension; at beta = 1 it
     is the stage length. Computed as exp(k ln M(beta) + beta ln L0) from the
-    log Moran product M, and math.inf when that exceeds the float range.
+    log Moran product M, and math.inf when that exceeds the float range; at
+    k = 0 it is L0**beta, without the round trip through the logarithm.
     """
     _check_initiator(L0)
     if beta < 0.0:
         raise ValueError("beta must be >= 0")
     try:
+        if k == 0:
+            return L0**beta
         return math.exp(k * schedule.spectrum().log_moran(beta) + beta * math.log(L0))
     except OverflowError:
         return math.inf
 
 
 # --- export ------------------------------------------------------------------
+
+# segments formatted per write: bounds the text and float lists held at once
+_EXPORT_CHUNK = 1 << 12
+
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g\n"
+# an SVG point followed by: the next point of its chain, the end of its chain
+# ("\n", replaced by the polyline boundary), or nothing (the last point)
+_SVG_POINTS = ("%.6f,%.6f ", "%.6f,%.6f\n", "%.6f,%.6f")
+_FLIP_Y = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -436,65 +444,95 @@ class SvgStyle:
     background: str = "white"
 
 
-def _polyline_chains(coords: np.ndarray, join_tol: float) -> list[np.ndarray]:
-    """Split canonical-order segments into maximal connected chains."""
-    chains = []
-    start = 0
-    for i in range(1, len(coords)):
-        if (
-            abs(coords[i - 1, 2] - coords[i, 0]) > join_tol
-            or abs(coords[i - 1, 3] - coords[i, 1]) > join_tol
-        ):
-            chains.append(coords[start:i])
-            start = i
-    chains.append(coords[start:])
-    return chains
+def _format(template: str, values: np.ndarray) -> str:
+    return template % tuple(values.ravel().tolist())
+
+
+def _fix_negative_zero(text: str) -> str:
+    """Write %.6f values that round to -0 as 0.000000; a "-" only ever starts a
+    value, so no other value contains the pattern."""
+    return text.replace("-0.000000", "0.000000")
+
+
+def _write_chunked(path, head: str, n: int, chunk_text, tail: str) -> None:
+    """Write head, chunk_text(start, stop) for consecutive slices of at most
+    _EXPORT_CHUNK of the n segments, then tail."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        for start in range(0, n, _EXPORT_CHUNK):
+            fh.write(chunk_text(start, min(start + _EXPORT_CHUNK, n)))
+        fh.write(tail)
 
 
 def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
     """Write a standalone SVG: one polyline per maximal connected chain.
 
     Output is deterministic (byte-identical across runs for identical input):
-    viewBox fitted with a 5% margin, coordinates at 6 decimal places.
+    viewBox fitted with a 5% margin, coordinates at 6 decimal places, with
+    -0.000000 written as 0.000000. A segment continues the chain of the one
+    before it when its start lies within 1e-9 of the figure's size of that
+    one's end, per coordinate. The points are formatted and written in chunks
+    of a fixed number of segments, one % format per chunk, so the text is
+    never built whole.
     """
-    if len(s) > RENDER_SEGMENT_LIMIT:
-        raise SegmentBudgetExceeded(len(s), RENDER_SEGMENT_LIMIT)
+    n = len(s)
+    if n > RENDER_SEGMENT_LIMIT:
+        raise SegmentBudgetExceeded(n, RENDER_SEGMENT_LIMIT)
     style = style or SvgStyle()
-    pts = s.coords.reshape(-1, 2)
+    coords = s.coords
+    pts = coords.reshape(-1, 2)
     # flip y so the curve "bumps" point up like the construction sketches
     xmin, xmax = float(pts[:, 0].min()), float(pts[:, 0].max())
     ymin, ymax = float(-pts[:, 1].max()), float(-pts[:, 1].min())
     margin = 0.05 * max(xmax - xmin, ymax - ymin, 1e-9)
     vb = (xmin - margin, ymin - margin, (xmax - xmin) + 2 * margin, (ymax - ymin) + 2 * margin)
     join_tol = 1e-9 * max(xmax - xmin, ymax - ymin, s.initiator_length)
+    # breaks[i]: a chain boundary lies before segment i (always at 0 and n)
+    breaks = np.ones(n + 1, dtype=bool)
+    breaks[1:-1] = (np.abs(coords[:-1, 2] - coords[1:, 0]) > join_tol) | (
+        np.abs(coords[:-1, 3] - coords[1:, 1]) > join_tol
+    )
+    close = (
+        f'" fill="none" stroke="{style.stroke}" stroke-width="{style.stroke_width:g}" '
+        'vector-effect="non-scaling-stroke"/>\n'
+    )
+    polyline = '<polyline points="'
 
-    def fmt(v: float) -> str:
-        text = f"{v:.6f}"
-        return "0.000000" if text == "-0.000000" else text
+    def chunk_text(start: int, stop: int) -> str:
+        # per segment: its start point, kept only where a chain begins, then
+        # its end point, whose separator says whether the chain goes on
+        keep = np.ones((stop - start, 2), dtype=bool)
+        keep[:, 0] = breaks[start:stop]
+        kind = np.zeros((stop - start, 2), dtype=np.int8)
+        kind[:, 1] = breaks[start + 1 : stop + 1]
+        if stop == n:
+            kind[-1, 1] = 2
+        template = "".join(map(_SVG_POINTS.__getitem__, kind[keep].tolist()))
+        points = (coords[start:stop].reshape(-1, 2) * _FLIP_Y)[keep.ravel()]
+        return _fix_negative_zero(_format(template, points)).replace("\n", close + polyline)
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(vb[0])} {fmt(vb[1])} {fmt(vb[2])} {fmt(vb[3])}">',
-        f'<rect x="{fmt(vb[0])}" y="{fmt(vb[1])}" width="{fmt(vb[2])}" height="{fmt(vb[3])}" fill="{style.background}"/>',
-    ]
-    for chain in _polyline_chains(s.coords, join_tol):
-        points = [f"{fmt(chain[0, 0])},{fmt(-chain[0, 1])}"]
-        points += [f"{fmt(x)},{fmt(-y)}" for x, y in chain[:, 2:4]]
-        lines.append(
-            f'<polyline points="{" ".join(points)}" fill="none" '
-            f'stroke="{style.stroke}" stroke-width="{style.stroke_width:g}" '
-            f'vector-effect="non-scaling-stroke"/>'
-        )
-    lines.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    x, y, w, h = _fix_negative_zero("%.6f %.6f %.6f %.6f" % vb).split()
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x} {y} {w} {h}">\n'
+        f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{style.background}"/>\n'
+        + polyline
+    )
+    _write_chunked(path, head, n, chunk_text, close + "</svg>\n")
 
 
 def export_csv(s: SegmentSet, path) -> None:
-    """Dump segments as `x1,y1,x2,y2` lines with 12 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x1, y1, x2, y2 in s.coords:
-            fh.write(f"{x1:.12g},{y1:.12g},{x2:.12g},{y2:.12g}\n")
+    """Dump segments as `x1,y1,x2,y2` lines with 12 significant digits.
+
+    The rows are formatted and written in chunks of a fixed number of
+    segments, one % format per chunk, so the text is never built whole.
+    """
+    coords = s.coords
+
+    def chunk_text(start: int, stop: int) -> str:
+        return _format(_CSV_ROW * (stop - start), coords[start:stop])
+
+    _write_chunked(path, "", len(s), chunk_text, "")
 
 
 # --- overlap detection -------------------------------------------------------

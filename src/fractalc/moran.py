@@ -133,7 +133,8 @@ def composite_dimension_uniform(parts: Sequence[tuple[UniformFractal, int]]) -> 
     """Composite dimension of uniform components, each repeated n_i times per stage.
 
     Returns sum(n_i ln N_i) / sum(n_i ln(1/rho_i)); the barycentric-average
-    form over component dimensions is the same number by algebra.
+    form over component dimensions is the same number by algebra. ln(1/rho)
+    is taken as -ln rho, since 1/rho overflows for rho below about 5.6e-309.
     """
     if not parts:
         raise ValueError("need at least one component")
@@ -143,7 +144,7 @@ def composite_dimension_uniform(parts: Sequence[tuple[UniformFractal, int]]) -> 
         if repeat < 1:
             raise ValueError("repeat count must be >= 1")
         num += repeat * math.log(fractal.copies)
-        den += repeat * math.log(1.0 / fractal.ratio)
+        den += repeat * -math.log(fractal.ratio)
     return num / den
 
 

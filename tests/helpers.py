@@ -309,6 +309,56 @@ def reference_detect_overlap(s: fc.SegmentSet) -> bool:
     return False
 
 
+def reference_export_svg(s: fc.SegmentSet, path, style: fc.SvgStyle | None = None) -> None:
+    """SVG export one chain and one formatted value at a time."""
+    style = style or fc.SvgStyle()
+    pts = s.coords.reshape(-1, 2)
+    xmin, xmax = float(pts[:, 0].min()), float(pts[:, 0].max())
+    ymin, ymax = float(-pts[:, 1].max()), float(-pts[:, 1].min())
+    margin = 0.05 * max(xmax - xmin, ymax - ymin, 1e-9)
+    vb = (xmin - margin, ymin - margin, (xmax - xmin) + 2 * margin, (ymax - ymin) + 2 * margin)
+    join_tol = 1e-9 * max(xmax - xmin, ymax - ymin, s.initiator_length)
+
+    def fmt(v: float) -> str:
+        text = f"{v:.6f}"
+        return "0.000000" if text == "-0.000000" else text
+
+    coords = s.coords
+    chains = []
+    start = 0
+    for i in range(1, len(coords)):
+        if (
+            abs(coords[i - 1, 2] - coords[i, 0]) > join_tol
+            or abs(coords[i - 1, 3] - coords[i, 1]) > join_tol
+        ):
+            chains.append(coords[start:i])
+            start = i
+    chains.append(coords[start:])
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(vb[0])} {fmt(vb[1])} {fmt(vb[2])} {fmt(vb[3])}">',
+        f'<rect x="{fmt(vb[0])}" y="{fmt(vb[1])}" width="{fmt(vb[2])}" height="{fmt(vb[3])}" fill="{style.background}"/>',
+    ]
+    for chain in chains:
+        points = [f"{fmt(chain[0, 0])},{fmt(-chain[0, 1])}"]
+        points += [f"{fmt(x)},{fmt(-y)}" for x, y in chain[:, 2:4]]
+        lines.append(
+            f'<polyline points="{" ".join(points)}" fill="none" '
+            f'stroke="{style.stroke}" stroke-width="{style.stroke_width:g}" '
+            f'vector-effect="non-scaling-stroke"/>'
+        )
+    lines.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_export_csv(s: fc.SegmentSet, path) -> None:
+    """CSV export one formatted row at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for x1, y1, x2, y2 in s.coords:
+            fh.write(f"{x1:.12g},{y1:.12g},{x2:.12g},{y2:.12g}\n")
+
+
 # --- loop references for the incomplete-statistics layer -----------------------
 
 

@@ -205,7 +205,7 @@ def test_criterion_4_geometry_laws():
             failures.append(f"census lengths beyond 1e-12 (case {checked})")
             break
         total = fc.total_length(segs)
-        predicted = fc.predicted_length(sched, k)
+        predicted = fc.content(sched, k, 1.0)
         if abs(total - predicted) > 1e-9 * predicted:
             failures.append(f"length law beyond 1e-9 (case {checked})")
             break

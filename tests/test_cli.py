@@ -288,6 +288,22 @@ def test_render_far_over_budget_exits_4(runner, tmp_path, expression, stage):
     assert len(lines) == 1 and lines[0].startswith("error: stage would produce about 10^")
 
 
+@pytest.mark.parametrize("command", ["render", "validate"])
+def test_one_piece_generator_repeats_exit_4_at_once(runner, tmp_path, command):
+    # one segment at every stage, but 2 * (10^20 - 1) substage applications
+    out = tmp_path / "one.svg"
+    args = [command, "C[1/2]^" + "9" * 20, "--stage", "2"]
+    if command == "render":
+        args += ["-o", str(out)]
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 4
+    assert result.stdout == "" and not out.exists()
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: stage would apply ")
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan"])
 @pytest.mark.parametrize(
     "args",

@@ -136,6 +136,17 @@ def test_budget_far_exceeded_reports_power_of_ten():
     assert err.value.predicted is None and "10^6.0206e+29" in str(err.value)
 
 
+def test_one_piece_substages_count_against_the_budget():
+    # a one-piece generator keeps a single segment: 2 stages apply 100 substages
+    sched = fc.schedule_from_text("C[1/2]^50")
+    with pytest.raises(SegmentBudgetExceeded) as err:
+        fc.iterate(sched, 2, budget=99)
+    assert err.value.predicted == 100
+    assert str(err.value) == "stage would apply 100 substages, over the budget of 99"
+    s = fc.iterate(sched, 2, budget=100)
+    assert len(s) == 1 and s.lengths()[0] == 0.5**100
+
+
 def test_budget_message_gives_power_of_ten_for_long_counts():
     err = SegmentBudgetExceeded(4**10_000, 10)
     assert str(err) == "stage would produce about 10^6020.6 segments, over the budget of 10"
@@ -264,19 +275,19 @@ def test_census_total_matches_geometry_fuzz():
 # --- lengths and content --------------------------------------------------------------
 
 
-def test_predicted_length_koch():
-    assert fc.predicted_length(koch(), 3, L0=2.0) == pytest.approx(2.0 * (4 / 3) ** 3, rel=1e-12)
+def test_content_length_koch():
+    assert fc.content(koch(), 3, 1.0, L0=2.0) == pytest.approx(2.0 * (4 / 3) ** 3, rel=1e-12)
 
 
 def test_length_law_binary_koch():
     sched = binary_koch()
     s = fc.iterate(sched, 1)
     assert fc.total_length(s) == pytest.approx(10 / 9, rel=1e-12)
-    assert fc.total_length(s) == pytest.approx(fc.predicted_length(sched, 1), rel=1e-9)
+    assert fc.total_length(s) == pytest.approx(fc.content(sched, 1, 1.0), rel=1e-9)
 
 
 def test_length_stage_zero():
-    assert fc.predicted_length(binary_koch(), 0, L0=7.0) == 7.0
+    assert fc.content(binary_koch(), 0, 1.0, L0=7.0) == 7.0
 
 
 def test_content_constant_at_dimension():
@@ -288,7 +299,7 @@ def test_content_constant_at_dimension():
 
 def test_content_at_beta_one_is_length():
     for k in (1, 3, 5):
-        assert fc.content(koch(), k, 1.0) == pytest.approx(fc.predicted_length(koch(), k), rel=1e-12)
+        assert fc.content(koch(), k, 1.0) == pytest.approx((4 / 3) ** k, rel=1e-12)
 
 
 def test_content_constancy_at_solved_alpha():
@@ -315,10 +326,9 @@ def test_content_above_the_float_range_is_inf():
 
 @pytest.mark.parametrize("L0", [-1.0, 0.0, math.nan, math.inf])
 def test_content_and_predicted_length_reject_bad_initiator(L0):
-    with pytest.raises(ValueError):
-        fc.content(koch(), 2, 1.5, L0)
-    with pytest.raises(ValueError):
-        fc.predicted_length(koch(), 2, L0)
+    for k in (0, 2):
+        with pytest.raises(ValueError):
+            fc.content(koch(), k, 1.5, L0)
 
 
 # --- svg / csv export --------------------------------------------------------------------

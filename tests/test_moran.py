@@ -110,6 +110,21 @@ def test_all_single_copies_gives_zero():
     assert fc.composite_dimension_uniform(parts) == 0.0
 
 
+def test_tiny_uniform_ratio_matches_mpmath():
+    # 1/rho overflows to inf below about 5.6e-309; the denominators are written out
+    d = str(10**322)
+    sched = fc.schedule_from_text(f"C[1/{d},1/{d}]")
+    rho = sched.items[0][0].draw_ratios[0]
+    assert 0.0 < rho < 1e-321
+    report = fc.dimension(sched.spectrum())
+    with mpmath.workdps(50):
+        want = float(mpmath.log(2) / -mpmath.log(mpmath.mpf(rho)))
+    assert report.method == "closed-form"
+    assert report.alpha == pytest.approx(want, rel=4e-16)
+    assert abs(report.residual) < 1e-12
+    assert fc.single_dimension(fc.UniformFractal(2, rho)) == report.alpha
+
+
 # --- solve_moran ---------------------------------------------------------------
 
 

@@ -1,11 +1,12 @@
-"""Box counting, overlap detection, the census and the incomplete-statistics
-layer against their loop references."""
+"""Box counting, overlap detection, SVG/CSV export, the census and the
+incomplete-statistics layer against their loop references."""
 
 import dataclasses
 import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import mpmath
@@ -18,11 +19,14 @@ from helpers import (
     STATS_CORPUS,
     census_feasible_stage,
     census_size,
+    feasible_stage,
     fuzz_cases,
     random_schedule,
     reference_component_buckets,
     reference_counts,
     reference_detect_overlap,
+    reference_export_csv,
+    reference_export_svg,
     reference_joint_factorization_check,
     reference_merge_buckets,
     reference_segment_census,
@@ -86,6 +90,63 @@ def test_box_counts_match_loop_reference_in_small_batches(monkeypatch):
         s = fc.iterate(fc.schedule_from_text(text), stage)
         report = fc.estimate_dimension(s, scale_count=12, min_scale=float(s.lengths().min()) / 4)
         assert report.counts == reference_counts(s, report.scales), text
+
+
+EXPORT_CORPUS = [
+    ("K[pi/3]", 5),
+    ("Q[pi/2]", 3),
+    ("C[1/2,1/3] K[pi/3]", 3),  # dust: chains of one to four segments
+    (CROSSING, 9),  # gap pieces
+    ("K[pi/3]", 0),
+]
+
+
+def _signed_zero_figure() -> fc.SegmentSet:
+    # -0.0 and tiny coordinates that format as -0.000000, one of them after the
+    # y flip; the last segment starts a second chain
+    coords = np.array(
+        [
+            [-0.0, 0.0, 0.5, -0.0],
+            [0.5, -0.0, 1.0, 1e-9],
+            [1.0, 1e-9, -4e-7, 3e-7],
+            [2.0, -2e-7, 2.0, 1.0],
+        ]
+    )
+    return fc.SegmentSet(coords, stage=1, initiator_length=1.0)
+
+
+def _export_figures() -> list[fc.SegmentSet]:
+    figures = [fc.iterate(fc.schedule_from_text(t), k) for t, k in EXPORT_CORPUS]
+    figures.append(_signed_zero_figure())
+    for sched, k in fuzz_cases(103, 40):
+        figures.append(fc.iterate(sched, min(k, feasible_stage(sched, 2_000))))
+    return figures
+
+
+@pytest.mark.parametrize("chunk", [geometry._EXPORT_CHUNK, 7])
+def test_exports_match_loop_reference(tmp_path, monkeypatch, chunk):
+    # 7 rows per chunk puts chunk boundaries inside and between chains
+    monkeypatch.setattr(geometry, "_EXPORT_CHUNK", chunk)
+    got, want = tmp_path / "got", tmp_path / "want"
+    for s in _export_figures():
+        fc.export_svg(s, got)
+        reference_export_svg(s, want)
+        assert got.read_bytes() == want.read_bytes()
+        fc.export_csv(s, got)
+        reference_export_csv(s, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_exports_stream_in_bounded_memory(tmp_path):
+    s = fc.iterate(fc.schedule_from_text("K[pi/3]"), 9)
+    for export in (fc.export_svg, fc.export_csv):
+        tracemalloc.start()
+        try:
+            export(s, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, (export.__name__, peak)
 
 
 def _assert_merged_close(got, want):
