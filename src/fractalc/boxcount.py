@@ -15,20 +15,25 @@ segment to cross any number of gridlines, as segments longer than the box
 size do. Occupied cells are counted as distinct int64 keys `i * ny + j`.
 Before a rung is expanded, the cells its grid walks visit,
 sum(|di| + |dj| + 1), are checked against the segment budget.
+
+numpy is imported inside the functions, as in `geometry`, so that importing
+the package does not load it (enforced by a test in `tests/test_cli.py`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateGeometry, ScaleLadderInvalid, SegmentBudgetExceeded
 from .geometry import DEFAULT_SEGMENT_BUDGET, SegmentSet, expand_ranges
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _LADDER_RATIO = 0.5  # dyadic so coarse boxes are exact unions of fine ones
-_KEY_LIMIT = int(np.iinfo(np.int64).max)
+_KEY_LIMIT = 2**63 - 1  # the largest int64
 _CELL_BATCH = 1 << 14  # grid cells walked per batch of segments: bounds peak memory
 
 
@@ -59,6 +64,7 @@ class BoxCountReport:
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
+    import numpy as np
     # sort-based: np.unique on int64 keys is ~20x slower with numpy 2.4
     keys = np.sort(keys)
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
@@ -66,6 +72,7 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 def _cell_keys(coords, cells, x0: float, y0: float, eps: float, ny: int) -> np.ndarray:
     """Distinct keys i * ny + j of the cells the segments pass through."""
+    import numpy as np
     inv = 1.0 / eps
     i1, j1, i2, j2 = cells.T
     # single column: rows between the endpoint rows, all touched
@@ -103,6 +110,7 @@ def _cell_keys(coords, cells, x0: float, y0: float, eps: float, ny: int) -> np.n
 def _occupied_boxes(
     coords: np.ndarray, x0: float, y0: float, eps: float, nx: int, ny: int, budget: int
 ) -> int:
+    import numpy as np
     # endpoint cells (i1, j1, i2, j2) per segment, clamped to the grid; floats
     # until the checks below rule out int64 overflow
     cells = np.clip(
@@ -154,6 +162,7 @@ def estimate_dimension(
         raise ScaleLadderInvalid("need at least 4 scales")
     if len(s) == 0:
         raise DegenerateGeometry("no segments")
+    import numpy as np
     coords = s.coords
     xs = np.concatenate([coords[:, 0], coords[:, 2]])
     ys = np.concatenate([coords[:, 1], coords[:, 3]])

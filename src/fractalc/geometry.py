@@ -6,15 +6,17 @@ emitting, removing that portion for all subsequent substages. The module also
 provides the exact analytic segment census (multinomial expansion, big-integer
 counts), total length and content closed forms, SVG/CSV export, and an overlap
 detector backing the upper-bound caveat for self-intersecting compositions.
+
+numpy is imported only inside the functions that use arrays, so the schedule
+and census half, and with it `dim`, `census`, `stats` and `limit`, runs
+without loading it; a no-numpy test in `tests/test_cli.py` enforces this.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     InvalidAngle,
@@ -24,6 +26,10 @@ from .errors import (
 )
 from .moran import ScaleSpectrum
 from .parser import ScheduleExpr, parse
+
+if TYPE_CHECKING:
+    import numpy as np
+
 
 DEFAULT_SEGMENT_BUDGET = 10_000_000
 RENDER_SEGMENT_LIMIT = 1_000_000
@@ -118,6 +124,7 @@ class SegmentSet:
     def lengths(self) -> np.ndarray:
         if self.piece_lengths is not None:
             return self.piece_lengths
+        import numpy as np
         c = self.coords
         return np.hypot(c[:, 2] - c[:, 0], c[:, 3] - c[:, 1])
 
@@ -218,6 +225,7 @@ def schedule_from_text(text: str) -> CompositionSchedule:
 def _apply_substage(
     coords: np.ndarray, lengths: np.ndarray, gen: Generator
 ) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     ax, ay, bx, by = coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
     dx = bx - ax
     dy = by - ay
@@ -280,6 +288,7 @@ def iterate(
     applications = k * sum(n for _, n in schedule.items)
     if applications > budget:
         raise SegmentBudgetExceeded(applications, budget, "stage would apply {} substages")
+    import numpy as np
     coords = np.array([[0.0, 0.0, L0, 0.0]])
     lengths = np.array([L0])
     for _ in range(k):
@@ -434,7 +443,6 @@ _CSV_ROW = "%.12g,%.12g,%.12g,%.12g\n"
 # an SVG point followed by: the next point of its chain, the end of its chain
 # ("\n", replaced by the polyline boundary), or nothing (the last point)
 _SVG_POINTS = ("%.6f,%.6f ", "%.6f,%.6f\n", "%.6f,%.6f")
-_FLIP_Y = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -478,6 +486,7 @@ def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
     n = len(s)
     if n > RENDER_SEGMENT_LIMIT:
         raise SegmentBudgetExceeded(n, RENDER_SEGMENT_LIMIT)
+    import numpy as np
     style = style or SvgStyle()
     coords = s.coords
     pts = coords.reshape(-1, 2)
@@ -487,6 +496,7 @@ def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
     margin = 0.05 * max(xmax - xmin, ymax - ymin, 1e-9)
     vb = (xmin - margin, ymin - margin, (xmax - xmin) + 2 * margin, (ymax - ymin) + 2 * margin)
     join_tol = 1e-9 * max(xmax - xmin, ymax - ymin, s.initiator_length)
+    flip_y = np.array([1.0, -1.0])
     # breaks[i]: a chain boundary lies before segment i (always at 0 and n)
     breaks = np.ones(n + 1, dtype=bool)
     breaks[1:-1] = (np.abs(coords[:-1, 2] - coords[1:, 0]) > join_tol) | (
@@ -508,7 +518,7 @@ def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
         if stop == n:
             kind[-1, 1] = 2
         template = "".join(map(_SVG_POINTS.__getitem__, kind[keep].tolist()))
-        points = (coords[start:stop].reshape(-1, 2) * _FLIP_Y)[keep.ravel()]
+        points = (coords[start:stop].reshape(-1, 2) * flip_y)[keep.ravel()]
         return _fix_negative_zero(_format(template, points)).replace("\n", close + polyline)
 
     x, y, w, h = _fix_negative_zero("%.6f %.6f %.6f %.6f" % vb).split()
@@ -544,6 +554,7 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Returns (k, value) for every element: the index of the range it came from
     and its value.
     """
+    import numpy as np
     sizes = hi - lo + 1
     owner = np.repeat(np.arange(len(sizes)), sizes)
     starts = np.cumsum(sizes) - sizes
@@ -552,6 +563,7 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _pairs_overlap(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     """Row-wise: True where segments a[k] and b[k] intersect in more than a shared endpoint."""
+    import numpy as np
     ax, ay, bx, by = a.T
     cx, cy, dx, dy = b.T
     rx, ry = bx - ax, by - ay
@@ -598,6 +610,7 @@ def detect_overlap(s: SegmentSet) -> bool:
         raise SegmentBudgetExceeded(n, RENDER_SEGMENT_LIMIT)
     if n < 2:
         return False
+    import numpy as np
     coords = s.coords
     pts = coords.reshape(-1, 2)
     extent = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))

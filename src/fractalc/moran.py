@@ -248,13 +248,20 @@ def rational_limit_dimension(base: UniformFractal, a1: int, a2: int, n: int) -> 
 
     As n grows the value tends to a1/a2, so any rational dimension can be
     approached from any starting fractal. Computed with logarithms directly
-    (a1 * ln n), never by materializing n^a1.
+    (a1 * ln n), never by materializing n^a1, and ln(1/rho) as -ln rho, since
+    1/rho overflows for rho below about 5.6e-309. Raises ValueError when
+    a1 * ln n or a2 * ln n is beyond the float range.
     """
     if a1 < 1 or a2 < 1:
         raise ValueError("a1 and a2 must be positive integers")
     if n < 2:
         raise ValueError("n must be >= 2")
     log_n = math.log(n)
-    num = math.log(base.copies) + a1 * log_n
-    den = math.log(1.0 / base.ratio) + a2 * log_n
+    try:
+        num = math.log(base.copies) + a1 * log_n
+        den = -math.log(base.ratio) + a2 * log_n
+    except OverflowError:
+        num = den = math.inf
+    if not math.isfinite(num + den):
+        raise ValueError("a1 * ln n or a2 * ln n is beyond the float range")
     return num / den

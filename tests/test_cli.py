@@ -1,14 +1,22 @@
 import json
 import math
+import os
+import random
+import signal
+import subprocess
+import sys
 import time
 from decimal import Decimal
+from pathlib import Path
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
 import fractalc as fc
 from fractalc.cli import main
-from helpers import STATS_CORPUS, fuzz_cases
+from fractalc.parser import format as format_expr
+from helpers import STATS_CORPUS, fuzz_cases, random_schedule_expr
 
 
 @pytest.fixture()
@@ -426,6 +434,162 @@ def test_limit_rejects_bad_inputs(runner):
     assert runner.invoke(main, ["limit", "--base", "K[pi/3] K[pi/4]", "--target", "1/2", "--n", "100"]).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "target,n",
+    [("1e400", "10"), ("1e-400", "10"), ("1/" + "9" * 400, "10"), ("1e308", "1" + "0" * 22)],
+    ids=["numerator", "denominator", "fraction", "product"],
+)
+def test_limit_target_beyond_float_range_exits_2(runner, target, n):
+    result = runner.invoke(main, ["limit", "--base", "K[pi/3]", "--target", target, "--n", n])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "float range" in lines[0]
+
+
+def test_limit_tiny_base_ratio(runner):
+    d = str(10**322)
+    payload = invoke_json(
+        runner, ["limit", "--base", f"C[1/{d},1/{d}]", "--target", "3/2", "--n", "10"]
+    )
+    with mpmath.workdps(50):
+        ln10 = mpmath.log(10)
+        want = (mpmath.log(2) + 3 * ln10) / (-mpmath.log(mpmath.mpf(1e-322)) + 2 * ln10)
+    assert payload["alpha"] == pytest.approx(float(want), rel=4e-16)
+    assert payload["error"] == pytest.approx(1.5 - float(want), rel=1e-15)
+
+
 def test_usage_error_exit_code(runner):
     assert runner.invoke(main, ["dim"]).exit_code == 2
     assert runner.invoke(main, ["nonsense"]).exit_code == 2
+
+
+# --- numpy stays unloaded on the analytic path -----------------------------------
+
+_SRC = str(Path(fc.__file__).resolve().parent.parent)
+
+
+def _run_python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def _imported_modules(importtime_stderr: str) -> set[str]:
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in importtime_stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["dim", "C[1/2,1/3] K[pi/3]"], 0),
+        (["census", "C[1/2,1/3] K[pi/3]", "--stage", "6"], 0),
+        (["stats", "C[1/2,1/3] K[pi/3]", "--stage", "4"], 0),
+        (["limit", "--base", "K[pi/3]", "--target", "3/2", "--n", "1000"], 0),
+        (["dim", "C[1/2,1/3] K[pi/3"], 2),
+        (["render", "K[pi/3]", "--stage", "12", "-o", "big.svg"], 4),
+    ],
+    ids=["dim", "census", "stats", "limit", "dim-parse-error", "render-over-budget"],
+)
+def test_analytic_commands_do_not_import_numpy(tmp_path, args, code):
+    result = _run_python(["-X", "importtime", "-m", "fractalc.cli", *args], tmp_path)
+    assert result.returncode == code, result.stderr
+    modules = _imported_modules(result.stderr)
+    assert "fractalc.geometry" in modules
+    assert not [m for m in modules if m.split(".")[0] == "numpy"]
+
+
+def test_package_import_leaves_numpy_unloaded(tmp_path):
+    script = (
+        "import sys\n"
+        "import fractalc as fc\n"
+        "assert 'numpy' not in sys.modules\n"
+        "s = fc.iterate(fc.schedule_from_text('K[pi/3]'), 4)\n"
+        "print(len(s), fc.estimate_dimension(s).slope)\n"
+    )
+    result = _run_python(["-c", script], tmp_path)
+    assert result.returncode == 0, result.stderr
+    count, slope = result.stdout.split()
+    assert int(count) == 256
+    assert float(slope) == pytest.approx(math.log(4) / math.log(3), abs=0.1)
+
+
+# --- CLI fuzz: every accepted input answers or exits 2, 3 or 4 ---------------------
+
+_FUZZ_CAP_S = 5.0
+_TINY = "1/" + str(10**322)
+
+# huge repeats, one-piece components, tiny ratios
+_EDGE_EXPRESSIONS = [
+    "K[pi/3]^" + "9" * 30,
+    "C[1/2,1/3]^100000",
+    "C[1/2,1/3]^100000 K[pi/3]",
+    "C[1/2]",
+    "C[1/2]^" + "9" * 20,
+    "C[1/2]^1000 K[pi/3]",
+    "G[(0.5,0,draw)]",
+    "G[(0.5,0,draw);(0.3,1,gap)]",
+    f"C[{_TINY},{_TINY}]",
+    f"C[{_TINY}] C[1/2,1/4]",
+    "C[1/1000] C[1/2,1/4]",
+    "C[0.999999999]",
+    "K[0.000001]",
+    "G[(0.999,0,draw);(0.001,3.14,draw)]",
+]
+
+_LIMIT_EDGES = [
+    ["--base", "K[pi/3]", "--target", "1e400", "--n", "10"],
+    ["--base", "K[pi/3]", "--target", "1e-400", "--n", "10"],
+    ["--base", "K[pi/3]", "--target", "1e308", "--n", "1" + "0" * 22],
+    ["--base", "K[pi/3]", "--target", "3/2", "--n", "1" + "0" * 300],
+    ["--base", "K[pi/3]", "--target", "3/2", "--n", "9" * 5000],
+    ["--base", "K[pi/3]", "--target", "0/1", "--n", "10"],
+    ["--base", "K[pi/3]", "--target", "1/0", "--n", "10"],
+    ["--base", f"C[{_TINY},{_TINY}]", "--target", "3/2", "--n", "10"],
+    ["--base", f"C[{_TINY}]", "--target", "3/2", "--n", "10"],
+    ["--base", "C[1/2]^" + "9" * 20, "--target", "3/2", "--n", "10"],
+]
+
+
+def _fuzz_invocations():
+    rng = random.Random(2024)
+    expressions = [format_expr(random_schedule_expr(rng)) for _ in range(120)] + _EDGE_EXPRESSIONS
+    for text in expressions:
+        yield ["dim", text]
+        yield ["census", text, "--stage", "3"]
+        yield ["stats", text, "--stage", "3"]
+        yield ["validate", text, "--stage", "4"]
+        yield ["render", text, "--stage", "3", "-o", "fuzz.svg", "--csv", "fuzz.csv"]
+    for text in _EDGE_EXPRESSIONS:
+        yield ["census", text, "--stage", "110"]
+        yield ["stats", text, "--stage", "110"]
+    for args in _LIMIT_EDGES:
+        yield ["limit", *args]
+
+
+def _cap_exceeded(signum, frame):
+    raise TimeoutError(f"over the {_FUZZ_CAP_S} s cap")
+
+
+def test_cli_fuzz_exits_only_with_documented_codes(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    env = {"FRACTALC_SEGMENT_BUDGET": "200000"}
+    previous = signal.signal(signal.SIGALRM, _cap_exceeded)
+    try:
+        for args in _fuzz_invocations():
+            signal.setitimer(signal.ITIMER_REAL, _FUZZ_CAP_S)
+            try:
+                result = runner.invoke(main, args, env=env)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            assert result.exit_code in (0, 2, 3, 4), (args, result.output, result.exception)
+            assert result.exception is None or isinstance(result.exception, SystemExit), args
+            assert "Traceback" not in result.output, args
+    finally:
+        signal.signal(signal.SIGALRM, previous)

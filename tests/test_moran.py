@@ -391,6 +391,21 @@ def test_rational_limit_validation():
         fc.rational_limit_dimension(base, 0, 1, 100)
     with pytest.raises(ValueError):
         fc.rational_limit_dimension(base, 1, 1, 1)
+    # a1 or a2 too large for a float, or a1 * ln n overflowing: no silent inf
+    for a1, a2, n in [(10**400, 1, 10), (1, 10**400, 10), (10**308, 1, 10**22)]:
+        with pytest.raises(ValueError, match="float range"):
+            fc.rational_limit_dimension(base, a1, a2, n)
+
+
+def test_rational_limit_tiny_base_ratio_matches_mpmath():
+    # 1/rho overflows to inf below about 5.6e-309; -ln rho does not
+    rho = 1e-322
+    for a1, a2, n in [(3, 2, 10), (1, 2, 10**6), (7, 3, 2)]:
+        alpha = fc.rational_limit_dimension(fc.UniformFractal(2, rho), a1, a2, n)
+        with mpmath.workdps(50):
+            log_n = mpmath.log(n)
+            want = (mpmath.log(2) + a1 * log_n) / (-mpmath.log(mpmath.mpf(rho)) + a2 * log_n)
+        assert alpha == pytest.approx(float(want), rel=4e-16)
 
 
 # --- properties (seeded fuzz; the full-size suites live in test_acceptance) ---------
