@@ -4,17 +4,26 @@ Counts occupied grid boxes on a dyadic scale ladder and fits the slope of
 ln N(eps) against ln(1/eps). Counting intersects segments against boxes
 exactly (no point sampling): a box is occupied iff the segment passes through
 its half-open cell, with boundary cells clamped so the grid covers the
-bounding box exactly. The dyadic ladder anchored at one corner makes N(eps)
-provably nonincreasing in eps.
+bounding box exactly. The dyadic ladder anchored at one corner makes coarse
+boxes exact unions of fine ones, so N(eps) is nonincreasing in eps.
 
-Each rung is array code over all segments. A segment inside one grid column
-occupies the rows between its endpoint rows; any other is clipped to each
-vertical strip it crosses, and each clipped piece occupies the rows between
-its ends. Both ragged expansions (strips per segment, rows per strip) allow a
-segment to cross any number of gridlines, as segments longer than the box
-size do. Occupied cells are counted as distinct int64 keys `i * ny + j`.
-Before a rung is expanded, the cells its grid walks visit,
-sum(|di| + |dj| + 1), are checked against the segment budget.
+Only the finest rung is walked, as array code over all segments. A segment
+inside one grid column occupies the rows between its endpoint rows; any other
+is clipped to each vertical strip it crosses, and each clipped piece occupies
+the rows between its ends. Both ragged expansions (strips per segment, rows
+per strip) allow a segment to cross any number of gridlines, as segments
+longer than the box size do. Occupied cells are distinct int64 keys
+`i * ny + j`. Before the walk, the cells it visits, sum(|di| + |dj| + 1), are
+checked against the segment budget; no coarser rung would visit more.
+
+Each coarser rung is derived from the keys of the rung below: cell (i, j) at
+eps lies in cell (min(i >> 1, nx' - 1), min(j >> 1, ny' - 1)) at 2 eps, where
+the coarse grid can have fewer than half as many columns or rows. The counts
+are those a walk of each rung would give, in floats too: 1/eps doubles
+exactly, so endpoint cells halve exactly; both strip edges come from their
+index, so the strip edges at 2 eps are the even ones at eps and the clipped
+pieces end at the same points; and the last strip runs on past the grid,
+whose size tolerance of 1e-12 cells can leave it just short of the figure.
 
 numpy is imported inside the functions, as in `geometry`, so that importing
 the package does not load it (enforced by a test in `tests/test_cli.py`).
@@ -26,7 +35,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateGeometry, ScaleLadderInvalid, SegmentBudgetExceeded
+from .errors import (
+    DegenerateGeometry,
+    GeometryOutOfRange,
+    ScaleLadderInvalid,
+    SegmentBudgetExceeded,
+)
 from .geometry import DEFAULT_SEGMENT_BUDGET, SegmentSet, expand_ranges
 
 if TYPE_CHECKING:
@@ -70,7 +84,9 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
-def _cell_keys(coords, cells, x0: float, y0: float, eps: float, ny: int) -> np.ndarray:
+def _cell_keys(
+    coords, cells, x0: float, y0: float, eps: float, nx: int, ny: int
+) -> np.ndarray:
     """Distinct keys i * ny + j of the cells the segments pass through."""
     import numpy as np
     inv = 1.0 / eps
@@ -88,8 +104,11 @@ def _cell_keys(coords, cells, x0: float, y0: float, eps: float, ny: int) -> np.n
     ax, ay, bx, by = coords[many[idx]].T
     dx = bx - ax
     dy = by - ay
+    # both edges from their index, so the strip edges of scale 2 eps are the
+    # even edges of scale eps; the last strip runs on past x0 + nx * eps,
+    # which can fall short of the figure
     xl = x0 + i * eps
-    xr = xl + eps
+    xr = np.where(i < nx - 1, x0 + (i + 1) * eps, np.inf)
     t_in = (xl - ax) / dx
     t_out = (xr - ax) / dx
     t_lo = np.maximum(0.0, np.minimum(t_in, t_out))
@@ -107,9 +126,10 @@ def _cell_keys(coords, cells, x0: float, y0: float, eps: float, ny: int) -> np.n
     return _distinct(np.concatenate(cols)[idx] * ny + j)
 
 
-def _occupied_boxes(
+def _occupied_cells(
     coords: np.ndarray, x0: float, y0: float, eps: float, nx: int, ny: int, budget: int
-) -> int:
+) -> np.ndarray:
+    """Sorted distinct keys i * ny + j of the occupied cells at one rung."""
     import numpy as np
     # endpoint cells (i1, j1, i2, j2) per segment, clamped to the grid; floats
     # until the checks below rule out int64 overflow
@@ -132,10 +152,10 @@ def _occupied_boxes(
     starts = np.searchsorted(ends, np.arange(0.0, ends[-1], _CELL_BATCH), side="right")
     bounds = np.append(np.unique(starts), len(coords))
     keys = [
-        _cell_keys(coords[a:b], cells[a:b], x0, y0, eps, ny)
+        _cell_keys(coords[a:b], cells[a:b], x0, y0, eps, nx, ny)
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
-    return len(_distinct(np.concatenate(keys)))
+    return _distinct(np.concatenate(keys))
 
 
 def _cells_along(span: float, eps: float) -> int:
@@ -154,9 +174,11 @@ def estimate_dimension(
     The ladder starts at bounding-box diagonal / 4 and halves down to
     `min_scale` (default: the smallest segment length, the finest generated
     detail) or until `scale_count` rungs are used, whichever stops first. The
-    grid is anchored at the bounding-box min corner. Raises
-    SegmentBudgetExceeded before counting a rung whose grid walks would visit
-    more than `budget` cells.
+    grid is anchored at the bounding-box min corner. Only the finest rung is
+    walked; each coarser count comes from halving the cell indices of the rung
+    below. Raises SegmentBudgetExceeded before that walk if it would visit
+    more than `budget` cells, and GeometryOutOfRange if the bounding-box
+    diagonal is beyond the float range.
     """
     if scale_count < 4:
         raise ScaleLadderInvalid("need at least 4 scales")
@@ -171,6 +193,8 @@ def estimate_dimension(
     diag = math.hypot(x1 - x0, y1 - y0)
     if diag == 0.0:
         raise DegenerateGeometry("all points coincident")
+    if not math.isfinite(diag):
+        raise GeometryOutOfRange(f"the bounding-box diagonal {diag} is beyond the float range")
     if min_scale is None:
         min_scale = float(s.lengths().min())
     if not (math.isfinite(min_scale) and min_scale > 0.0):
@@ -189,13 +213,15 @@ def estimate_dimension(
             f"ladder from {eps_top:g} down to {min_scale:g} has only {len(scales)} scales"
         )
 
-    # finest rung first: it walks the most cells, so an over-budget ladder
-    # fails before any counting work
-    counts = []
-    for eps in reversed(scales):
-        nx = _cells_along(x1 - x0, eps)
-        ny = _cells_along(y1 - y0, eps)
-        counts.append(_occupied_boxes(coords, x0, y0, eps, nx, ny, budget))
+    # walk the finest rung only and halve its cell indices rung by rung
+    nx, ny = _cells_along(x1 - x0, scales[-1]), _cells_along(y1 - y0, scales[-1])
+    keys = _occupied_cells(coords, x0, y0, scales[-1], nx, ny, budget)
+    counts = [len(keys)]
+    for eps in reversed(scales[:-1]):
+        i, j = np.divmod(keys, ny)
+        nx, ny = _cells_along(x1 - x0, eps), _cells_along(y1 - y0, eps)
+        keys = _distinct(np.minimum(i >> 1, nx - 1) * ny + np.minimum(j >> 1, ny - 1))
+        counts.append(len(keys))
     counts.reverse()
 
     skip = 2 if len(scales) >= 6 else 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from . import boxcount, geometry, incstats, moran
 from .errors import (
     DegenerateGeometry,
     FractalcError,
+    GeometryOutOfRange,
     ScaleLadderInvalid,
     ScheduleSemanticError,
     ScheduleSyntaxError,
@@ -41,6 +43,8 @@ _UNDERFLOW_WARNING = (
 )
 # ln of the smallest positive double, 2**-1074
 _LOG_TINIEST = math.log(5e-324)
+# the decimal exponent of a `limit --target`, as Fraction's syntax allows it
+_TARGET_EXPONENT = re.compile(r"[eE]([-+]?)([\d_]+)\s*\Z")
 
 
 def _fail(code: int, message: str) -> None:
@@ -174,6 +178,8 @@ def render(expression: str, stage: int, out_path: str, csv_path: str | None,
             geometry.export_csv(segments, csv_path)
     except SegmentBudgetExceeded as exc:
         _fail(EXIT_BUDGET, str(exc))
+    except GeometryOutOfRange as exc:
+        _fail(EXIT_USAGE, str(exc))
     except OSError as exc:
         _fail(EXIT_USAGE, f"cannot write output: {exc}")
     overlapping = None
@@ -246,7 +252,7 @@ def validate(expression: str, stage: int, scales: int, min_scale: float | None,
         )
     except SegmentBudgetExceeded as exc:
         _fail(EXIT_BUDGET, str(exc))
-    except (ScaleLadderInvalid, DegenerateGeometry) as exc:
+    except (GeometryOutOfRange, ScaleLadderInvalid, DegenerateGeometry) as exc:
         _fail(EXIT_USAGE, str(exc))
     within = abs(report.slope - alpha) <= tolerance
     payload = {
@@ -275,6 +281,30 @@ def stats(expression: str, stage: int, human: bool):
     _emit(payload, human)
 
 
+def _target_ratio(target: str) -> tuple[int, int]:
+    """Numerator and denominator of `target` as Fraction reads it.
+
+    Fraction builds 10**exponent for a decimal exponent, which takes seconds
+    for `1e10000000`. An exponent beyond 310 plus the length of the text puts
+    the numerator (positive exponent) or the denominator (negative) past
+    10**310, more than any double holds; the mantissa scaled by 10**310 then
+    stands in, and rational_limit_dimension rejects it the same way.
+    """
+    match = _TARGET_EXPONENT.search(target)
+    if match is not None:
+        sign, digits = match.groups()
+        exponent = int(sign + digits)
+        if abs(exponent) > len(target) + 310:
+            # the exponent's digits zeroed, so Fraction still checks the syntax
+            zeroed = re.sub(r"\d", "0", digits)
+            mantissa = Fraction(target[: match.start(2)] + zeroed + target[match.end(2) :])
+            if exponent > 0:
+                return mantissa.numerator * 10**310, mantissa.denominator
+            return mantissa.numerator, mantissa.denominator * 10**310
+    frac = Fraction(target)
+    return frac.numerator, frac.denominator
+
+
 @main.command()
 @click.option("--base", required=True, help="Single uniform-generator expression.")
 @click.option("--target", required=True, help="Rational target dimension a1/a2.")
@@ -292,8 +322,7 @@ def limit(base: str, target: str, n_value: int, human: bool):
         _fail(EXIT_USAGE, "base must be a uniform generator (equal scale factors)")
     fractal = moran.UniformFractal(len(ratios), ratios[0])
     try:
-        frac = Fraction(target)
-        a1, a2 = frac.numerator, frac.denominator
+        a1, a2 = _target_ratio(target)
         if a1 < 1:
             raise ValueError
     except (ValueError, ZeroDivisionError):

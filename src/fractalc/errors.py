@@ -67,3 +67,9 @@ class ScaleLadderInvalid(FractalcError):
 
 class DegenerateGeometry(FractalcError):
     """Geometry has no spatial extent (all points coincident)."""
+
+
+class GeometryOutOfRange(FractalcError):
+    """A coordinate of the figure, or a size derived from it (its extent along
+    an axis, its total length, its diagonal, its SVG view box), is beyond the
+    float range: the generators grew a huge initiator length past it."""

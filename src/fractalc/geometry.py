@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
+    GeometryOutOfRange,
     InvalidAngle,
     RatiosExceedUnit,
     ScheduleSemanticError,
@@ -268,7 +269,9 @@ def iterate(
     produce more segments than the budget, or apply more substages (k times
     the sum of the repeats) than the budget. The exact segment count is built
     only when it is at most the budget squared; a count beyond that is
-    reported by its power of ten, with `predicted` None.
+    reported by its power of ten, with `predicted` None. Raises
+    GeometryOutOfRange when a coordinate, the figure's extent along x or y, or
+    its total length is not finite.
     """
     if k < 0:
         raise ValueError("stage must be >= 0")
@@ -291,10 +294,19 @@ def iterate(
     import numpy as np
     coords = np.array([[0.0, 0.0, L0, 0.0]])
     lengths = np.array([L0])
-    for _ in range(k):
-        for gen, repeat in schedule.items:
-            for _ in range(repeat):
-                coords, lengths = _apply_substage(coords, lengths, gen)
+    # the check below reports overflow, not numpy warnings: an overflowed
+    # coordinate stays inf or nan in every later substage and makes its axis's
+    # extent non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            for gen, repeat in schedule.items:
+                for _ in range(repeat):
+                    coords, lengths = _apply_substage(coords, lengths, gen)
+        sizes = np.ptp(coords[:, ::2]), np.ptp(coords[:, 1::2]), lengths.sum()
+    if not np.isfinite(sizes).all():
+        raise GeometryOutOfRange(
+            f"the stage-{k} figure of initiator length {L0:g} leaves the float range"
+        )
     return SegmentSet(coords=coords, stage=k, initiator_length=L0, piece_lengths=lengths)
 
 
@@ -495,6 +507,8 @@ def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
     ymin, ymax = float(-pts[:, 1].max()), float(-pts[:, 1].min())
     margin = 0.05 * max(xmax - xmin, ymax - ymin, 1e-9)
     vb = (xmin - margin, ymin - margin, (xmax - xmin) + 2 * margin, (ymax - ymin) + 2 * margin)
+    if not all(map(math.isfinite, vb)):
+        raise GeometryOutOfRange(f"the SVG view box {vb} is beyond the float range")
     join_tol = 1e-9 * max(xmax - xmin, ymax - ymin, s.initiator_length)
     flip_y = np.array([1.0, -1.0])
     # breaks[i]: a chain boundary lies before segment i (always at 0 and n)

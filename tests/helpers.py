@@ -220,7 +220,7 @@ def reference_occupied_boxes(coords, x0: float, y0: float, eps: float, nx: int, 
         lo_i, hi_i = (ia, ib) if ia <= ib else (ib, ia)
         for i in range(lo_i, hi_i + 1):
             xl = x0 + i * eps
-            xr = xl + eps
+            xr = x0 + (i + 1) * eps if i < nx - 1 else math.inf
             t_in = (xl - ax) / dx
             t_out = (xr - ax) / dx
             t_lo = max(0.0, min(t_in, t_out))

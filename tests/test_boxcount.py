@@ -6,7 +6,12 @@ import pytest
 
 import fractalc as fc
 from fractalc import boxcount
-from fractalc.errors import DegenerateGeometry, ScaleLadderInvalid, SegmentBudgetExceeded
+from fractalc.errors import (
+    DegenerateGeometry,
+    GeometryOutOfRange,
+    ScaleLadderInvalid,
+    SegmentBudgetExceeded,
+)
 from helpers import reference_occupied_boxes
 
 KOCH_DIM = math.log(4) / math.log(3)
@@ -93,6 +98,11 @@ def test_degenerate_geometry_rejected():
         fc.estimate_dimension(degenerate)
 
 
+def test_diagonal_beyond_float_range_rejected():
+    with pytest.raises(GeometryOutOfRange):
+        fc.estimate_dimension(line_set(1.5e308, 1.5e308))
+
+
 def test_report_serialization_schema():
     report = fc.estimate_dimension(line_set(), scale_count=6, min_scale=1 / 128)
     payload = report.to_json_dict()
@@ -111,10 +121,11 @@ def test_box_grid_too_large_for_int64_keys_rejected():
     # two short segments at opposite corners of a 1e10 x 1e10 grid
     coords = np.array([[0.0, 0.0, 5e-9, 3e-9], [1.0, 1.0, 1.0 - 4e-9, 1.0 - 6e-9]])
     with pytest.raises(ScaleLadderInvalid):
-        boxcount._occupied_boxes(coords, 0.0, 0.0, 1e-10, 10**10, 10**10, budget=10**6)
+        boxcount._occupied_cells(coords, 0.0, 0.0, 1e-10, 10**10, 10**10, budget=10**6)
     # at 1e9 x 1e9 the keys fit
     expected = reference_occupied_boxes(coords, 0.0, 0.0, 1e-9, 10**9, 10**9)
-    assert boxcount._occupied_boxes(coords, 0.0, 0.0, 1e-9, 10**9, 10**9, budget=10**6) == expected
+    keys = boxcount._occupied_cells(coords, 0.0, 0.0, 1e-9, 10**9, 10**9, budget=10**6)
+    assert len(keys) == expected
 
 
 def test_box_count_budget_checked_before_expanding():

@@ -21,7 +21,12 @@ from helpers import STATS_CORPUS, fuzz_cases, random_schedule_expr
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    # click before 8.2 mixes stderr into the output unless told not to; from
+    # 8.2 on stderr is always kept apart and `mix_stderr` is gone
+    try:
+        return CliRunner(mix_stderr=False)
+    except TypeError:
+        return CliRunner()
 
 
 def invoke_json(runner, args, **kwargs):
@@ -328,6 +333,28 @@ def test_bad_initiator_length_exits_2(runner, args, value):
     assert "--l0" in result.stderr and "Traceback" not in result.output
 
 
+# figures whose coordinates overflow to inf or nan within a few stages
+_HUGE_FIGURES = [
+    ("G[(0.9,3.1,draw);(0.9,0,draw)]", "3", "1.5e308"),
+    ("G[(0.9,1.5,draw);(0.9,-1.5,draw)]", "4", "1.7e308"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("expression,stage,l0", _HUGE_FIGURES)
+@pytest.mark.parametrize("command", ["render", "validate"])
+def test_figure_beyond_float_range_exits_2(runner, tmp_path, command, expression, stage, l0):
+    out, csv = tmp_path / "out.svg", tmp_path / "out.csv"
+    args = [command, expression, "--stage", stage, "--l0", l0]
+    if command == "render":
+        args += ["-o", str(out), "--csv", str(csv)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == "" and not out.exists() and not csv.exists()
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "float range" in lines[0]
+
+
 @pytest.mark.parametrize("command", ["census", "stats"])
 def test_underflowed_lengths_warn_without_traceback(runner, command):
     # stage-110 lengths of C[1/1000] are ~1e-330, below the smallest double
@@ -447,6 +474,29 @@ def test_limit_target_beyond_float_range_exits_2(runner, target, n):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "float range" in lines[0]
 
 
+@pytest.mark.parametrize("target", ["1e10000000", "1e-10000000", "2.5e99999999"])
+def test_limit_huge_target_exponent_exits_2_at_once(runner, target):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["limit", "--base", "K[pi/3]", "--target", target, "--n", "10"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: a1 * ln n or a2 * ln n is beyond the float range\n"
+
+
+@pytest.mark.parametrize(
+    "target,n,message",
+    [("0e10000000", "10", "target must be a positive rational"),
+     ("-1e10000000", "10", "target must be a positive rational"),
+     ("3/2e10000000", "10", "target must be a positive rational"),
+     ("1e10000000", "1", "n must be >= 2")],
+)
+def test_limit_huge_target_exponent_keeps_the_first_error(runner, target, n, message):
+    result = runner.invoke(main, ["limit", "--base", "K[pi/3]", "--target", target, "--n", n])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {message}")
+
+
 def test_limit_tiny_base_ratio(runner):
     d = str(10**322)
     payload = invoke_json(
@@ -547,6 +597,8 @@ _LIMIT_EDGES = [
     ["--base", "K[pi/3]", "--target", "1e400", "--n", "10"],
     ["--base", "K[pi/3]", "--target", "1e-400", "--n", "10"],
     ["--base", "K[pi/3]", "--target", "1e308", "--n", "1" + "0" * 22],
+    ["--base", "K[pi/3]", "--target", "1e10000000", "--n", "10"],
+    ["--base", "K[pi/3]", "--target", "1e-10000000", "--n", "10"],
     ["--base", "K[pi/3]", "--target", "3/2", "--n", "1" + "0" * 300],
     ["--base", "K[pi/3]", "--target", "3/2", "--n", "9" * 5000],
     ["--base", "K[pi/3]", "--target", "0/1", "--n", "10"],
@@ -569,6 +621,9 @@ def _fuzz_invocations():
     for text in _EDGE_EXPRESSIONS:
         yield ["census", text, "--stage", "110"]
         yield ["stats", text, "--stage", "110"]
+    for text, stage, l0 in _HUGE_FIGURES:
+        yield ["validate", text, "--stage", stage, "--l0", l0]
+        yield ["render", text, "--stage", stage, "--l0", l0, "-o", "fuzz.svg", "--csv", "fuzz.csv"]
     for args in _LIMIT_EDGES:
         yield ["limit", *args]
 

@@ -8,6 +8,7 @@ import pytest
 
 import fractalc as fc
 from fractalc.errors import (
+    GeometryOutOfRange,
     InvalidAngle,
     RatiosExceedUnit,
     ScheduleSemanticError,
@@ -354,6 +355,23 @@ def test_svg_chains_follow_connectivity(tmp_path):
     assert path.read_text().count("<polyline") == 1
     fc.export_svg(fc.iterate(fc.schedule_from_text("C[1/3,1/3]"), 1), path)
     assert path.read_text().count("<polyline") == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_figure_beyond_float_range_rejected(tmp_path):
+    # coordinates overflow to inf, then nan, by stage 3
+    with pytest.raises(GeometryOutOfRange):
+        fc.iterate(fc.schedule_from_text("G[(0.9,3.1,draw);(0.9,0,draw)]"), 3, L0=1.5e308)
+    # finite coordinates, but a total length of (4/3)^3 * 1e308; at stage 2
+    # it is 1.78e308, still finite
+    with pytest.raises(GeometryOutOfRange):
+        fc.iterate(koch(), 3, L0=1e308)
+    assert fc.total_length(fc.iterate(koch(), 2, L0=1e308)) == pytest.approx(16 / 9 * 1e308)
+    # a finite figure whose SVG view box, with its 5% margins, is not
+    out = tmp_path / "wide.svg"
+    with pytest.raises(GeometryOutOfRange):
+        fc.export_svg(fc.iterate(koch(), 0, L0=1.7e308), out)
+    assert not out.exists()
 
 
 def test_svg_respects_render_limit(tmp_path):

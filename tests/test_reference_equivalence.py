@@ -15,6 +15,7 @@ import pytest
 
 import fractalc as fc
 from fractalc import boxcount, geometry
+from fractalc.errors import ScaleLadderInvalid
 from helpers import (
     STATS_CORPUS,
     census_feasible_stage,
@@ -57,9 +58,12 @@ def _translated(s: fc.SegmentSet, ox: float, oy: float) -> fc.SegmentSet:
     )
 
 
-def _copies(text: str, stage: int) -> list[fc.SegmentSet]:
-    s = fc.iterate(fc.schedule_from_text(text), stage)
+def _copies_of(s: fc.SegmentSet) -> list[fc.SegmentSet]:
     return [s, _translated(s, 37.25, -11.5)]
+
+
+def _copies(text: str, stage: int) -> list[fc.SegmentSet]:
+    return _copies_of(fc.iterate(fc.schedule_from_text(text), stage))
 
 
 @pytest.mark.parametrize("text,stage", CORPUS)
@@ -71,6 +75,90 @@ def test_box_counts_match_loop_reference(text, stage):
         finer = fc.estimate_dimension(s, scale_count=12, min_scale=float(s.lengths().min()) / 8)
         assert len(finer.scales) > len(report.scales)
         assert finer.counts == reference_counts(s, finer.scales)
+
+
+def test_box_counts_match_loop_reference_on_fuzzed_schedules():
+    # only the finest rung is walked; the coarser counts are derived from it
+    checked = 0
+    for sched, k in fuzz_cases(107, 40):
+        s = fc.iterate(sched, min(k, feasible_stage(sched, 2_000)))
+        finer = {"scale_count": 12, "min_scale": float(s.lengths().min()) / 8}
+        for c in _copies_of(s):
+            for ladder in ({}, finer):
+                try:
+                    report = fc.estimate_dimension(c, **ladder)
+                except ScaleLadderInvalid:
+                    continue  # one segment: no ladder of four rungs above its length
+                assert report.counts == reference_counts(c, report.scales)
+                checked += 1
+    assert checked >= 150
+
+
+def test_box_counts_through_grid_corners_match_loop_reference():
+    # the first leg, of slope 3 from the anchor corner, passes exactly through
+    # a grid corner at every column edge of every rung; which cells it reaches
+    # there depends on the rounding of the strip edges
+    zigzag = np.array([[0.0, 0.0, 1.0, 3.0], [1.0, 3.0, 2.0, 0.0], [2.0, 0.0, 3.0, 3.0]])
+    for c in _copies_of(fc.SegmentSet(zigzag, stage=0, initiator_length=1.0)):
+        for min_scale in (1e-2, 1e-3):
+            report = fc.estimate_dimension(c, scale_count=14, min_scale=min_scale)
+            assert report.counts == reference_counts(c, report.scales)
+
+
+_EDGE_RUNGS, _EDGE_M = 8, 200
+
+
+def _edge_eps(h: float) -> float:
+    return math.hypot(2.0, h) / 4.0 * 0.5 ** (_EDGE_RUNGS - 1)
+
+
+def _edge_height(columns: int, excess: float) -> float:
+    """Height h of the legs (0, 0)-(1, h)-(2, 0) at which the finest of
+    _EDGE_RUNGS rungs, eps, has `columns` columns and the rung above it m,
+    with 2 / eps between 2m + `excess` / 2 and 2m + 2 `excess`."""
+    m = _EDGE_M
+    h = math.sqrt((4.0 * 2 ** (_EDGE_RUNGS - 1) / m) ** 2 - 4.0)  # 2 / eps == 2m in reals
+    for _ in range(10_000):
+        eps = _edge_eps(h)
+        grids = boxcount._cells_along(2.0, eps), boxcount._cells_along(2.0, 2 * eps)
+        if grids == (columns, m) and excess / 2 < 2.0 / eps - 2 * m < 2 * excess:
+            return h
+        h = math.nextafter(h, math.inf if 2.0 / eps - 2 * m > excess else 0.0)
+    raise AssertionError(f"no height gives {columns} and {m} columns")
+
+
+def _edge_counts_match(legs, h: float) -> None:
+    s = fc.SegmentSet(np.array(legs), stage=0, initiator_length=1.0)
+    report = fc.estimate_dimension(s, scale_count=_EDGE_RUNGS, min_scale=1e-6)
+    assert report.scales[-1] == _edge_eps(h)
+    assert report.counts == reference_counts(s, report.scales)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_box_counts_at_the_clamp_edge_match_loop_reference(axis):
+    # 2 / eps lies 1e-12 to 2e-12 above 2m: the finest rung has 2m + 1 columns,
+    # the last holding only the figure's far edge, and it halves into column m,
+    # past the m columns of the rung above
+    h = _edge_height(2 * _EDGE_M + 1, 1.5e-12)
+    assert 1e-12 < 2.0 / _edge_eps(h) - 2 * _EDGE_M < 2e-12
+    # unclamped, the far point's coarse cell would be (m, 0) along x, past the
+    # grid, or (i + 1, 0) along y, so the y figure puts it in the last column
+    if axis == 0:
+        _edge_counts_match([[0.0, 0.0, 1.0, h], [1.0, h, 2.0, 0.0]], h)
+    else:
+        _edge_counts_match([[h, 0.0, 0.0, 1.0], [0.0, 1.0, h, 2.0]], h)
+
+
+def test_box_counts_past_the_last_gridline_match_loop_reference():
+    # 2 / eps lies under 1e-12 above 2m: the 2m columns of the finest rung end
+    # just short of the figure. A leg across three columns that ends in that
+    # sliver, on a row line, reaches the row above only there, so the last
+    # strip must run on past the grid's edge.
+    h = _edge_height(2 * _EDGE_M, 0.5e-12)
+    eps = _edge_eps(h)
+    assert 2 * _EDGE_M * eps < 2.0
+    legs = [[0.0, 0.0, 1.0, h], [1.0, h, 2.0, 0.0], [2.0 - 3 * eps, 27.7 * eps, 2.0, 28 * eps]]
+    _edge_counts_match(legs, h)
 
 
 def test_overlap_verdicts_match_loop_reference():
