@@ -589,7 +589,8 @@ def _pairs_overlap(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     cross = qpx * ry - qpy * rx
     # a zero-length segment divides by zero below and overlaps nothing
     with np.errstate(divide="ignore", invalid="ignore"):
-        parallel = np.abs(denom) <= eps * la * lb
+        # parallel when the sine of their angle is at most 1e-12, at any scale
+        parallel = np.abs(denom) <= 1e-12 * la * lb
         # parallel: overlap only when collinear with positive shared length
         t0 = (qpx * rx + qpy * ry) / (la * la)
         t1 = t0 + (sx * rx + sy * ry) / (la * la)
@@ -610,14 +611,25 @@ def detect_overlap(s: SegmentSet) -> bool:
     """True iff any two segments share more than an endpoint.
 
     When true, composite dimensions are only upper bounds for the figure's
-    real dimension. The broad phase lays a grid of cells at least as large as
-    the longest segment, expands each segment into the cells its eps-padded
-    bounding box covers, and sorts those (cell, segment) rows. Two segments
-    are a candidate pair in the lowest cell both cover, so each pair is tested
-    once. The narrow phase evaluates the exact pairwise predicate on the
-    candidates in chunks of a fixed number of pairs, which bounds memory
-    whatever the cell occupancy, and stops at the first overlapping chunk.
-    Tolerance 1e-12 relative to the geometry's extent.
+    real dimension. Tolerance eps is 1e-12 of max(extent, L0), and the
+    parallel test compares a sine with 1e-12, so the verdict does not depend
+    on the figure's scale.
+
+    The broad phase cuts the plane into horizontal strips of height h, the
+    longest segment (at least eps and 1e-6 of the extent). Strip j holds
+    y in [(j - 1/2) h, (j + 1/2) h): anchored half a strip off the axis, so
+    figures on a lattice of step h, or on the line y = 0, do not straddle
+    strip boundaries. Each segment gets one row per strip its eps-padded
+    y-range covers, and the rows are sorted by strip, then by padded x-start.
+    Within a strip a row is paired with the later rows that start, along x,
+    before it ends. Two segments whose padded boxes meet both cover the
+    higher of their first strips, and there the one that starts first
+    reaches the other; the pair is tested in that strip only. The narrow
+    phase keeps the pairs whose padded y-ranges meet and evaluates the exact
+    predicate in chunks of a fixed number of pairs, which bounds memory
+    however crowded a strip is, and stops at the first overlapping chunk.
+    The predicate runs on coordinates scaled by a power of two that brings
+    max(extent, L0) into [1, 2): exact, and no product can overflow.
     """
     n = len(s)
     if n > RENDER_SEGMENT_LIMIT:
@@ -625,39 +637,42 @@ def detect_overlap(s: SegmentSet) -> bool:
     if n < 2:
         return False
     import numpy as np
-    coords = s.coords
-    pts = coords.reshape(-1, 2)
-    extent = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
+    extent = float(max(np.ptp(s.coords[:, ::2]), np.ptp(s.coords[:, 1::2])))
     eps = 1e-12 * max(extent, s.initiator_length)
-    cell = max(float(s.lengths().max()), eps, extent * 1e-6)
-    inv = 1.0 / cell
-    i0 = np.floor((np.minimum(coords[:, 0], coords[:, 2]) - eps) * inv).astype(np.int64)
-    i1 = np.floor((np.maximum(coords[:, 0], coords[:, 2]) + eps) * inv).astype(np.int64)
-    j0 = np.floor((np.minimum(coords[:, 1], coords[:, 3]) - eps) * inv).astype(np.int64)
-    j1 = np.floor((np.maximum(coords[:, 1], coords[:, 3]) + eps) * inv).astype(np.int64)
+    h = max(float(s.lengths().max()), eps, extent * 1e-6)
+    # segments in order of x-start, then their eps-padded boxes and strips
+    coords = s.coords[np.argsort(np.minimum(s.coords[:, 0], s.coords[:, 2]))]
+    lo = np.minimum(coords[:, :2], coords[:, 2:]) - eps
+    hi = np.maximum(coords[:, :2], coords[:, 2:]) + eps
+    j0 = np.floor(lo[:, 1] / h + 0.5).astype(np.int64)
 
-    # one row per (segment, covered cell), sorted by cell, then segment
-    seg, ci = expand_ranges(i0, i1)
-    row, cj = expand_ranges(j0[seg], j1[seg])
-    seg, ci = seg[row], ci[row]
+    # one row per (segment, covered strip), sorted by strip, then x-start;
+    # with at most 1e6 + 2 strips and RENDER_SEGMENT_LIMIT segments the key
+    # stays below 1.1e12
+    seg, strip = expand_ranges(j0, np.floor(hi[:, 1] / h + 0.5).astype(np.int64))
     j_min = int(j0.min())
-    key = (ci - int(i0.min())) * (int(j1.max()) - j_min + 1) + (cj - j_min)
-    order = np.argsort(key, kind="stable")
-    seg, ci, cj, key = seg[order], ci[order], cj[order], key[order]
+    key = (strip - j_min) * n + seg
+    order = np.argsort(key)
+    seg, strip, key = seg[order], strip[order], key[order]
 
-    # pair each row with every later row of its cell; pair p belongs to the
-    # row r with first[r] <= p < first[r] + later[r]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    sizes = np.diff(np.append(starts, len(key)))
-    later = np.repeat(starts + sizes, sizes) - np.arange(len(key)) - 1
+    # row r pairs with the later rows of its strip whose segment starts no
+    # later than it ends; pair p belongs to the row r with
+    # first[r] <= p < first[r] + later[r]
+    reach = np.searchsorted(lo[:, 0], hi[seg, 0], side="right")
+    later = np.searchsorted(key, (strip - j_min) * n + reach) - np.arange(len(key)) - 1
     ends = np.cumsum(later)
     first = ends - later
+    shift = 1 - math.frexp(max(extent, s.initiator_length))[1]
     for p0 in range(0, int(ends[-1]), _PAIR_CHUNK):
         p = np.arange(p0, min(p0 + _PAIR_CHUNK, int(ends[-1])))
         r = np.searchsorted(ends, p, side="right")
         a, b = seg[r], seg[r + 1 + (p - first[r])]
-        lowest = (ci[r] == np.maximum(i0[a], i0[b])) & (cj[r] == np.maximum(j0[a], j0[b]))
-        a, b = a[lowest], b[lowest]
-        if _pairs_overlap(coords[a], coords[b], eps).any():
+        # the lowest strip both cover, and padded y-ranges that meet
+        lowest = strip[r] == np.maximum(j0[a], j0[b])
+        keep = lowest & (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+        a, b = a[keep], b[keep]
+        if _pairs_overlap(
+            np.ldexp(coords[a], shift), np.ldexp(coords[b], shift), math.ldexp(eps, shift)
+        ).any():
             return True
     return False

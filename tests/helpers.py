@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -256,9 +257,11 @@ def _reference_pair_overlaps(a, b, eps: float) -> bool:
     sx, sy = dx - cx, dy - cy
     la = math.hypot(rx, ry)
     lb = math.hypot(sx, sy)
+    if la == 0.0 or lb == 0.0:
+        return False  # a zero-length segment overlaps nothing
     qpx, qpy = cx - ax, cy - ay
     denom = rx * sy - ry * sx
-    if abs(denom) <= eps * la * lb:
+    if abs(denom) <= 1e-12 * la * lb:
         if abs(qpx * ry - qpy * rx) > eps * la:
             return False
         t0 = (qpx * rx + qpy * ry) / (la * la)
@@ -307,6 +310,76 @@ def reference_detect_overlap(s: fc.SegmentSet) -> bool:
                 if _reference_pair_overlaps(coords[pair[0]], coords[pair[1]], eps):
                     return True
     return False
+
+
+def brute_force_overlap(s: fc.SegmentSet) -> bool:
+    """Overlap verdict from the scalar pair predicate on every pair, with no grid."""
+    extent = float(max(np.ptp(s.coords[:, ::2]), np.ptp(s.coords[:, 1::2])))
+    eps = 1e-12 * max(extent, s.initiator_length)
+    pairs = itertools.combinations(s.coords.tolist(), 2)
+    return any(_reference_pair_overlaps(a, b, eps) for a, b in pairs)
+
+
+# lattice steps of the soups: the four axis directions, then the four diagonals
+_AXIS_STEPS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+_DIAGONAL_STEPS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+_SOUP_SCALES = (1.0, 0.1, 1 / 3, 1e-7, 1e5)
+
+
+def segment_soup(rng: random.Random) -> tuple[str, fc.SegmentSet]:
+    """A seeded soup of 2-60 segments from one of four families, named first.
+
+    lattice: axis and diagonal steps of one or two units between the points of
+    a small lattice, at one of _SOUP_SCALES; strip-edge: unit axis steps on a
+    lattice shifted half a step in y, so with the unit step the longest
+    segment, horizontal ones lie on the lines y = (j - 1/2) h; walk: a chain
+    tip to tail, on the lattice or with free turns; lengths: free segments of
+    log-uniform lengths from 1e-4 to 3. Any soup may have some segments
+    collapsed to one of their endpoints or to the midpoint of another segment.
+    """
+    n = rng.randint(2, 60)
+    family = rng.choice(["lattice", "strip-edge", "walk", "lengths"])
+    scale = rng.choice(_SOUP_SCALES)
+    side = rng.randint(2, 2 * n)
+    rows = []
+    if family in ("lattice", "strip-edge"):
+        steps = _AXIS_STEPS + (_DIAGONAL_STEPS if family == "lattice" else [])
+        y0 = 0.5 if family == "strip-edge" else 0.0
+        for _ in range(n):
+            i, j = rng.randint(0, side), rng.randint(0, side)
+            di, dj = rng.choice(steps)
+            m = rng.choice([1, 1, 1, 2]) if family == "lattice" else 1
+            ends = (i, j + y0, i + m * di, j + y0 + m * dj)
+            rows.append([v * scale for v in ends])
+    elif family == "walk":
+        x = y = 0.0
+        lattice = rng.random() < 0.5
+        heading = 0.0
+        for _ in range(n):
+            if lattice:
+                di, dj = rng.choice(_AXIS_STEPS + _DIAGONAL_STEPS)
+                nx, ny = x + di * scale, y + dj * scale
+            else:
+                heading += rng.uniform(-1.0, 1.0)
+                step = scale * rng.uniform(0.2, 1.0)
+                nx, ny = x + step * math.cos(heading), y + step * math.sin(heading)
+            rows.append([x, y, nx, ny])
+            x, y = nx, ny
+    else:
+        for _ in range(n):
+            length = scale * 10 ** rng.uniform(-4, math.log10(3))
+            angle = rng.uniform(-math.pi, math.pi)
+            x, y = scale * rng.uniform(0, 6), scale * rng.uniform(0, 6)
+            rows.append([x, y, x + length * math.cos(angle), y + length * math.sin(angle)])
+    if rng.random() < 0.25:
+        for idx in rng.sample(range(n), rng.randint(1, max(1, n // 4))):
+            other = rows[rng.randrange(n)]
+            point = rng.choice(
+                [rows[idx][:2], other[2:], [(other[0] + other[2]) / 2, (other[1] + other[3]) / 2]]
+            )
+            rows[idx] = point + point
+    coords = np.asarray(rows, dtype=float)
+    return family, fc.SegmentSet(coords, stage=0, initiator_length=scale)
 
 
 def reference_export_svg(s: fc.SegmentSet, path, style: fc.SvgStyle | None = None) -> None:

@@ -172,6 +172,16 @@ def test_render_writes_deterministic_svg(runner, tmp_path):
     assert b"<polyline" in first
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("l0", ["1e20", "1e200"])
+def test_render_overlap_verdict_does_not_depend_on_l0(runner, tmp_path, l0):
+    out = tmp_path / "koch.svg"
+    result = runner.invoke(main, ["render", "K[pi/3]", "--stage", "3", "--l0", l0, "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["overlapping"] is False
+    assert result.stderr == ""
+
+
 def test_render_three_generator_composition(runner, tmp_path):
     out = tmp_path / "composite.svg"
     payload = invoke_json(
@@ -338,6 +348,11 @@ _HUGE_FIGURES = [
     ("G[(0.9,3.1,draw);(0.9,0,draw)]", "3", "1.5e308"),
     ("G[(0.9,1.5,draw);(0.9,-1.5,draw)]", "4", "1.7e308"),
 ]
+
+# figures with one long piece beside tens of thousands of short ones: an
+# overlap check that pairs the short ones quadratically runs past the cap
+# (59,049 segments, under the fuzz budget)
+_CROWDED_FIGURES = [("G[(0.8,0,draw);(0.1,1.5,draw);(0.1,-1.5,draw)]", "10")]
 
 
 @pytest.mark.filterwarnings("error")
@@ -624,12 +639,18 @@ def _fuzz_invocations():
     for text, stage, l0 in _HUGE_FIGURES:
         yield ["validate", text, "--stage", stage, "--l0", l0]
         yield ["render", text, "--stage", stage, "--l0", l0, "-o", "fuzz.svg", "--csv", "fuzz.csv"]
+    for text, stage in _CROWDED_FIGURES:
+        yield ["render", text, "--stage", stage, "-o", "fuzz.svg", "--csv", "fuzz.csv"]
     for args in _LIMIT_EDGES:
         yield ["limit", *args]
 
 
+class _CapExceeded(Exception):
+    """Not an OSError (as TimeoutError is), which `render` reports as exit 2."""
+
+
 def _cap_exceeded(signum, frame):
-    raise TimeoutError(f"over the {_FUZZ_CAP_S} s cap")
+    raise _CapExceeded(f"over the {_FUZZ_CAP_S} s cap")
 
 
 def test_cli_fuzz_exits_only_with_documented_codes(runner, tmp_path, monkeypatch):

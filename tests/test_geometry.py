@@ -446,6 +446,28 @@ def test_line_of_cantor_segments_does_not_overlap():
     assert fc.detect_overlap(s) is False
 
 
+@pytest.mark.parametrize(
+    "text", ["G[(0.8,0,draw);(0.1,1.5,draw);(0.1,-1.5,draw)]", "C[1/9,2/3,1/9]"]
+)
+def test_long_and_short_pieces_answer_at_once(text):
+    # 19,683 segments, most of them far shorter than the longest; grid cells
+    # sized by the longest segment paired tens of millions of them
+    s = fc.iterate(fc.schedule_from_text(text), 9)
+    start = time.perf_counter()
+    assert fc.detect_overlap(s) is False
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_overlap_verdict_does_not_depend_on_scale():
+    koch = fc.schedule_from_text("K[pi/3]")
+    crossing = fc.schedule_from_text("G[(0.9,0,draw);(0.5,3.1,gap);(0.5,-0.05,draw)]")
+    for exponent in range(-300, 301, 10):
+        L0 = 10.0**exponent
+        assert fc.detect_overlap(fc.iterate(koch, 3, L0)) is False, L0
+        assert fc.detect_overlap(fc.iterate(crossing, 2, L0)) is True, L0
+
+
 def test_zero_length_segments_overlap_nothing():
     # the finest pieces, 1e-24 long, collapse onto one point in float coordinates
     s = fc.iterate(fc.schedule_from_text("C[1/1000,1/2]"), 8)

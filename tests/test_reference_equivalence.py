@@ -18,6 +18,7 @@ from fractalc import boxcount, geometry
 from fractalc.errors import ScaleLadderInvalid
 from helpers import (
     STATS_CORPUS,
+    brute_force_overlap,
     census_feasible_stage,
     census_size,
     feasible_stage,
@@ -32,6 +33,7 @@ from helpers import (
     reference_merge_buckets,
     reference_segment_census,
     reference_stats_report,
+    segment_soup,
 )
 
 CROSSING = "G[(0.9,0,draw);(0.5,3.1,gap);(0.5,-0.05,draw)]"
@@ -170,6 +172,24 @@ def test_overlap_verdicts_match_loop_reference():
             verdicts.add(verdict)
     # the corpus exercises both verdicts
     assert verdicts == {True, False}
+
+
+def test_long_and_short_pieces_verdict_matches_loop_reference():
+    s = fc.iterate(fc.schedule_from_text("G[(0.8,0,draw);(0.1,1.5,draw);(0.1,-1.5,draw)]"), 6)
+    assert fc.detect_overlap(s) is False
+    assert reference_detect_overlap(s) is False
+
+
+def test_overlap_verdicts_match_brute_force_on_segment_soups():
+    rng = random.Random(2026)
+    verdicts = Counter()
+    for _ in range(2400):
+        family, s = segment_soup(rng)
+        verdict = fc.detect_overlap(s)
+        assert verdict == brute_force_overlap(s), (family, s.initiator_length, s.coords.tolist())
+        verdicts[family, verdict] += 1
+    # each of the four families gives both verdicts, and often
+    assert len(verdicts) == 8 and min(verdicts.values()) > 100, verdicts
 
 
 def test_box_counts_match_loop_reference_in_small_batches(monkeypatch):
