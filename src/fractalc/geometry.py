@@ -14,7 +14,9 @@ without loading it; a no-numpy test in `tests/test_cli.py` enforces this.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -448,13 +450,16 @@ def content(schedule: CompositionSchedule, k: int, beta: float, L0: float = 1.0)
 
 # --- export ------------------------------------------------------------------
 
-# segments formatted per write: bounds the text and float lists held at once
-_EXPORT_CHUNK = 1 << 12
+# segments formatted per write: bounds the text and arrays held at once. The
+# kernel's arrays take more memory per value than a list of floats, and at
+# 4096 segments a chunk raised the process's peak memory by about 1 MB
+_EXPORT_CHUNK = 1 << 10
 
-_CSV_ROW = "%.12g,%.12g,%.12g,%.12g\n"
-# an SVG point followed by: the next point of its chain, the end of its chain
-# ("\n", replaced by the polyline boundary), or nothing (the last point)
-_SVG_POINTS = ("%.6f,%.6f ", "%.6f,%.6f\n", "%.6f,%.6f")
+# a CSV point; a row is two of them, the second ending the line
+_CSV_POINT = b"%.12g,%.12g\n"
+# the separator after an SVG point's y: the next point of its chain, the end
+# of its chain (replaced by the polyline boundary), or nothing (the last point)
+_SVG_SEPS = b" \n\0"
 
 
 @dataclass(frozen=True)
@@ -464,20 +469,107 @@ class SvgStyle:
     background: str = "white"
 
 
-def _format(template: str, values: np.ndarray) -> str:
-    return template % tuple(values.ravel().tolist())
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """Little-endian uint32 words whose four bytes, in memory order, are ASCII:
+    for i in 0..9999, `digits` zero-padded ("0042") and `leading` with leading
+    zeros as NUL, the units digit kept ("\\0\\042"); for i in 0..999, `dotted`
+    (".042") and `tail` ("042\\0"). Read-only, since every caller shares them.
+    """
+    import numpy as np
+    i = np.arange(10_000)
+    text = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
+    leading = text * (i[:, None] >= [1000, 100, 10, 0])
+    dotted = text[:1000].copy()
+    dotted[:, 0] = ord(".")
+    tail = np.zeros_like(dotted)
+    tail[:, :3] = text[:1000, 1:]
+    tables = tuple(t.astype(np.uint8).view("<u4").ravel() for t in (text, leading, dotted, tail))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
-def _fix_negative_zero(text: str) -> str:
-    """Write %.6f values that round to -0 as 0.000000; a "-" only ever starts a
-    value, so no other value contains the pattern."""
-    return text.replace("-0.000000", "0.000000")
+def _fixed6_rows(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """The (n, 20) uint8 text rows of `_fixed6`, separators left out; clears
+    ok where a value falls back."""
+    import numpy as np
+    digits, leading, dotted, tail = _digit_tables()
+    # in place where it can be: a is |v|, then xf, then m, then the fraction
+    # of m, then its distance from a half; xi and r stay floats until whole
+    a = np.abs(values)
+    np.copyto(a, 0.0, where=~ok)
+    xi = np.floor(a)
+    a -= xi
+    a *= 1e6
+    r = np.floor(a)
+    a -= r
+    r += a > 0.5
+    a -= 0.5
+    ok &= np.abs(a, out=a) >= 1e-6
+    carry = r == 1e6
+    xi += carry
+    r[carry] = 0.0
+    # a carry to 1e8 needs a ninth digit: it falls back, its digits clamped
+    ok &= xi < 1e8
+    # only a nonzero result is signed: -0.0 rounds to zero, and nan falls back
+    negative = (values < 0.0) & (xi + r > 0.0)
+    ip = np.minimum(xi, 99_999_999.0).astype(np.int32)
+    r = r.astype(np.int32)
+    hi = ip // 10_000
+    lo = ip - 10_000 * hi
+    f = r // 1000
+    rows = np.zeros((len(values), 20), dtype=np.uint8)
+    words = rows.view("<u4")
+    rows[:, 0] = negative * ord("-")
+    words[:, 1] = np.where(hi > 0, leading[hi], 0)
+    words[:, 2] = np.where(hi > 0, digits[lo], leading[lo])
+    words[:, 3] = dotted[f]
+    words[:, 4] = tail[r - 1000 * f]
+    return rows
 
 
-def _write_chunked(path, head: str, n: int, chunk_text, tail: str) -> None:
+def _fixed6(values: np.ndarray, seps: np.ndarray) -> bytes:
+    """'%.6f' % v of every value, each followed by its separator byte from
+    `seps` (0 for none), with values that round to zero written unsigned.
+
+    Exact for |v| < 1e8: a = |v| splits into xi = floor(a) and xf = a - xi
+    without rounding (Sterbenz), and m = xf * 1e6 is one correctly rounded
+    product below 2^20, so within 2^-33 of the exact xf * 10^6. Rounding m
+    therefore rounds the exact value unless that lies within 2^-33 of a half;
+    a value whose m lies within 1e-6 of a half (a tie, or too close to call)
+    falls back. A rounded fraction of 10^6 carries into xi. Each value is one
+    row of 20 bytes: the sign, then four-digit words from `_digit_tables` (8
+    integer digits with leading zeros as NUL, "." and 3 fraction digits, the
+    other 3), then the separator; the NULs are dropped at the end. The rows of
+    the other values (|v| >= 1e8, a carry to 1e8, a near tie, nan, inf) read
+    "%.6f" and their separator, so the text is itself the template that
+    formats those values with one %: no other byte of it is a "%". Of their
+    texts, those that round to -0 are then written 0.000000; a "-" only ever
+    starts a value, so no other value contains the pattern. When fewer than
+    one value in eight is in range, every value falls back, since % costs
+    about ten times the kernel per value.
+    """
+    import numpy as np
+    ok = np.abs(values) < 1e8
+    if 8 * np.count_nonzero(ok) >= len(values):
+        rows = _fixed6_rows(values, ok)
+    else:
+        ok[:] = False
+        rows = np.empty((len(values), 5), dtype=np.uint8)
+    # a value that falls back reads "%.6f", then its separator
+    rows[~ok, :-1] = np.frombuffer(b"%.6f".ljust(rows.shape[1] - 1, b"\0"), dtype=np.uint8)
+    rows[:, -1] = seps
+    text = rows.tobytes().translate(None, b"\0")
+    if ok.all():
+        return text
+    return (text % tuple(values[~ok].tolist())).replace(b"-0.000000", b"0.000000")
+
+
+def _write_chunked(path, head: bytes, n: int, chunk_text, tail: bytes) -> None:
     """Write head, chunk_text(start, stop) for consecutive slices of at most
     _EXPORT_CHUNK of the n segments, then tail."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         fh.write(head)
         for start in range(0, n, _EXPORT_CHUNK):
             fh.write(chunk_text(start, min(start + _EXPORT_CHUNK, n)))
@@ -492,8 +584,10 @@ def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
     -0.000000 written as 0.000000. A segment continues the chain of the one
     before it when its start lies within 1e-9 of the figure's size of that
     one's end, per coordinate. The points are formatted and written in chunks
-    of a fixed number of segments, one % format per chunk, so the text is
-    never built whole.
+    of a fixed number of segments, so the text is never built whole. Each
+    chunk's coordinates go through `_fixed6`, an array kernel whose bytes
+    equal '%.6f' for |v| < 1e8 and which hands larger values, near ties and
+    non-finite values to one % format per chunk.
     """
     n = len(s)
     if n > RENDER_SEGMENT_LIMIT:
@@ -511,6 +605,7 @@ def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
         raise GeometryOutOfRange(f"the SVG view box {vb} is beyond the float range")
     join_tol = 1e-9 * max(xmax - xmin, ymax - ymin, s.initiator_length)
     flip_y = np.array([1.0, -1.0])
+    y_seps = np.frombuffer(_SVG_SEPS, dtype=np.uint8)
     # breaks[i]: a chain boundary lies before segment i (always at 0 and n)
     breaks = np.ones(n + 1, dtype=bool)
     breaks[1:-1] = (np.abs(coords[:-1, 2] - coords[1:, 0]) > join_tol) | (
@@ -519,10 +614,10 @@ def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
     close = (
         f'" fill="none" stroke="{style.stroke}" stroke-width="{style.stroke_width:g}" '
         'vector-effect="non-scaling-stroke"/>\n'
-    )
-    polyline = '<polyline points="'
+    ).encode()
+    polyline = b'<polyline points="'
 
-    def chunk_text(start: int, stop: int) -> str:
+    def chunk_text(start: int, stop: int) -> bytes:
         # per segment: its start point, kept only where a chain begins, then
         # its end point, whose separator says whether the chain goes on
         keep = np.ones((stop - start, 2), dtype=bool)
@@ -531,32 +626,47 @@ def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
         kind[:, 1] = breaks[start + 1 : stop + 1]
         if stop == n:
             kind[-1, 1] = 2
-        template = "".join(map(_SVG_POINTS.__getitem__, kind[keep].tolist()))
-        points = (coords[start:stop].reshape(-1, 2) * flip_y)[keep.ravel()]
-        return _fix_negative_zero(_format(template, points)).replace("\n", close + polyline)
+        points = coords[start:stop].reshape(-1, 2)[keep.ravel()] * flip_y
+        seps = np.full(points.shape, ord(","), dtype=np.uint8)
+        seps[:, 1] = y_seps[kind[keep]]
+        return _fixed6(points.ravel(), seps.ravel()).replace(b"\n", close + polyline)
 
-    x, y, w, h = _fix_negative_zero("%.6f %.6f %.6f %.6f" % vb).split()
+    x, y, w, h = _fixed6(np.array(vb), np.full(4, ord(" "), dtype=np.uint8)).decode().split()
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x} {y} {w} {h}">\n'
         f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{style.background}"/>\n'
-        + polyline
-    )
-    _write_chunked(path, head, n, chunk_text, close + "</svg>\n")
+    ).encode() + polyline
+    _write_chunked(path, head, n, chunk_text, close + b"</svg>\n")
 
 
 def export_csv(s: SegmentSet, path) -> None:
     """Dump segments as `x1,y1,x2,y2` lines with 12 significant digits.
 
     The rows are formatted and written in chunks of a fixed number of
-    segments, one % format per chunk, so the text is never built whole.
+    segments, so the text is never built whole. Each point is formatted once:
+    a row whose start equals the end of the row before it, bit for bit (so
+    0.0 and -0.0 stay apart), reuses that end's text. Per chunk, one % formats
+    the first row's start, the other starts that differ and every end, and
+    one more % joins the texts into rows.
     """
+    import numpy as np
     coords = s.coords
 
-    def chunk_text(start: int, stop: int) -> str:
-        return _format(_CSV_ROW * (stop - start), coords[start:stop])
+    def chunk_text(start: int, stop: int) -> bytes:
+        c = coords[start:stop]
+        bits = c.view(np.int64)
+        fresh = np.ones(stop - start, dtype=bool)
+        fresh[1:] = (bits[1:, 0] != bits[:-1, 2]) | (bits[1:, 1] != bits[:-1, 3])
+        points = np.concatenate((c[fresh, :2], c[:, 2:]))
+        texts = (_CSV_POINT * len(points) % tuple(points.ravel().tolist())).split(b"\n")
+        # row i: its start text (its own, or the end text of row i - 1), then its end text
+        order = np.empty((stop - start, 2), dtype=np.intp)
+        order[:, 1] = np.arange(len(points) - (stop - start), len(points))
+        order[:, 0] = np.where(fresh, np.cumsum(fresh) - 1, order[:, 1] - 1)
+        return b"%s,%s\n" * (stop - start) % operator.itemgetter(*order.ravel().tolist())(texts)
 
-    _write_chunked(path, "", len(s), chunk_text, "")
+    _write_chunked(path, b"", len(s), chunk_text, b"")
 
 
 # --- overlap detection -------------------------------------------------------

@@ -223,17 +223,37 @@ def _signed_zero_figure() -> fc.SegmentSet:
     return fc.SegmentSet(coords, stage=1, initiator_length=1.0)
 
 
+def _rows_meeting_at_signed_zeros() -> fc.SegmentSet:
+    # consecutive rows meet at 0.0 and then at -0.0: equal floats, different
+    # CSV text, so a row may reuse the text of the row before it only when the
+    # bits match
+    coords = np.array(
+        [
+            [1.0, 1.0, 0.0, 0.0],
+            [-0.0, 0.0, 1.0, -0.0],
+            [1.0, 0.0, 2.0, 2.0],
+        ]
+    )
+    return fc.SegmentSet(coords, stage=1, initiator_length=1.0)
+
+
 def _export_figures() -> list[fc.SegmentSet]:
     figures = [fc.iterate(fc.schedule_from_text(t), k) for t, k in EXPORT_CORPUS]
+    # tiny values, 8-digit integer parts, and values that leave the exact
+    # range of the SVG kernel in part (1e9) or almost all (1e20)
+    koch = fc.schedule_from_text("K[pi/3]")
+    figures += [fc.iterate(koch, 3, L0) for L0 in (1e-7, 3e7, 1e9, 1e20)]
     figures.append(_signed_zero_figure())
+    figures.append(_rows_meeting_at_signed_zeros())
     for sched, k in fuzz_cases(103, 40):
         figures.append(fc.iterate(sched, min(k, feasible_stage(sched, 2_000))))
     return figures
 
 
-@pytest.mark.parametrize("chunk", [geometry._EXPORT_CHUNK, 7])
+@pytest.mark.parametrize("chunk", [4096, geometry._EXPORT_CHUNK, 7])
 def test_exports_match_loop_reference(tmp_path, monkeypatch, chunk):
-    # 7 rows per chunk puts chunk boundaries inside and between chains
+    # 7 rows per chunk puts chunk boundaries inside and between chains; 4096
+    # holds most corpus figures in one chunk
     monkeypatch.setattr(geometry, "_EXPORT_CHUNK", chunk)
     got, want = tmp_path / "got", tmp_path / "want"
     for s in _export_figures():
@@ -243,6 +263,54 @@ def test_exports_match_loop_reference(tmp_path, monkeypatch, chunk):
         fc.export_csv(s, got)
         reference_export_csv(s, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def _fixed6_families(rng: np.random.Generator) -> list[np.ndarray]:
+    """About 1.2M values for the %.6f kernel: families of 2^17, and of 2^14
+    where most values have hundreds of digits."""
+    n, few = 1 << 17, 1 << 14
+    sign = rng.choice([-1.0, 1.0], n)
+    ints = rng.integers(0, 10**8, n).astype(float)
+    # the float nearest a decimal tie, and its neighbours
+    near_ties = ints + (rng.integers(0, 10**6, n) + 0.5) / 1e6
+    return [
+        # random bit patterns: every exponent, both signs, nan, inf, subnormals
+        rng.integers(0, 2**64, few, dtype=np.uint64).view(np.float64),
+        sign * rng.uniform(0.0, 1e8, n),
+        sign * 10.0 ** rng.uniform(-12.0, 8.0, n),
+        # beyond the exact range: every value falls back
+        sign[:few] * 10.0 ** rng.uniform(8.0, 300.0, few),
+        sign * near_ties,
+        sign * np.nextafter(near_ties, np.inf),
+        sign * np.nextafter(near_ties, 0.0),
+        # exact dyadic ties: a fraction of odd/128 puts a 5 in the 7th decimal
+        sign * (ints + (2 * rng.integers(0, 64, n) + 1) / 128),
+        # carries, into the units digit and up to 1e8
+        sign * (ints + 0.9999995 + rng.uniform(-1e-9, 1e-9, n)),
+        # near 1e8, on both sides
+        sign * (1e8 + np.ldexp(rng.integers(-(1 << 20), 1 << 20, n).astype(float), -26)),
+        # signed zeros and subnormals
+        np.copysign(rng.integers(0, 2**52, n, dtype=np.uint64).view(np.float64) * (rng.random(n) < 0.5), sign),
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+def test_fixed6_kernel_matches_python_format():
+    # oracle: CPython's '%.6f' % v one value at a time, -0.000000 written as
+    # 0.000000, then the separator byte (0 for none)
+    rng = np.random.default_rng(2031)
+    special = np.array(
+        [99999999.9999995, -99999999.9999995, 99999999.9999994, 9.9999995, 0.9999995,
+         np.nextafter(1e8, 0.0), 1e8, -1e8, 0.0, -0.0, 5e-324, -5e-324, -4e-7, -5e-7,
+         -6e-7, 0.0078125, -0.0234375, 2.0**-20, np.nan, np.inf, -np.inf]
+    )
+    for values in [special, *_fixed6_families(rng)]:
+        seps = rng.choice(np.frombuffer(b", \n\0", dtype=np.uint8), len(values))
+        want = "".join(
+            ("0.000000" if text == "-0.000000" else text) + (chr(sep) if sep else "")
+            for text, sep in zip(map("%.6f".__mod__, values.tolist()), seps.tolist())
+        )
+        assert geometry._fixed6(values, seps) == want.encode()
 
 
 def test_exports_stream_in_bounded_memory(tmp_path):
