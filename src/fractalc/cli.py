@@ -2,8 +2,8 @@
 
 Output is JSON on stdout by default (full double precision); `--human` prints
 key/value tables with 6 significant digits. Exit codes: 0 ok, 2 usage or bad
-expression, 3 solver failure, 4 segment budget exceeded. The environment
-variable FRACTALC_SEGMENT_BUDGET overrides the default segment cap.
+expression, 4 segment budget exceeded; the Moran solver cannot fail. The
+environment variable FRACTALC_SEGMENT_BUDGET overrides the default segment cap.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ from .errors import (
     ScheduleSemanticError,
     ScheduleSyntaxError,
     SegmentBudgetExceeded,
-    SolverError,
 )
 
 EXIT_USAGE = 2
-EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 
 _OVERLAP_CAVEAT = (
@@ -91,6 +89,21 @@ def _warn_underflow(sched: geometry.CompositionSchedule, stage: int, l0: float =
         click.echo(_UNDERFLOW_WARNING.format(stage), err=True)
 
 
+def _check_printable_total(sched: geometry.CompositionSchedule, stage: int) -> None:
+    """Exit 4 when the stage's total count prod_i l_i^(n_i k) has more decimal
+    digits than Python converts an int to text (sys.get_int_max_str_digits;
+    0, or a Python without that function, means no limit). Called after the
+    census budget check, which bounds every n_i k with l_i > 1 by the budget."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    log10 = math.fsum(stage * n * math.log10(g.copies) for g, n in sched.items if g.copies > 1)
+    digits = math.floor(log10) + 1
+    if digits > limit:
+        _fail(EXIT_BUDGET, f"the total count has {digits} decimal digits, over the {limit}-digit "
+                           "limit for printing an int (sys.set_int_max_str_digits)")
+
+
 def _emit(payload: dict, human: bool) -> None:
     if not human:
         click.echo(json.dumps(payload, indent=2))
@@ -121,11 +134,8 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
     """Composite dimension of EXPRESSION (analytic where possible)."""
     sched = _load_schedule(expression)
     spectrum = sched.spectrum()
-    try:
-        report = moran.dimension(spectrum)
-        component_dims = [moran.component_dimension(g.draw_ratios) for g, _ in sched.items]
-    except SolverError as exc:
-        _fail(EXIT_SOLVER, str(exc))
+    report = moran.dimension(spectrum)
+    component_dims = [moran.component_dimension(g.draw_ratios) for g, _ in sched.items]
     closed = report.method != "moran-numeric"
     if closed_form_only and not closed:
         _fail(EXIT_USAGE, "no closed form applies to this schedule")
@@ -138,10 +148,7 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
         "component_dimensions": component_dims,
     }
     if check:
-        try:
-            numeric = moran.solve_moran(spectrum)
-        except SolverError as exc:
-            _fail(EXIT_SOLVER, str(exc))
+        numeric = moran.solve_moran(spectrum)
         difference = abs(report.alpha - numeric.alpha) if closed else None
         payload["check"] = {
             "closed_form": report.alpha if closed else None,
@@ -171,8 +178,10 @@ def render(expression: str, stage: int, out_path: str, csv_path: str | None,
            l0: float, warn_overlap: bool):
     """Materialize EXPRESSION at a stage and write an SVG."""
     sched = _load_schedule(expression)
+    # export_svg refuses a figure over RENDER_SEGMENT_LIMIT, so refuse to build it
+    budget = min(_segment_budget(), geometry.RENDER_SEGMENT_LIMIT)
     try:
-        segments = geometry.iterate(sched, stage, L0=l0, budget=_segment_budget())
+        segments = geometry.iterate(sched, stage, L0=l0, budget=budget)
         geometry.export_svg(segments, out_path)
         if csv_path:
             geometry.export_csv(segments, csv_path)
@@ -207,8 +216,11 @@ def render(expression: str, stage: int, out_path: str, csv_path: str | None,
 def census(expression: str, stage: int, l0: float, human: bool):
     """Exact (length, count) table at a stage, via multinomial expansion."""
     sched = _load_schedule(expression)
+    budget = _segment_budget()
     try:
-        buckets = geometry.segment_census(sched, stage, l0, budget=_segment_budget())
+        geometry.check_census_budget(sched, (stage,), budget)
+        _check_printable_total(sched, stage)
+        buckets = geometry.segment_census(sched, stage, l0, budget=budget)
     except SegmentBudgetExceeded as exc:
         _fail(EXIT_BUDGET, str(exc))
     _warn_underflow(sched, stage, l0)
@@ -240,10 +252,7 @@ def validate(expression: str, stage: int, scales: int, min_scale: float | None,
              tolerance: float, l0: float, human: bool):
     """Cross-validate the theoretical dimension against empirical box counting."""
     sched = _load_schedule(expression)
-    try:
-        alpha = moran.dimension(sched.spectrum()).alpha
-    except SolverError as exc:
-        _fail(EXIT_SOLVER, str(exc))
+    alpha = moran.dimension(sched.spectrum()).alpha
     budget = _segment_budget()
     try:
         segments = geometry.iterate(sched, stage, L0=l0, budget=budget)
@@ -273,8 +282,6 @@ def stats(expression: str, stage: int, human: bool):
     sched = _load_schedule(expression)
     try:
         payload = incstats.stats_report(sched, stage, budget=_segment_budget())
-    except SolverError as exc:
-        _fail(EXIT_SOLVER, str(exc))
     except SegmentBudgetExceeded as exc:
         _fail(EXIT_BUDGET, str(exc))
     _warn_underflow(sched, stage)

@@ -55,12 +55,6 @@ class SegmentBudgetExceeded(FractalcError):
         super().__init__(f"{what.format(predicted)}, over the budget of {budget}")
 
 
-class SolverError(FractalcError):
-    """The Moran solver missed its residual tolerance: with repeat counts in the
-    hundreds of thousands, even the closest float alpha can leave the product
-    further from 1 than the tolerance."""
-
-
 class ScaleLadderInvalid(FractalcError):
     """Box-counting scale ladder cannot be built from the given parameters."""
 

@@ -20,6 +20,7 @@ unit initiator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -51,10 +52,17 @@ class IncompleteDistribution:
 
 
 def normalization_residual(buckets: Iterable[tuple[float, int]], alpha: float) -> float:
-    """|sum_i m_i * p_i^alpha - 1| over (probability, multiplicity) buckets."""
+    """|sum_i m_i * p_i^alpha - 1| over (probability, multiplicity) buckets.
+
+    A count beyond the float range takes its term as exp(ln m + alpha ln p),
+    or 0 when its probability has underflowed to 0.0.
+    """
     acc = 0.0
     for p, m in buckets:
-        acc += m * p**alpha
+        try:
+            acc += m * p**alpha
+        except OverflowError:
+            acc += math.exp(math.log(m) + alpha * math.log(p)) if p > 0.0 else 0.0
     return abs(acc - 1.0)
 
 

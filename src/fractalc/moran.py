@@ -17,9 +17,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import SolverError
-
-DEFAULT_TOL = 1e-12
 MAX_BISECT_ITER = 200
 
 
@@ -99,6 +96,21 @@ class ScaleSpectrum:
             total += n * (alpha * log_max + math.log1p(s))
         return total
 
+    def log_moran_interval(self, alpha: float) -> tuple[float, float]:
+        """`log_moran(alpha)` -/+ the rounding bound of `solve_moran`, for alpha 0 or >= 1e-290."""
+        total = err = 0.0
+        for n, log_max, log_rel in self._log_terms:
+            s = ds = 0.0
+            for x in log_rel:
+                t = math.exp(alpha * x)
+                s += t
+                ds += t * (2.0 - 4.0 * alpha * x)
+            lp = math.log1p(s)
+            total += n * (alpha * log_max + lp)
+            err += n * (5.0 * lp - 10.0 * alpha * log_max + (ds + len(log_rel) * s) / (1.0 + s))
+            err += abs(total)
+        return total - 2.0**-52 * err, total + 2.0**-52 * err
+
     def moran_product(self, alpha: float) -> float:
         """The Moran product prod_i (sum_j r_ij^alpha)^n_i, as exp(log_moran)."""
         return math.exp(self.log_moran(alpha))
@@ -119,7 +131,7 @@ class DimensionReport:
     alpha: float
     method: str  # "closed-form" | "moran-numeric" | "binary-analytic"
     residual: float  # Moran product minus 1, evaluated at alpha
-    # final bisection bracket; (alpha, alpha) for the exact methods
+    # holds the exact root: the sign of ln M is certified at both ends
     bracket: tuple[float, float]
     iterations: int
 
@@ -160,7 +172,7 @@ def dimension(spectrum: ScaleSpectrum) -> DimensionReport:
     the report describes the reduced spectrum. "closed-form" when every
     component has equal ratios; "binary-analytic" for a [r1, r1^2 rho]
     component beside a uniform (N, rho) one, each with repeat 1; otherwise
-    `solve_moran` ("moran-numeric"), which may raise SolverError.
+    `solve_moran` ("moran-numeric"). Every method reports a certified bracket.
     """
     gcd = math.gcd(*(n for _, n in spectrum.components))
     if gcd > 1:
@@ -168,7 +180,8 @@ def dimension(spectrum: ScaleSpectrum) -> DimensionReport:
     comps = spectrum.components
     if all(ratios[0] == ratios[-1] for ratios, _ in comps):
         parts = [(UniformFractal(len(ratios), ratios[0]), n) for ratios, n in comps]
-        return _exact_report(spectrum, composite_dimension_uniform(parts), "closed-form")
+        alpha = composite_dimension_uniform(parts)
+        return _report(spectrum, "closed-form", alpha, alpha, 0)
     if len(comps) == 2 and all(n == 1 for _, n in comps):
         for (binary, _), (other, _) in (comps, comps[::-1]):
             if len(binary) != 2 or other[0] != other[-1]:
@@ -177,15 +190,22 @@ def dimension(spectrum: ScaleSpectrum) -> DimensionReport:
             rho = other[0]
             if abs(r2 - r1 * r1 * rho) <= 1e-12 * r2:
                 alpha = binary_special_dimension(r1, UniformFractal(len(other), rho))
-                return _exact_report(spectrum, alpha, "binary-analytic")
+                return _report(spectrum, "binary-analytic", alpha, alpha, 0)
     return solve_moran(spectrum)
 
 
-def _exact_report(spectrum: ScaleSpectrum, alpha: float, method: str) -> DimensionReport:
-    return DimensionReport(alpha, method, spectrum.moran_product(alpha) - 1.0, (alpha, alpha), 0)
+def _report(s: ScaleSpectrum, method: str, lo: float, hi: float, iters: int) -> DimensionReport:
+    """Report (lo + hi) / 2, with [lo, hi] walked out until ln M >= 0 at lo, <= 0 at hi."""
+    alpha = 0.5 * (lo + hi)
+    down = up = 32.0 * (hi - lo or math.ulp(lo))
+    while s.log_moran_interval(lo)[0] < 0.0:
+        lo, down = max(lo - down, 0.0), 2.0 * down
+    while s.log_moran_interval(hi)[1] > 0.0:
+        hi, up = hi + up, 2.0 * up
+    return DimensionReport(alpha, method, s.moran_product(alpha) - 1.0, (lo, hi), iters)
 
 
-def solve_moran(s: ScaleSpectrum, tol: float = DEFAULT_TOL) -> DimensionReport:
+def solve_moran(s: ScaleSpectrum) -> DimensionReport:
     """Solve the generalized Moran product prod_i (sum_j r_ij^alpha)^n_i = 1.
 
     Bisection on the sign of `log_moran`, which is strictly decreasing;
@@ -193,16 +213,17 @@ def solve_moran(s: ScaleSpectrum, tol: float = DEFAULT_TOL) -> DimensionReport:
     i's own root lies in [ln l_i/ln(1/min_j r_ij), ln l_i/ln(1/max_j r_ij)]
     and the composite root between the component roots, so the search starts
     on [min_i ln l_i/ln(1/min_j r_ij), max_i ln l_i/ln(1/max_j r_ij)] and runs
-    until the bracket cannot shrink in double precision. Raises SolverError
-    when the product residual is above `tol`, which repeat counts in the
-    hundreds of thousands can cause at every float alpha.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if s.is_degenerate:
-        # Every factor is r^0 = 1 at alpha = 0; the product never exceeds 1.
-        return DimensionReport(0.0, "closed-form", s.moran_product(0.0) - 1.0, (0.0, 0.0), 0)
+    until the bracket cannot shrink in double precision; alpha is its midpoint.
 
+    Near the root that sign is rounding noise, so `_report` walks the ends out
+    by steps doubling from 32 ulps, the usual reach of the bound, until each
+    end's sign is certified: `log_moran` is within 2^-52 sum_i [|total_i| +
+    n_i (5 log1p s_i + 10 alpha |ln m_i| + (d_i s_i + sum_j t_ij (2 + 4 alpha
+    |x_ij|)) / (1 + s_i))] of ln M, twice its first-order rounding error with
+    log, exp and log1p within 1 ulp, in its running sums total_i and d_i terms
+    t_ij = exp(alpha x_ij) of sum s_i. The walk ends: ln M(0) = sum_i n_i ln
+    l_i > 0, and ln M falls linearly while the bound grows as 2^-52 times it.
+    """
     lo = min(math.log(len(ratios)) / -math.log(ratios[0]) for ratios, _ in s.components)
     hi = max(math.log(len(ratios)) / -math.log(ratios[-1]) for ratios, _ in s.components)
     f = s.log_moran
@@ -216,11 +237,8 @@ def solve_moran(s: ScaleSpectrum, tol: float = DEFAULT_TOL) -> DimensionReport:
             lo = mid
         else:
             hi = mid
-    alpha = 0.5 * (lo + hi)
-    residual = s.moran_product(alpha) - 1.0
-    if abs(residual) > tol:
-        raise SolverError(f"residual {residual} above tolerance {tol} after bisection")
-    return DimensionReport(alpha, "moran-numeric", residual, (lo, hi), iterations)
+    # ln 1 = 0 puts a degenerate spectrum's search, and root, at [0, 0]
+    return _report(s, "closed-form" if s.is_degenerate else "moran-numeric", lo, hi, iterations)
 
 
 def binary_special_dimension(r1: float, f: UniformFractal) -> float:

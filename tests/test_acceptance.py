@@ -161,7 +161,7 @@ def test_criterion_3_property_suites():
         if spectrum.is_degenerate:
             continue
         checked += 1
-        alpha = fc.solve_moran(spectrum, tol).alpha
+        alpha = fc.solve_moran(spectrum).alpha
         if not (
             spectrum.moran_product(alpha - 10 * tol) > 1.0
             and spectrum.moran_product(alpha + 10 * tol) < 1.0

@@ -146,10 +146,11 @@ def test_overflowing_repeat_count_answers(runner):
     assert invoke_json(runner, ["dim", "C[1/2,1/3]^100000"])["alpha"] == alpha
     stats = invoke_json(runner, ["stats", "C[1/2,1/3]^100000", "--stage", "0"])
     assert stats["alpha"] == alpha
-    result = runner.invoke(main, ["dim", "C[1/2,1/3]^100000 K[pi/3]"])
-    assert result.exit_code in (0, 3), result.output
-    if result.exit_code == 3:
-        assert result.stderr.startswith("error: residual")
+    # at repeats this large one ulp of alpha moves ln M by more than 1e-12,
+    # so the residual cannot vouch for the root; the certified bracket does
+    assert invoke_json(runner, ["dim", "C[1/2,1/3]^100000 K[pi/3]"])["method"] == "moran-numeric"
+    huge = invoke_json(runner, ["dim", "C[0.0632,0.9]^1000000 C[0.5,0.49]^7"])
+    assert huge["alpha"] == 0.878474180787576
     # stage 0 is a single segment, too coarse for a box-counting ladder
     result = runner.invoke(main, ["validate", "C[1/2,1/3]^100000", "--stage", "0"])
     assert result.exit_code == 2
@@ -276,6 +277,39 @@ def test_census_over_budget_exits_4_at_once(runner, command, stage):
     assert len(lines) == 1 and lines[0].startswith("error: census would enumerate")
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Set Python's int-to-text digit limit for one test, and restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-text digit limit")
+    previous = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize(
+    "expression,stage,limit,digits,code",
+    [("C[1/2,1/2]", "14284", 4300, 4300, 0),
+     ("C[1/2,1/2]", "14285", 4300, 4301, 4),
+     ("C[1/2,1/3]^10", "1430", 4300, 4305, 4),  # 45 s to build the census
+     ("C[1/2,1/2]", "14285", 0, 4301, 0)],  # 0 means no limit
+)
+def test_census_total_beyond_the_int_digit_limit_exits_4_at_once(
+    runner, int_digit_limit, expression, stage, limit, digits, code
+):
+    # json.dumps of an int with more digits than the limit raises ValueError
+    int_digit_limit(limit)
+    start = time.perf_counter()
+    result = runner.invoke(main, ["census", expression, "--stage", stage])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == code, result.output
+    if code == 4:
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: the total count has {digits} decimal digits")
+    else:
+        assert len(str(json.loads(result.stdout)["total_count"])) == digits
+
+
 def test_census_budget_from_environment(runner):
     result = runner.invoke(
         main, ["census", "K[pi/3]", "--stage", "8"], env={"FRACTALC_SEGMENT_BUDGET": "100"}
@@ -309,6 +343,19 @@ def test_render_far_over_budget_exits_4(runner, tmp_path, expression, stage):
     assert result.stdout == "" and not out.exists()
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: stage would produce about 10^")
+
+
+@pytest.mark.parametrize("expression,stage", [("C[1/3,1/3]", "23"), ("K[pi/3]", "11")])
+def test_render_over_the_export_cap_exits_4_before_building(runner, tmp_path, expression, stage):
+    # 8.4M and 4.2M segments fit the default budget of 10^7 but not the SVG
+    # export cap of 10^6; built first, they took seconds and a gigabyte
+    out = tmp_path / "big.svg"
+    start = time.perf_counter()
+    result = runner.invoke(main, ["render", expression, "--stage", stage, "-o", str(out)])
+    assert time.perf_counter() - start < 0.5
+    assert result.exit_code == 4
+    assert result.stdout == "" and not out.exists()
+    assert result.stderr.strip().endswith(" segments, over the budget of 1000000")
 
 
 @pytest.mark.parametrize("command", ["render", "validate"])
@@ -458,6 +505,22 @@ def test_stats_report(runner):
     assert payload["max_normalization_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("expression", ["C[1/2,1/2] C[1/1000]", "C[1/2,1/2]"])
+def test_stats_counts_beyond_the_float_range(runner, expression):
+    # at stage 1030 a count of 2^1030 does not convert to a float: a length
+    # that underflowed to 0.0 adds 0, as the warning says, and a positive one
+    # adds exp(ln m + alpha ln p), here exactly 1
+    result = runner.invoke(main, ["stats", expression, "--stage", "1030"])
+    assert result.exit_code == 0, result.output
+    residual = json.loads(result.stdout)["max_normalization_residual"]
+    if "1/1000" in expression:
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning:")
+        assert "below the float range" in lines[0]
+    else:
+        assert result.stderr == "" and residual == 0.0
+
+
 # --- limit ----------------------------------------------------------------------
 
 
@@ -585,7 +648,7 @@ def test_package_import_leaves_numpy_unloaded(tmp_path):
     assert float(slope) == pytest.approx(math.log(4) / math.log(3), abs=0.1)
 
 
-# --- CLI fuzz: every accepted input answers or exits 2, 3 or 4 ---------------------
+# --- CLI fuzz: every accepted input answers or exits 2 or 4 ------------------------
 
 _FUZZ_CAP_S = 5.0
 _TINY = "1/" + str(10**322)
@@ -664,7 +727,7 @@ def test_cli_fuzz_exits_only_with_documented_codes(runner, tmp_path, monkeypatch
                 result = runner.invoke(main, args, env=env)
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
-            assert result.exit_code in (0, 2, 3, 4), (args, result.output, result.exception)
+            assert result.exit_code in (0, 2, 4), (args, result.output, result.exception)
             assert result.exception is None or isinstance(result.exception, SystemExit), args
             assert "Traceback" not in result.output, args
     finally:

@@ -5,7 +5,6 @@ import mpmath
 import pytest
 
 import fractalc as fc
-from fractalc.errors import SolverError
 from helpers import random_spectrum, random_uniform_parts, spectrum_of_uniform
 
 LN = math.log
@@ -166,12 +165,11 @@ def test_degenerate_spectrum_returns_zero():
     assert report.method == "closed-form"
     report = fc.solve_moran(fc.ScaleSpectrum([([0.5], 1), ([0.3], 2)]))
     assert report.alpha == 0.0
+    assert report.method == "closed-form"
+    assert report.bracket == (0.0, 0.0) and report.iterations == 0
 
 
 def test_solver_validation():
-    spectrum = fc.ScaleSpectrum([([0.5, 0.25], 1)])
-    with pytest.raises(ValueError):
-        fc.solve_moran(spectrum, tol=0.0)
     with pytest.raises(ValueError):
         fc.ScaleSpectrum([])
     with pytest.raises(ValueError):
@@ -196,6 +194,35 @@ def test_log_moran_matches_direct_product():
         assert spectrum.moran_product(alpha) == pytest.approx(direct, rel=1e-12)
 
 
+def _mpmath_log_moran(components, alpha):
+    with mpmath.workdps(50):
+        return mpmath.fsum(
+            n * mpmath.log(mpmath.fsum(mpmath.mpf(r) ** mpmath.mpf(alpha) for r in ratios))
+            for ratios, n in components
+        )
+
+
+def test_log_moran_interval_holds_the_exact_value():
+    # oracle: ln M of the same float ratios at 50 digits, at random alphas and
+    # at alphas within a few ulps of the root, where the sign is rounding noise
+    rng = random.Random(43)
+    for _ in range(60):
+        components = []
+        for _ in range(rng.randint(1, 3)):
+            ratios = [_stress_ratio(rng) for _ in range(rng.randint(1, 4))]
+            components.append((ratios, rng.choice([1, 2, 7, 1000, 10**5, 10**6])))
+        spectrum = fc.ScaleSpectrum(components)
+        alpha = fc.solve_moran(spectrum).alpha
+        near_root = [alpha, math.nextafter(alpha, 0.0), math.nextafter(alpha, math.inf),
+                     alpha * (1 + 1e-15), alpha * (1 - 1e-15)]
+        # a degenerate spectrum's root is 0, and the bound holds from 1e-290 up
+        for a in [rng.uniform(0.0, 3.0), 0.0] + (near_root if alpha else []):
+            low, high = spectrum.log_moran_interval(a)
+            assert low <= spectrum.log_moran(a) <= high
+            want = _mpmath_log_moran(spectrum.components, a)
+            assert low <= want <= high, (spectrum, a, low, high, want)
+
+
 def test_log_moran_does_not_overflow():
     spectrum = fc.ScaleSpectrum([([1 / 2, 1 / 3], 10**6), ([1e-300, 1e-290], 10**6)])
     assert spectrum.log_moran(0.0) == pytest.approx(2e6 * LN(2), rel=1e-12)
@@ -212,7 +239,7 @@ def test_dimension_picks_the_exact_method():
     assert closed.alpha == fc.composite_dimension_uniform(
         [(fc.UniformFractal(2, 1 / 3), 2), (fc.UniformFractal(4, 1 / 3), 1)]
     )
-    assert closed.iterations == 0 and closed.bracket == (closed.alpha, closed.alpha)
+    assert closed.iterations == 0
     binary = fc.dimension(fc.ScaleSpectrum([([1 / 2, 1 / 12], 1), (koch, 1)]))
     assert binary.method == "binary-analytic"
     assert binary.alpha == fc.binary_special_dimension(1 / 2, fc.UniformFractal(4, 1 / 3))
@@ -221,6 +248,13 @@ def test_dimension_picks_the_exact_method():
     assert numeric.method == "moran-numeric"
     assert numeric == fc.solve_moran(fc.ScaleSpectrum([([1 / 2, 1 / 3], 1), (koch, 1)]))
     assert fc.dimension(fc.ScaleSpectrum([([0.5], 3), ([0.3], 1)])).alpha == 0.0
+    # every method's bracket holds the 50-digit root
+    for report, spectrum in [(closed, [(koch, 1), ([1 / 3] * 2, 2)]),
+                             (binary, [([1 / 2, 1 / 12], 1), (koch, 1)]),
+                             (numeric, [([1 / 2, 1 / 3], 1), (koch, 1)])]:
+        lo, hi = report.bracket
+        assert lo <= _mpmath_root(spectrum) <= hi, report
+        assert lo < hi and hi - lo <= 1e-12 * report.alpha, report
 
 
 def test_dimension_divides_repeats_by_their_gcd():
@@ -266,25 +300,24 @@ def _stress_ratio(rng):
 
 
 def test_dimension_matches_mpmath_on_stress_spectra():
+    # repeats up to 10^6 move ln M by more than 1e-12 per ulp of alpha, so only
+    # the bracket, not the residual, can vouch for the root
     rng = random.Random(41)
-    solved = 0
     for _ in range(150):
         components = []
         for _ in range(rng.randint(1, 3)):
             ratios = [_stress_ratio(rng) for _ in range(rng.randint(1, 4))]
             components.append((ratios, rng.choice([1, 2, 7, 1000, 10**5, 10**6])))
         spectrum = fc.ScaleSpectrum(components)
-        try:
-            alpha = fc.dimension(spectrum).alpha
-        except SolverError:
-            continue
+        report = fc.dimension(spectrum)
         want = _mpmath_root(spectrum.components)
+        lo, hi = report.bracket
         if want == 0:
-            assert alpha == 0.0
+            assert report.alpha == lo == hi == 0.0
         else:
-            assert abs(mpmath.mpf(alpha) - want) <= 1e-9 * want, spectrum
-        solved += 1
-    assert solved >= 100
+            assert abs(mpmath.mpf(report.alpha) - want) <= 1e-9 * want, spectrum
+            assert lo <= want <= hi, (spectrum, report)
+            assert hi - lo <= 1e-12 * report.alpha, (spectrum, report)
 
 
 # --- component_dimension --------------------------------------------------------
@@ -483,6 +516,6 @@ def test_property_residual_sign_change():
         spectrum = random_spectrum(rng)
         if spectrum.is_degenerate:
             continue
-        alpha = fc.solve_moran(spectrum, tol).alpha
+        alpha = fc.solve_moran(spectrum).alpha
         assert spectrum.moran_product(alpha - 10 * tol) > 1.0
         assert spectrum.moran_product(alpha + 10 * tol) < 1.0
