@@ -134,7 +134,11 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
     """Composite dimension of EXPRESSION (analytic where possible)."""
     sched = _load_schedule(expression)
     spectrum = sched.spectrum()
-    report = moran.dimension(spectrum)
+    try:
+        report = moran.dimension(spectrum)
+        numeric = moran.solve_moran(spectrum) if check else None
+    except ValueError as exc:
+        _fail(EXIT_USAGE, str(exc))
     component_dims = [moran.component_dimension(g.draw_ratios) for g, _ in sched.items]
     closed = report.method != "moran-numeric"
     if closed_form_only and not closed:
@@ -148,7 +152,6 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
         "component_dimensions": component_dims,
     }
     if check:
-        numeric = moran.solve_moran(spectrum)
         difference = abs(report.alpha - numeric.alpha) if closed else None
         payload["check"] = {
             "closed_form": report.alpha if closed else None,
@@ -252,7 +255,10 @@ def validate(expression: str, stage: int, scales: int, min_scale: float | None,
              tolerance: float, l0: float, human: bool):
     """Cross-validate the theoretical dimension against empirical box counting."""
     sched = _load_schedule(expression)
-    alpha = moran.dimension(sched.spectrum()).alpha
+    try:
+        alpha = moran.dimension(sched.spectrum()).alpha
+    except ValueError as exc:
+        _fail(EXIT_USAGE, str(exc))
     budget = _segment_budget()
     try:
         segments = geometry.iterate(sched, stage, L0=l0, budget=budget)
@@ -284,6 +290,8 @@ def stats(expression: str, stage: int, human: bool):
         payload = incstats.stats_report(sched, stage, budget=_segment_budget())
     except SegmentBudgetExceeded as exc:
         _fail(EXIT_BUDGET, str(exc))
+    except ValueError as exc:
+        _fail(EXIT_USAGE, str(exc))
     _warn_underflow(sched, stage)
     _emit(payload, human)
 

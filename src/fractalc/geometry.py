@@ -15,6 +15,7 @@ without loading it; a no-numpy test in `tests/test_cli.py` enforces this.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -39,6 +40,13 @@ RENDER_SEGMENT_LIMIT = 1_000_000
 
 # relative tolerance for merging census buckets of nearly equal length
 _LENGTH_MERGE_RTOL = 1e-12
+_VALUE = operator.itemgetter(0)
+
+# census binomials: math.comb's cost grows with its result, and past rows of about
+# this length building each row once, by C(r, g + 1) = C(r, g) (r - g) / (g + 1)
+# in exact ints, is cheaper (the crossover is near 115 with two distinct ratios,
+# 180 with three)
+_SHORT_ROW = 128
 
 # candidate pairs per vectorized overlap test: bounds detect_overlap's memory
 _PAIR_CHUNK = 1 << 14
@@ -61,11 +69,12 @@ class Generator:
     pieces: tuple[Piece, ...]
     connected: bool  # all-draw chain ending exactly at the parent endpoint
 
-    @property
+    # built once per generator: the census and the spectrum read them many times
+    @functools.cached_property
     def draw_ratios(self) -> tuple[float, ...]:
         return tuple(p.ratio for p in self.pieces if p.draw)
 
-    @property
+    @functools.cached_property
     def copies(self) -> int:
         return len(self.draw_ratios)
 
@@ -315,6 +324,20 @@ def iterate(
 # --- analytic census ---------------------------------------------------------
 
 
+class _BinomialRows(dict):
+    """Binomials C(r, g), called like math.comb; each row [C(r, 0), ..., C(r, r)]
+    is built on first use."""
+
+    def __missing__(self, r: int) -> list[int]:
+        row = self[r] = list(
+            itertools.accumulate(range(r), lambda c, g: c * (r - g) // (g + 1), initial=1)
+        )
+        return row
+
+    def __call__(self, r: int, g: int) -> int:
+        return self[r][g]
+
+
 def _component_buckets(ratios: Sequence[float], t: int) -> list[tuple[float, int]]:
     """Lengths and exact counts for one component applied t times.
 
@@ -328,31 +351,55 @@ def _component_buckets(ratios: Sequence[float], t: int) -> list[tuple[float, int
     """
     distinct = list(dict.fromkeys(ratios))
     if len(distinct) == 1:
-        return [(distinct[0] ** t, len(ratios) ** t)]
+        try:
+            return [(distinct[0] ** t, len(ratios) ** t)]
+        except OverflowError:  # t beyond the float range: rho**t underflows to 0.0
+            return [(0.0, len(ratios) ** t)]
     powers = [[rho**g for g in range(t + 1)] for rho in distinct]
-    weights = [[ratios.count(rho) ** g for g in range(t + 1)] for rho in distinct]
+    mults = [ratios.count(rho) for rho in distinct]
+    weights = [[m**g for g in range(t + 1)] for m in mults]
+    comb = math.comb if t <= _SHORT_ROW else _BinomialRows()
     # (applications left, length so far, count so far) per partial composition
     partial = [(t, 1.0, 1)]
     for pw, wt in zip(powers[:-2], weights):
         partial = [
-            (rem - g, value * pw[g], count * wt[g] * math.comb(rem, g))
+            (rem - g, value * pw[g], count * wt[g] * comb(rem, g))
             for rem, value, count in partial
             for g in range(rem + 1)
         ]
     # the last two exponents are chosen together, so each leaf is built once
     pa, pb = powers[-2:]
     wa, wb = weights[-2:]
+    if mults[-2:] == [1, 1]:
+        return [
+            (value * pa[g] * pb[rem - g], count * comb(rem, g))
+            for rem, value, count in partial
+            for g in range(rem + 1)
+        ]
     return [
-        (value * pa[g] * pb[rem - g], count * wa[g] * wb[rem - g] * math.comb(rem, g))
+        (value * pa[g] * pb[rem - g], count * wa[g] * wb[rem - g] * comb(rem, g))
         for rem, value, count in partial
         for g in range(rem + 1)
     ]
 
 
 def _merge_buckets(buckets: Iterable[tuple[float, int]]) -> list[tuple[float, int]]:
-    ordered = sorted(buckets, key=lambda b: -b[0])
-    merged: list[tuple[float, int]] = []
-    for value, count in ordered:
+    """Sort by decreasing value, stably, and fold each bucket within 1e-12 relative
+    below its group's leader into it. Every bucket before the first neighbour pair
+    within the tolerance leads its own group, so a scan in C finds where to start."""
+    ordered = sorted(buckets, key=_VALUE, reverse=True)
+    values = list(map(_VALUE, ordered))
+    near = map(
+        operator.le,
+        map(operator.sub, values, values[1:]),
+        map(operator.mul, itertools.repeat(_LENGTH_MERGE_RTOL), values),
+    )
+    try:
+        start = operator.indexOf(near, True)
+    except ValueError:
+        return ordered
+    merged = ordered[:start]
+    for value, count in ordered[start:]:
         if merged and merged[-1][0] - value <= _LENGTH_MERGE_RTOL * merged[-1][0]:
             merged[-1] = (merged[-1][0], merged[-1][1] + count)
         else:
@@ -373,11 +420,16 @@ def census_product(
     cross = next(factors)
     for factor in factors:
         cross = [(v * w, c * d) for v, c in cross for w, d in factor]
-    return _merge_buckets((v * scale, c) for v, c in cross)
+    # v * 1.0 is v bit for bit
+    return _merge_buckets(cross if scale == 1.0 else ((v * scale, c) for v, c in cross))
 
 
-def check_census_budget(schedule: CompositionSchedule, stages: Iterable[int], budget: int) -> None:
+def check_census_budget(schedule: CompositionSchedule, stages: Sequence[int], budget: int) -> None:
     """Raise SegmentBudgetExceeded once the census buckets of `stages` sum over the budget."""
+    if all(gen.copies == 1 for gen, _ in schedule.items) and stages[budget:]:
+        # one bucket per stage, and more stages than the budget: the loop below
+        # would stop at budget + 1, after as many steps
+        raise SegmentBudgetExceeded(budget + 1, budget, "census would enumerate {} buckets or more")
     work = 0
     for stage in stages:
         work += schedule.census_size(stage)
@@ -420,9 +472,11 @@ def census_log_floor(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> 
     crosses the unscaled lengths (all ratios are below 1) and scales by L0
     last, so an L0 above 1 cannot lift a product that has already underflowed.
     """
-    return min(math.log(L0), 0.0) + k * math.fsum(
-        n * math.log(min(gen.draw_ratios)) for gen, n in schedule.items
-    )
+    try:
+        floor = k * math.fsum(n * math.log(min(gen.draw_ratios)) for gen, n in schedule.items)
+    except OverflowError:  # k or a repeat count beyond the float range
+        floor = -math.inf if k else 0.0
+    return min(math.log(L0), 0.0) + floor
 
 
 def total_length(s: SegmentSet) -> float:

@@ -5,7 +5,8 @@ form for uniform components, the binary-multifractal analytic case, otherwise
 the generalized Moran-product root from `solve_moran`. Also the dimension
 bounds and the rational-dimension limit construction. The Moran product is
 evaluated only through its logarithm (`ScaleSpectrum.log_moran`), so huge
-repeat counts do not overflow.
+repeat counts do not overflow; one past the float range, which log_moran
+cannot multiply by, is a ValueError.
 
 Everything here is a pure function over immutable values; all arithmetic is
 double precision on logarithms.
@@ -173,10 +174,12 @@ def dimension(spectrum: ScaleSpectrum) -> DimensionReport:
     component has equal ratios; "binary-analytic" for a [r1, r1^2 rho]
     component beside a uniform (N, rho) one, each with repeat 1; otherwise
     `solve_moran` ("moran-numeric"). Every method reports a certified bracket.
+    Raises ValueError when a reduced repeat is beyond the float range.
     """
     gcd = math.gcd(*(n for _, n in spectrum.components))
     if gcd > 1:
         spectrum = ScaleSpectrum([(ratios, n // gcd) for ratios, n in spectrum.components])
+    _check_repeats(spectrum)
     comps = spectrum.components
     if all(ratios[0] == ratios[-1] for ratios, _ in comps):
         parts = [(UniformFractal(len(ratios), ratios[0]), n) for ratios, n in comps]
@@ -192,6 +195,16 @@ def dimension(spectrum: ScaleSpectrum) -> DimensionReport:
                 alpha = binary_special_dimension(r1, UniformFractal(len(other), rho))
                 return _report(spectrum, "binary-analytic", alpha, alpha, 0)
     return solve_moran(spectrum)
+
+
+def _check_repeats(s: ScaleSpectrum) -> None:
+    """Raise ValueError for a repeat count beyond the float range, which
+    `log_moran` cannot multiply by."""
+    try:
+        for _, n in s.components:
+            float(n)
+    except OverflowError:
+        raise ValueError("a repeat count is beyond the float range") from None
 
 
 def _report(s: ScaleSpectrum, method: str, lo: float, hi: float, iters: int) -> DimensionReport:
@@ -224,6 +237,7 @@ def solve_moran(s: ScaleSpectrum) -> DimensionReport:
     t_ij = exp(alpha x_ij) of sum s_i. The walk ends: ln M(0) = sum_i n_i ln
     l_i > 0, and ln M falls linearly while the bound grows as 2^-52 times it.
     """
+    _check_repeats(s)
     lo = min(math.log(len(ratios)) / -math.log(ratios[0]) for ratios, _ in s.components)
     hi = max(math.log(len(ratios)) / -math.log(ratios[-1]) for ratios, _ in s.components)
     f = s.log_moran

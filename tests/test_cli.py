@@ -277,6 +277,51 @@ def test_census_over_budget_exits_4_at_once(runner, command, stage):
     assert len(lines) == 1 and lines[0].startswith("error: census would enumerate")
 
 
+_BIG = "9" * 400
+
+
+def test_integers_beyond_the_float_range_answer_or_exit_at_once(runner):
+    # each ended in OverflowError, or ran on for minutes, before
+    cases = [
+        (["dim", f"C[1/2,1/3]^{_BIG} C[1/2,1/4]"], 2),
+        (["dim", f"C[1/2,1/3]^{_BIG}", "--check"], 2),
+        (["census", "C[1/2]", "--stage", _BIG], 0),
+        (["stats", "C[1/2]", "--stage", _BIG], 4),
+    ]
+    for args, code in cases:
+        start = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1.0, args
+        assert result.exit_code == code, (args, result.output)
+        if code:
+            assert result.stdout == ""
+            lines = result.stderr.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), args
+    # the length 2^-N underflows, as the warning says; the count stays exact
+    result = runner.invoke(main, ["census", "C[1/2]", "--stage", _BIG])
+    payload = json.loads(result.stdout)
+    assert payload["buckets"] == [{"length": 0.0, "count": 1}]
+    assert result.stderr.startswith("warning: the smallest stage-")
+    # still reducible by the gcd of the repeats, as before
+    assert invoke_json(runner, ["dim", f"C[1/2,1/3]^{_BIG}"])["method"] == "moran-numeric"
+
+
+def test_one_bucket_stages_over_the_budget_exit_as_the_loop_would(runner):
+    # each stage of a one-piece schedule is one bucket: the budget check stops
+    # where summing them stage by stage would, without taking budget + 1 steps
+    result = runner.invoke(
+        main, ["stats", "C[1/2]", "--stage", "20"], env={"FRACTALC_SEGMENT_BUDGET": "20"}
+    )
+    assert result.exit_code == 4
+    assert result.stderr.strip() == (
+        "error: census would enumerate 21 buckets or more, over the budget of 20"
+    )
+    result = runner.invoke(
+        main, ["stats", "C[1/2]", "--stage", "19"], env={"FRACTALC_SEGMENT_BUDGET": "20"}
+    )
+    assert result.exit_code == 0
+
+
 @pytest.fixture
 def int_digit_limit():
     """Set Python's int-to-text digit limit for one test, and restore it."""
@@ -706,6 +751,9 @@ def _fuzz_invocations():
         yield ["render", text, "--stage", stage, "-o", "fuzz.svg", "--csv", "fuzz.csv"]
     for args in _LIMIT_EDGES:
         yield ["limit", *args]
+    yield ["dim", f"C[1/2,1/3]^{_BIG} C[1/2,1/4]"]
+    yield ["census", "C[1/2]", "--stage", _BIG]
+    yield ["stats", "C[1/2]", "--stage", _BIG]
 
 
 class _CapExceeded(Exception):

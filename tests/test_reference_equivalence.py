@@ -356,6 +356,84 @@ def test_component_buckets_match_recursive_reference(ratios):
         _assert_merged_close(reference_merge_buckets(got), reference_merge_buckets(want))
 
 
+def test_binomial_rows_match_math_comb():
+    rows = geometry._BinomialRows()
+    for r in [*range(200), 1000, 2000]:
+        assert rows[r] == [math.comb(r, g) for g in range(r + 1)]
+    assert rows(2000, 700) == math.comb(2000, 700)
+
+
+@pytest.mark.parametrize("ratios,t", [((1 / 3, 0.25), 300), ((0.2, 0.3, 0.25), 150)])
+def test_long_rows_match_recursive_reference(ratios, t):
+    # beyond geometry._SHORT_ROW the counts come from rows built by recurrence
+    assert t > geometry._SHORT_ROW
+    assert geometry._component_buckets(ratios, t) == reference_component_buckets(ratios, t)
+
+
+def _boundary_neighbour(v: float) -> float:
+    """The smallest w below v with v - w <= 1e-12 v, as the merge computes it."""
+    w = v - 1e-12 * v
+    while v - w <= 1e-12 * v:
+        w = math.nextafter(w, 0.0)
+    while not v - w <= 1e-12 * v:
+        w = math.nextafter(w, v)
+    return w
+
+
+def _adversarial_bucket_lists():
+    """Seeded (value, count) lists whose merge decisions sit at the 1e-12 edge."""
+    yield []
+    yield [(0.75, 3)]
+    yield [(0.0, 1), (0.0, 2), (5e-324, 4), (1e-310, 1), (1e-310 * (1 - 1e-12), 8)]
+    rng = random.Random(1012)
+    for _ in range(300):
+        values = []
+        for _ in range(rng.randint(1, 12)):
+            v = rng.choice([rng.random(), rng.uniform(1e-300, 1e-290), 2.0 ** rng.randint(-60, 3)])
+            kind = rng.randrange(6)
+            edge = _boundary_neighbour(v)
+            if kind == 0:  # just inside and just outside the tolerance
+                values += [v, edge, math.nextafter(edge, 0.0)]
+            elif kind == 1:  # a chain: the third is within 1e-12 of the second only
+                values += [v, v * (1 - 0.6e-12), v * (1 - 1.2e-12)]
+            elif kind == 2:  # exact duplicates
+                values += [v] * rng.randint(2, 4)
+            elif kind == 3:
+                values += [0.0, 5e-324, 5e-324, 1e-310]
+            else:
+                values.append(v)
+        rng.shuffle(values)
+        buckets = [(v, rng.randint(1, 10**rng.randint(1, 25))) for v in values]
+        yield buckets
+        # a near tie at the first and at the last position
+        ordered = sorted(buckets, key=lambda b: -b[0])
+        top, bottom = ordered[0][0], ordered[-1][0]
+        yield buckets + [(_boundary_neighbour(top) if top else 0.0, 7)]
+        yield buckets + [(math.nextafter(bottom, math.inf), 5)]
+
+
+def _hexed(buckets):
+    return [(v.hex(), c) for v, c in buckets]
+
+
+def test_merge_buckets_matches_reference_bit_for_bit():
+    # the merge sorts in C and scans for the first near tie before running the
+    # leader loop; values, counts and order must equal the plain loop's
+    merging = 0
+    for buckets in _adversarial_bucket_lists():
+        got = geometry._merge_buckets(iter(buckets))
+        want = reference_merge_buckets(buckets)
+        assert _hexed(got) == _hexed(want), buckets
+        merging += len(want) < len(buckets)
+    assert merging > 300
+    # C[1/2,1/4,1/8] at stage 100: 5,151 compositions fold into 201 lengths
+    raw = geometry._component_buckets((0.5, 0.25, 0.125), 100)
+    assert len(raw) == 5151
+    got = geometry._merge_buckets(raw)
+    assert len(got) == 201
+    assert _hexed(got) == _hexed(reference_merge_buckets(raw))
+
+
 # --- incomplete statistics ----------------------------------------------------
 
 FACTOR_PAIRS = [
@@ -409,7 +487,11 @@ def test_joint_factorization_matches_reference_on_fuzz():
 
 
 def _census_cases():
-    return fuzz_cases(101, 60) + [(fc.schedule_from_text(t), k) for t, k in STATS_CORPUS]
+    # the last two are of the analytic benchmark's size: 5,151 and 5,456 buckets
+    sized = [("C[0.23,0.41,0.17]", 100), ("C[1/3,2/9,1/7,1/4]", 30)]
+    return fuzz_cases(101, 60) + [
+        (fc.schedule_from_text(t), k) for t, k in STATS_CORPUS + sized
+    ]
 
 
 def test_segment_census_matches_reference():
@@ -430,12 +512,12 @@ def _mpmath_census(schedule, k: int, L0: float) -> list:
     with mpmath.workdps(50):
         cross = [(mpmath.mpf(L0), 1)]
         for gen, repeat in schedule.items:
-            ratios = [mpmath.mpf(r) for r in gen.draw_ratios]
             t = repeat * k
+            powers = [[mpmath.mpf(r) ** g for g in range(t + 1)] for r in gen.draw_ratios]
             comp = []
-            for pieces in itertools.combinations_with_replacement(range(len(ratios)), t):
+            for pieces in itertools.combinations_with_replacement(range(len(powers)), t):
                 h = Counter(pieces)
-                value = mpmath.fprod(ratios[j] ** h[j] for j in h)
+                value = mpmath.fprod(powers[j][h[j]] for j in h)
                 count = math.factorial(t)
                 for g in h.values():
                     count //= math.factorial(g)
