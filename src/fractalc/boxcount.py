@@ -26,7 +26,7 @@ pieces end at the same points; and the last strip runs on past the grid,
 whose size tolerance of 1e-12 cells can leave it just short of the figure.
 
 numpy is imported inside the functions, as in `geometry`, so that importing
-the package does not load it (enforced by a test in `tests/test_cli.py`).
+this module does not load it (enforced by a test in `tests/test_cli.py`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from .errors import (
     ScaleLadderInvalid,
     SegmentBudgetExceeded,
 )
-from .geometry import DEFAULT_SEGMENT_BUDGET, SegmentSet, expand_ranges
+from .geometry import SegmentSet, expand_ranges
+from .schedule import DEFAULT_SEGMENT_BUDGET
 
 if TYPE_CHECKING:
     import numpy as np

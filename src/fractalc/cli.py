@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import click
 
-from . import boxcount, geometry, incstats, moran
+from . import moran, schedule
 from .errors import (
     DegenerateGeometry,
     FractalcError,
@@ -50,9 +50,9 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _load_schedule(expression: str) -> geometry.CompositionSchedule:
+def _load_schedule(expression: str) -> schedule.CompositionSchedule:
     try:
-        return geometry.schedule_from_text(expression)
+        return schedule.schedule_from_text(expression)
     except (ScheduleSyntaxError, ScheduleSemanticError) as exc:
         _fail(EXIT_USAGE, f"cannot parse expression: {exc}")
     except (FractalcError, ValueError) as exc:
@@ -62,7 +62,7 @@ def _load_schedule(expression: str) -> geometry.CompositionSchedule:
 def _segment_budget() -> int:
     raw = os.environ.get("FRACTALC_SEGMENT_BUDGET")
     if raw is None:
-        return geometry.DEFAULT_SEGMENT_BUDGET
+        return schedule.DEFAULT_SEGMENT_BUDGET
     try:
         budget = int(raw)
     except ValueError:
@@ -84,12 +84,12 @@ def _tolerance(ctx, param, value: float) -> float:
     return value
 
 
-def _warn_underflow(sched: geometry.CompositionSchedule, stage: int, l0: float = 1.0) -> None:
-    if geometry.census_log_floor(sched, stage, l0) < _LOG_TINIEST:
+def _warn_underflow(sched: schedule.CompositionSchedule, stage: int, l0: float = 1.0) -> None:
+    if schedule.census_log_floor(sched, stage, l0) < _LOG_TINIEST:
         click.echo(_UNDERFLOW_WARNING.format(stage), err=True)
 
 
-def _check_printable_total(sched: geometry.CompositionSchedule, stage: int) -> None:
+def _check_printable_total(sched: schedule.CompositionSchedule, stage: int) -> None:
     """Exit 4 when the stage's total count prod_i l_i^(n_i k) has more decimal
     digits than Python converts an int to text (sys.get_int_max_str_digits;
     0, or a Python without that function, means no limit). Called after the
@@ -147,7 +147,8 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
     payload = {
         "alpha": report.alpha,
         "method": report.method,
-        "residual": report.residual,
+        # inf, from a product past the float range, has no strict-JSON form
+        "residual": report.residual if math.isfinite(report.residual) else None,
         "bounds": list(moran.dimension_bounds(component_dims)),
         "component_dimensions": component_dims,
     }
@@ -180,6 +181,7 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
 def render(expression: str, stage: int, out_path: str, csv_path: str | None,
            l0: float, warn_overlap: bool):
     """Materialize EXPRESSION at a stage and write an SVG."""
+    from . import geometry
     sched = _load_schedule(expression)
     # export_svg refuses a figure over RENDER_SEGMENT_LIMIT, so refuse to build it
     budget = min(_segment_budget(), geometry.RENDER_SEGMENT_LIMIT)
@@ -221,9 +223,9 @@ def census(expression: str, stage: int, l0: float, human: bool):
     sched = _load_schedule(expression)
     budget = _segment_budget()
     try:
-        geometry.check_census_budget(sched, (stage,), budget)
+        schedule.check_census_budget(sched, (stage,), budget)
         _check_printable_total(sched, stage)
-        buckets = geometry.segment_census(sched, stage, l0, budget=budget)
+        buckets = schedule.segment_census(sched, stage, l0, budget=budget)
     except SegmentBudgetExceeded as exc:
         _fail(EXIT_BUDGET, str(exc))
     _warn_underflow(sched, stage, l0)
@@ -254,6 +256,7 @@ def census(expression: str, stage: int, l0: float, human: bool):
 def validate(expression: str, stage: int, scales: int, min_scale: float | None,
              tolerance: float, l0: float, human: bool):
     """Cross-validate the theoretical dimension against empirical box counting."""
+    from . import boxcount, geometry
     sched = _load_schedule(expression)
     try:
         alpha = moran.dimension(sched.spectrum()).alpha
@@ -285,6 +288,7 @@ def validate(expression: str, stage: int, scales: int, min_scale: float | None,
 @click.option("--human", is_flag=True)
 def stats(expression: str, stage: int, human: bool):
     """Incomplete-statistics report: normalization and factorization checks."""
+    from . import incstats
     sched = _load_schedule(expression)
     try:
         payload = incstats.stats_report(sched, stage, budget=_segment_budget())

@@ -8,7 +8,7 @@ of the component multisets. Both identities are computed from the analytic
 census, never from materialized geometry, so large stages stay cheap.
 
 The factorization check crosses per-part censuses with the census's own
-cross-product routine (`geometry.census_product`), so it checks that merging
+cross-product routine (`schedule.census_product`), so it checks that merging
 per part and then crossing agrees with crossing and then merging: a
 merge-consistency check, not an independent oracle for the census.
 
@@ -24,11 +24,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .geometry import (
+from .moran import dimension
+from .schedule import (
     DEFAULT_SEGMENT_BUDGET, CompositionSchedule, census_product, check_census_budget,
     segment_census,
 )
-from .moran import dimension
 
 _VALUE_RTOL = 1e-12
 

@@ -113,8 +113,12 @@ class ScaleSpectrum:
         return total - 2.0**-52 * err, total + 2.0**-52 * err
 
     def moran_product(self, alpha: float) -> float:
-        """The Moran product prod_i (sum_j r_ij^alpha)^n_i, as exp(log_moran)."""
-        return math.exp(self.log_moran(alpha))
+        """The Moran product prod_i (sum_j r_ij^alpha)^n_i, as exp(log_moran);
+        math.inf when that exceeds the float range."""
+        try:
+            return math.exp(self.log_moran(alpha))
+        except OverflowError:
+            return math.inf
 
     @property
     def is_degenerate(self) -> bool:
@@ -131,7 +135,7 @@ class DimensionReport:
 
     alpha: float
     method: str  # "closed-form" | "moran-numeric" | "binary-analytic"
-    residual: float  # Moran product minus 1, evaluated at alpha
+    residual: float  # Moran product minus 1, evaluated at alpha; inf past the float range
     # holds the exact root: the sign of ln M is certified at both ends
     bracket: tuple[float, float]
     iterations: int

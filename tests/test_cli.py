@@ -151,6 +151,13 @@ def test_overflowing_repeat_count_answers(runner):
     assert invoke_json(runner, ["dim", "C[1/2,1/3]^100000 K[pi/3]"])["method"] == "moran-numeric"
     huge = invoke_json(runner, ["dim", "C[0.0632,0.9]^1000000 C[0.5,0.49]^7"])
     assert huge["alpha"] == 0.878474180787576
+    # at a repeat of 10^20 the product at alpha is past the float range: the
+    # residual reads null, and the output stays strict JSON
+    result = runner.invoke(main, ["dim", "C[1/2,1/3]^100000000000000000000 C[1/2,1/4]"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+    assert payload["method"] == "moran-numeric"
+    assert payload["residual"] is None or math.isfinite(payload["residual"])
     # stage 0 is a single segment, too coarse for a box-counting ladder
     result = runner.invoke(main, ["validate", "C[1/2,1/3]^100000", "--stage", "0"])
     assert result.exit_code == 2
@@ -280,9 +287,11 @@ def test_census_over_budget_exits_4_at_once(runner, command, stage):
 _BIG = "9" * 400
 
 
-def test_integers_beyond_the_float_range_answer_or_exit_at_once(runner):
-    # each ended in OverflowError, or ran on for minutes, before
+def test_integers_beyond_the_float_range_answer_or_exit_at_once(runner, tmp_path):
+    # each ended in OverflowError, ran on for minutes, or (render) exited 4, before
+    out = tmp_path / "one.svg"
     cases = [
+        (["render", f"C[1/2,1/3]^{_BIG} C[1/2,1/4]", "--stage", "0", "-o", str(out)], 0),
         (["dim", f"C[1/2,1/3]^{_BIG} C[1/2,1/4]"], 2),
         (["dim", f"C[1/2,1/3]^{_BIG}", "--check"], 2),
         (["census", "C[1/2]", "--stage", _BIG], 0),
@@ -297,6 +306,8 @@ def test_integers_beyond_the_float_range_answer_or_exit_at_once(runner):
             assert result.stdout == ""
             lines = result.stderr.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), args
+    # stage 0 is the initiator alone, however large the repeats
+    assert out.read_bytes().count(b"<polyline") == 1
     # the length 2^-N underflows, as the warning says; the count stays exact
     result = runner.invoke(main, ["census", "C[1/2]", "--stage", _BIG])
     payload = json.loads(result.stdout)
@@ -637,7 +648,7 @@ def test_usage_error_exit_code(runner):
     assert runner.invoke(main, ["nonsense"]).exit_code == 2
 
 
-# --- numpy stays unloaded on the analytic path -----------------------------------
+# --- each command loads only the modules it runs ----------------------------------
 
 _SRC = str(Path(fc.__file__).resolve().parent.parent)
 
@@ -658,30 +669,47 @@ def _imported_modules(importtime_stderr: str) -> set[str]:
     }
 
 
-@pytest.mark.parametrize(
-    "args,code",
-    [
-        (["dim", "C[1/2,1/3] K[pi/3]"], 0),
-        (["census", "C[1/2,1/3] K[pi/3]", "--stage", "6"], 0),
-        (["stats", "C[1/2,1/3] K[pi/3]", "--stage", "4"], 0),
-        (["limit", "--base", "K[pi/3]", "--target", "3/2", "--n", "1000"], 0),
-        (["dim", "C[1/2,1/3] K[pi/3"], 2),
-        (["render", "K[pi/3]", "--stage", "12", "-o", "big.svg"], 4),
-    ],
-    ids=["dim", "census", "stats", "limit", "dim-parse-error", "render-over-budget"],
+_NUMPY, _GEOMETRY, _BOXCOUNT, _INCSTATS = (
+    "numpy", "fractalc.geometry", "fractalc.boxcount", "fractalc.incstats"
 )
-def test_analytic_commands_do_not_import_numpy(tmp_path, args, code):
+
+
+@pytest.mark.parametrize(
+    "args,code,unloaded",
+    [
+        (["dim", "C[1/2,1/3] K[pi/3]"], 0, (_NUMPY, _GEOMETRY, _BOXCOUNT, _INCSTATS)),
+        (["census", "C[1/2,1/3] K[pi/3]", "--stage", "6"], 0,
+         (_NUMPY, _GEOMETRY, _BOXCOUNT, _INCSTATS)),
+        (["stats", "C[1/2,1/3] K[pi/3]", "--stage", "4"], 0, (_NUMPY, _GEOMETRY, _BOXCOUNT)),
+        (["limit", "--base", "K[pi/3]", "--target", "3/2", "--n", "1000"], 0,
+         (_NUMPY, _GEOMETRY, _BOXCOUNT, _INCSTATS)),
+        (["dim", "C[1/2,1/3] K[pi/3"], 2, (_NUMPY, _GEOMETRY, _BOXCOUNT, _INCSTATS)),
+        (["render", "K[pi/3]", "--stage", "12", "-o", "big.svg"], 4,
+         (_NUMPY, _BOXCOUNT, _INCSTATS)),
+        (["render", "K[pi/3]", "--stage", "2", "-o", "k.svg"], 0, (_BOXCOUNT, _INCSTATS)),
+        (["validate", "K[pi/3]", "--stage", "5"], 0, (_INCSTATS,)),
+    ],
+    ids=["dim", "census", "stats", "limit", "dim-parse-error", "render-over-budget", "render",
+         "validate"],
+)
+def test_analytic_commands_do_not_import_numpy(tmp_path, args, code, unloaded):
     result = _run_python(["-X", "importtime", "-m", "fractalc.cli", *args], tmp_path)
     assert result.returncode == code, result.stderr
     modules = _imported_modules(result.stderr)
-    assert "fractalc.geometry" in modules
-    assert not [m for m in modules if m.split(".")[0] == "numpy"]
+    assert "fractalc.schedule" in modules
+    assert not [m for m in modules for u in unloaded if m == u or m.startswith(u + ".")]
 
 
 def test_package_import_leaves_numpy_unloaded(tmp_path):
     script = (
         "import sys\n"
         "import fractalc as fc\n"
+        "assert not [m for m in sys.modules if m.startswith('fractalc.')], sorted(sys.modules)\n"
+        "for name in fc.__all__:\n"
+        "    getattr(fc, name)\n"
+        "assert set(fc.__all__) <= set(dir(fc))\n"
+        "assert fc.geometry.build_schedule is fc.build_schedule\n"
+        "assert not hasattr(fc, 'no_such_name')\n"
         "assert 'numpy' not in sys.modules\n"
         "s = fc.iterate(fc.schedule_from_text('K[pi/3]'), 4)\n"
         "print(len(s), fc.estimate_dimension(s).slope)\n"
@@ -703,6 +731,7 @@ _EDGE_EXPRESSIONS = [
     "K[pi/3]^" + "9" * 30,
     "C[1/2,1/3]^100000",
     "C[1/2,1/3]^100000 K[pi/3]",
+    "C[1/2,1/3]^100000000000000000000 C[1/2,1/4]",
     "C[1/2]",
     "C[1/2]^" + "9" * 20,
     "C[1/2]^1000 K[pi/3]",

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import fractalc as fc
-from fractalc import boxcount, geometry
+from fractalc import boxcount, geometry, schedule
 from fractalc.errors import ScaleLadderInvalid
 from helpers import (
     STATS_CORPUS,
@@ -335,8 +335,8 @@ def _assert_merged_close(got, want):
         assert abs(v - w) <= 1e-12 * w
 
 
-def _repeats_a_ratio(schedule) -> bool:
-    return any(len(set(gen.draw_ratios)) < gen.copies for gen, _ in schedule.items)
+def _repeats_a_ratio(sched) -> bool:
+    return any(len(set(gen.draw_ratios)) < gen.copies for gen, _ in sched.items)
 
 
 @pytest.mark.parametrize(
@@ -349,7 +349,7 @@ def test_component_buckets_match_recursive_reference(ratios):
     # the reference's compositions agree once merged; with no repeated ratio
     # the buckets are bit-identical
     for t in (0, 1, 2, 7, 19):
-        got = geometry._component_buckets(ratios, t)
+        got = schedule._component_buckets(ratios, t)
         want = reference_component_buckets(ratios, t)
         if len(set(ratios)) == len(ratios):
             assert got == want
@@ -357,7 +357,7 @@ def test_component_buckets_match_recursive_reference(ratios):
 
 
 def test_binomial_rows_match_math_comb():
-    rows = geometry._BinomialRows()
+    rows = schedule._BinomialRows()
     for r in [*range(200), 1000, 2000]:
         assert rows[r] == [math.comb(r, g) for g in range(r + 1)]
     assert rows(2000, 700) == math.comb(2000, 700)
@@ -365,9 +365,9 @@ def test_binomial_rows_match_math_comb():
 
 @pytest.mark.parametrize("ratios,t", [((1 / 3, 0.25), 300), ((0.2, 0.3, 0.25), 150)])
 def test_long_rows_match_recursive_reference(ratios, t):
-    # beyond geometry._SHORT_ROW the counts come from rows built by recurrence
-    assert t > geometry._SHORT_ROW
-    assert geometry._component_buckets(ratios, t) == reference_component_buckets(ratios, t)
+    # beyond schedule._SHORT_ROW the counts come from rows built by recurrence
+    assert t > schedule._SHORT_ROW
+    assert schedule._component_buckets(ratios, t) == reference_component_buckets(ratios, t)
 
 
 def _boundary_neighbour(v: float) -> float:
@@ -421,15 +421,15 @@ def test_merge_buckets_matches_reference_bit_for_bit():
     # leader loop; values, counts and order must equal the plain loop's
     merging = 0
     for buckets in _adversarial_bucket_lists():
-        got = geometry._merge_buckets(iter(buckets))
+        got = schedule._merge_buckets(iter(buckets))
         want = reference_merge_buckets(buckets)
         assert _hexed(got) == _hexed(want), buckets
         merging += len(want) < len(buckets)
     assert merging > 300
     # C[1/2,1/4,1/8] at stage 100: 5,151 compositions fold into 201 lengths
-    raw = geometry._component_buckets((0.5, 0.25, 0.125), 100)
+    raw = schedule._component_buckets((0.5, 0.25, 0.125), 100)
     assert len(raw) == 5151
-    got = geometry._merge_buckets(raw)
+    got = schedule._merge_buckets(raw)
     assert len(got) == 201
     assert _hexed(got) == _hexed(reference_merge_buckets(raw))
 
@@ -507,11 +507,11 @@ def test_segment_census_matches_reference():
     assert folded > 0
 
 
-def _mpmath_census(schedule, k: int, L0: float) -> list:
+def _mpmath_census(sched, k: int, L0: float) -> list:
     """Stage-k census at 50 digits: every composition over every piece, crossed, merged."""
     with mpmath.workdps(50):
         cross = [(mpmath.mpf(L0), 1)]
-        for gen, repeat in schedule.items:
+        for gen, repeat in sched.items:
             t = repeat * k
             powers = [[mpmath.mpf(r) ** g for g in range(t + 1)] for r in gen.draw_ratios]
             comp = []
