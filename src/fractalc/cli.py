@@ -4,6 +4,10 @@ Output is JSON on stdout by default (full double precision); `--human` prints
 key/value tables with 6 significant digits. Exit codes: 0 ok, 2 usage or bad
 expression, 4 segment budget exceeded; the Moran solver cannot fail. The
 environment variable FRACTALC_SEGMENT_BUDGET overrides the default segment cap.
+
+Library errors map to exit codes in one place, `_Main.invoke`:
+SegmentBudgetExceeded exits 4, any other FractalcError 2, each with one
+`error:` line. Any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -19,10 +23,7 @@ import click
 
 from . import moran, schedule
 from .errors import (
-    DegenerateGeometry,
     FractalcError,
-    GeometryOutOfRange,
-    ScaleLadderInvalid,
     ScheduleSemanticError,
     ScheduleSyntaxError,
     SegmentBudgetExceeded,
@@ -55,7 +56,7 @@ def _load_schedule(expression: str) -> schedule.CompositionSchedule:
         return schedule.schedule_from_text(expression)
     except (ScheduleSyntaxError, ScheduleSemanticError) as exc:
         _fail(EXIT_USAGE, f"cannot parse expression: {exc}")
-    except (FractalcError, ValueError) as exc:
+    except FractalcError as exc:
         _fail(EXIT_USAGE, f"invalid schedule: {exc}")
 
 
@@ -118,7 +119,19 @@ def _emit(payload: dict, human: bool) -> None:
         click.echo(f"{key:<24} {text}")
 
 
-@click.group()
+class _Main(click.Group):
+    """The one boundary from library errors to exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SegmentBudgetExceeded as exc:
+            _fail(EXIT_BUDGET, str(exc))
+        except FractalcError as exc:
+            _fail(EXIT_USAGE, str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Composite fractal dimensions from composition-schedule expressions."""
 
@@ -134,11 +147,8 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
     """Composite dimension of EXPRESSION (analytic where possible)."""
     sched = _load_schedule(expression)
     spectrum = sched.spectrum()
-    try:
-        report = moran.dimension(spectrum)
-        numeric = moran.solve_moran(spectrum) if check else None
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    report = moran.dimension(spectrum)
+    numeric = moran.solve_moran(spectrum) if check else None
     component_dims = [moran.component_dimension(g.draw_ratios) for g, _ in sched.items]
     closed = report.method != "moran-numeric"
     if closed_form_only and not closed:
@@ -185,15 +195,11 @@ def render(expression: str, stage: int, out_path: str, csv_path: str | None,
     sched = _load_schedule(expression)
     # export_svg refuses a figure over RENDER_SEGMENT_LIMIT, so refuse to build it
     budget = min(_segment_budget(), geometry.RENDER_SEGMENT_LIMIT)
+    segments = geometry.iterate(sched, stage, L0=l0, budget=budget)
     try:
-        segments = geometry.iterate(sched, stage, L0=l0, budget=budget)
         geometry.export_svg(segments, out_path)
         if csv_path:
             geometry.export_csv(segments, csv_path)
-    except SegmentBudgetExceeded as exc:
-        _fail(EXIT_BUDGET, str(exc))
-    except GeometryOutOfRange as exc:
-        _fail(EXIT_USAGE, str(exc))
     except OSError as exc:
         _fail(EXIT_USAGE, f"cannot write output: {exc}")
     overlapping = None
@@ -222,12 +228,9 @@ def census(expression: str, stage: int, l0: float, human: bool):
     """Exact (length, count) table at a stage, via multinomial expansion."""
     sched = _load_schedule(expression)
     budget = _segment_budget()
-    try:
-        schedule.check_census_budget(sched, (stage,), budget)
-        _check_printable_total(sched, stage)
-        buckets = schedule.segment_census(sched, stage, l0, budget=budget)
-    except SegmentBudgetExceeded as exc:
-        _fail(EXIT_BUDGET, str(exc))
+    schedule.check_census_budget(sched, (stage,), budget)
+    _check_printable_total(sched, stage)
+    buckets = schedule.segment_census(sched, stage, l0, budget=budget)
     _warn_underflow(sched, stage, l0)
     total = sum(count for _, count in buckets)
     if human:
@@ -258,20 +261,12 @@ def validate(expression: str, stage: int, scales: int, min_scale: float | None,
     """Cross-validate the theoretical dimension against empirical box counting."""
     from . import boxcount, geometry
     sched = _load_schedule(expression)
-    try:
-        alpha = moran.dimension(sched.spectrum()).alpha
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    alpha = moran.dimension(sched.spectrum()).alpha
     budget = _segment_budget()
-    try:
-        segments = geometry.iterate(sched, stage, L0=l0, budget=budget)
-        report = boxcount.estimate_dimension(
-            segments, scales, min_scale, theoretical=alpha, budget=budget
-        )
-    except SegmentBudgetExceeded as exc:
-        _fail(EXIT_BUDGET, str(exc))
-    except (GeometryOutOfRange, ScaleLadderInvalid, DegenerateGeometry) as exc:
-        _fail(EXIT_USAGE, str(exc))
+    segments = geometry.iterate(sched, stage, L0=l0, budget=budget)
+    report = boxcount.estimate_dimension(
+        segments, scales, min_scale, theoretical=alpha, budget=budget
+    )
     within = abs(report.slope - alpha) <= tolerance
     payload = {
         **report.to_json_dict(),
@@ -290,12 +285,7 @@ def stats(expression: str, stage: int, human: bool):
     """Incomplete-statistics report: normalization and factorization checks."""
     from . import incstats
     sched = _load_schedule(expression)
-    try:
-        payload = incstats.stats_report(sched, stage, budget=_segment_budget())
-    except SegmentBudgetExceeded as exc:
-        _fail(EXIT_BUDGET, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    payload = incstats.stats_report(sched, stage, budget=_segment_budget())
     _warn_underflow(sched, stage)
     _emit(payload, human)
 
@@ -346,10 +336,7 @@ def limit(base: str, target: str, n_value: int, human: bool):
             raise ValueError
     except (ValueError, ZeroDivisionError):
         _fail(EXIT_USAGE, f"target must be a positive rational like 3/2, got {target!r}")
-    try:
-        alpha = moran.rational_limit_dimension(fractal, a1, a2, n_value)
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
+    alpha = moran.rational_limit_dimension(fractal, a1, a2, n_value)
     payload = {
         "alpha": alpha,
         "target": f"{a1}/{a2}",

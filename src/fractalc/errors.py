@@ -27,6 +27,11 @@ class ScheduleSemanticError(FractalcError):
     """Expression parses but denotes an invalid schedule (bad ratio, angle, ...)."""
 
 
+class InputOutOfRange(FractalcError, ValueError):
+    """An input number out of range where it is used (a ratio that reads 0.0 or
+    1.0 as a float, a repeat beyond the float range, ...); also a ValueError."""
+
+
 class InvalidAngle(FractalcError):
     """Generator angle outside the range the construction supports."""
 

@@ -6,7 +6,7 @@ the generalized Moran-product root from `solve_moran`. Also the dimension
 bounds and the rational-dimension limit construction. The Moran product is
 evaluated only through its logarithm (`ScaleSpectrum.log_moran`), so huge
 repeat counts do not overflow; one past the float range, which log_moran
-cannot multiply by, is a ValueError.
+cannot multiply by, is an InputOutOfRange (a ValueError).
 
 Everything here is a pure function over immutable values; all arithmetic is
 double precision on logarithms.
@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+from .errors import InputOutOfRange
 
 MAX_BISECT_ITER = 200
 
@@ -178,7 +180,7 @@ def dimension(spectrum: ScaleSpectrum) -> DimensionReport:
     component has equal ratios; "binary-analytic" for a [r1, r1^2 rho]
     component beside a uniform (N, rho) one, each with repeat 1; otherwise
     `solve_moran` ("moran-numeric"). Every method reports a certified bracket.
-    Raises ValueError when a reduced repeat is beyond the float range.
+    Raises InputOutOfRange when a reduced repeat is beyond the float range.
     """
     gcd = math.gcd(*(n for _, n in spectrum.components))
     if gcd > 1:
@@ -202,13 +204,13 @@ def dimension(spectrum: ScaleSpectrum) -> DimensionReport:
 
 
 def _check_repeats(s: ScaleSpectrum) -> None:
-    """Raise ValueError for a repeat count beyond the float range, which
+    """Raise InputOutOfRange for a repeat count beyond the float range, which
     `log_moran` cannot multiply by."""
     try:
         for _, n in s.components:
             float(n)
     except OverflowError:
-        raise ValueError("a repeat count is beyond the float range") from None
+        raise InputOutOfRange("a repeat count is beyond the float range") from None
 
 
 def _report(s: ScaleSpectrum, method: str, lo: float, hi: float, iters: int) -> DimensionReport:
@@ -285,13 +287,13 @@ def rational_limit_dimension(base: UniformFractal, a1: int, a2: int, n: int) -> 
     As n grows the value tends to a1/a2, so any rational dimension can be
     approached from any starting fractal. Computed with logarithms directly
     (a1 * ln n), never by materializing n^a1, and ln(1/rho) as -ln rho, since
-    1/rho overflows for rho below about 5.6e-309. Raises ValueError when
-    a1 * ln n or a2 * ln n is beyond the float range.
+    1/rho overflows for rho below about 5.6e-309. Raises InputOutOfRange when
+    n < 2 or a1 * ln n or a2 * ln n is beyond the float range.
     """
     if a1 < 1 or a2 < 1:
         raise ValueError("a1 and a2 must be positive integers")
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InputOutOfRange("n must be >= 2")
     log_n = math.log(n)
     try:
         num = math.log(base.copies) + a1 * log_n
@@ -299,5 +301,5 @@ def rational_limit_dimension(base: UniformFractal, a1: int, a2: int, n: int) -> 
     except OverflowError:
         num = den = math.inf
     if not math.isfinite(num + den):
-        raise ValueError("a1 * ln n or a2 * ln n is beyond the float range")
+        raise InputOutOfRange("a1 * ln n or a2 * ln n is beyond the float range")
     return num / den

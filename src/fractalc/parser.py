@@ -12,6 +12,9 @@ recursive descent, single token of lookahead):
     ratio     := INT "/" INT | DECIMAL
     angle     := [ "-" ] ( "pi" [ "/" INT ] | DECIMAL | INT )
 
+INT and DECIMAL are ASCII digits, DECIMAL with a "." and at least one digit
+after it; `pi/k` with k beyond the float range reads 0.0.
+
 Whitespace between tokens is insignificant. Ratios written as fractions are
 kept exact (`fractions.Fraction`); decimals stay floats, and `format` emits
 whichever form was parsed. The older subscript notation C_{[1/3 1/3]} puts
@@ -21,8 +24,10 @@ spaces between ratios; this grammar standardizes on commas.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ScheduleSemanticError, ScheduleSyntaxError
 
@@ -38,7 +43,7 @@ class Angle:
 
     def __str__(self) -> str:
         if self.pi_k is not None:
-            sign = "-" if self.value < 0 else ""
+            sign = "-" if math.copysign(1.0, self.value) < 0 else ""  # -0.0 from -pi/huge
             return f"{sign}pi" if self.pi_k == 1 else f"{sign}pi/{self.pi_k}"
         return repr(self.value)
 
@@ -103,59 +108,39 @@ def format(e: ScheduleExpr) -> str:
 
 # --- tokenizer -------------------------------------------------------------
 
-_PUNCT = set("[](),;^/-")
 
-
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME, INT, DECIMAL, one of the punct chars, EOF
     text: str
     pos: int  # character offset
 
 
+# Optional whitespace (\s is exactly str.isspace), then one token. Digits and
+# letters are ASCII. A punct token, the unnamed group, is its own kind; a
+# number ending in "." is malformed, any other character unexpected.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<DECIMAL>[0-9]*\.[0-9]+)|(?P<malformed>[0-9]*\.)|(?P<INT>[0-9]+)"
+    r"|(?P<NAME>[A-Za-z]+)|([][(),;^/-])|(?P<EOF>\Z)|(?P<unexpected>.))",
+    re.DOTALL,
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        if c.isascii() and c.isalpha():
-            j = i
-            while j < n and text[j].isascii() and text[j].isalpha():
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], i))
-            i = j
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                start_frac = j
-                while j < n and text[j].isdigit():
-                    j += 1
-                if start_frac == j or j == i + 1:  # "1." or lone "."
-                    raise ScheduleSyntaxError(
-                        "malformed number", _byte_offset(text, i), frozenset({"digit"})
-                    )
-                tokens.append(_Token("DECIMAL", text[i:j], i))
-            else:
-                tokens.append(_Token("INT", text[i:j], i))
-            i = j
-            continue
-        raise ScheduleSyntaxError(
-            f"unexpected character {c!r}", _byte_offset(text, i), frozenset()
-        )
-    tokens.append(_Token("EOF", "", n))
-    return tokens
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        kind, token, pos = match.lastgroup, match[group], match.start(group)
+        if kind == "malformed":
+            raise ScheduleSyntaxError(
+                "malformed number", _byte_offset(text, pos), frozenset({"digit"})
+            )
+        if kind == "unexpected":
+            raise ScheduleSyntaxError(
+                f"unexpected character {token!r}", _byte_offset(text, pos), frozenset()
+            )
+        tokens.append(_Token(kind or token, token, pos))
+        if kind == "EOF":  # finditer would match \Z again after trailing whitespace
+            return tokens
 
 
 def _byte_offset(text: str, char_pos: int) -> int:
@@ -195,6 +180,14 @@ class _Parser:
     def semantic(self, message: str) -> None:
         raise ScheduleSemanticError(message)
 
+    def integer(self) -> int:
+        """Consume an INT token and return its value."""
+        text = self.expect("INT").text
+        try:
+            return int(text)
+        except ValueError as exc:  # over Python's int-string digit limit
+            self.semantic(str(exc))
+
     def parse_schedule(self) -> ScheduleExpr:
         items = [self.parse_item()]
         while self.tok.kind != "EOF":
@@ -228,7 +221,7 @@ class _Parser:
         repeat = 1
         if self.tok.kind == "^":
             self.advance()
-            repeat = int(self.expect("INT").text)
+            repeat = self.integer()
             if repeat < 1:
                 self.semantic("repeat count must be >= 1")
         end = self.tokens[self.i - 1].pos + len(self.tokens[self.i - 1].text)
@@ -252,10 +245,10 @@ class _Parser:
         if self.tok.kind == "DECIMAL":
             value: Ratio = float(self.advance().text)
         elif self.tok.kind == "INT":
-            num = int(self.advance().text)
+            num = self.integer()
             if self.tok.kind == "/":
                 self.advance()
-                den = int(self.expect("INT").text)
+                den = self.integer()
                 if den == 0:
                     self.semantic("ratio denominator must be nonzero")
                 value = Fraction(num, den)
@@ -277,10 +270,14 @@ class _Parser:
             k = 1
             if self.tok.kind == "/":
                 self.advance()
-                k = int(self.expect("INT").text)
+                k = self.integer()
                 if k < 1:
                     self.semantic("angle denominator must be >= 1")
-            angle = Angle(value=sign * math.pi / k, pi_k=k)
+            try:
+                value = math.pi / k
+            except OverflowError:  # k beyond the float range
+                value = 0.0
+            angle = Angle(value=sign * value, pi_k=k)
         elif self.tok.kind in ("DECIMAL", "INT"):
             angle = Angle(value=sign * float(self.advance().text))
         else:
@@ -293,8 +290,9 @@ class _Parser:
 def parse(text: str) -> ScheduleExpr:
     """Parse a schedule expression (one period of the composition).
 
-    Raises ScheduleSyntaxError with a byte offset and the accepted-token set,
-    or ScheduleSemanticError for well-formed text denoting an invalid
-    schedule (scale factor outside (0,1), angle at or beyond +/-pi, ...).
+    Raises only ScheduleSyntaxError, with a byte offset and the accepted-token
+    set, or ScheduleSemanticError for well-formed text denoting an invalid
+    schedule (scale factor outside (0,1), angle at or beyond +/-pi, an
+    integer past Python's int-string digit limit, ...).
     """
     return _Parser(text).parse_schedule()

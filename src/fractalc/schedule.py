@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
+    InputOutOfRange,
     InvalidAngle,
     RatiosExceedUnit,
     ScheduleSemanticError,
@@ -126,8 +127,8 @@ def _cantor_generator(ratios: Sequence[float]) -> Generator:
     if not kept:
         raise ScheduleSemanticError("Cantor generator needs at least one ratio")
     for r in kept:
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"scale factor {r!r} outside (0, 1)")
+        if not 0.0 < r < 1.0:  # a fraction that rounds to 0.0 or 1.0
+            raise InputOutOfRange(f"scale factor {r!r} outside (0, 1)")
     total = math.fsum(kept)
     if total > 1.0:
         raise RatiosExceedUnit(
@@ -148,7 +149,7 @@ def _custom_generator(pieces: Iterable[tuple[float, float, bool]]) -> Generator:
         raise ScheduleSemanticError("custom generator keeps no pieces")
     for p in built:
         if not 0.0 < p.ratio < 1.0:
-            raise ValueError(f"scale factor {p.ratio!r} outside (0, 1)")
+            raise InputOutOfRange(f"scale factor {p.ratio!r} outside (0, 1)")
     # Connected means the nominal chain is gap-free and closes on (1, 0).
     x = y = 0.0
     for p in built:

@@ -88,6 +88,17 @@ def test_dim_human_mode(runner):
     assert "1.26186" in result.output
 
 
+@pytest.mark.parametrize(
+    "expression,check",
+    [("C[1/2,1/12] K[pi/3]", "numeric 0.878757, difference 0"),  # binary-analytic
+     ("C[1/2,1/3] K[pi/3]", "numeric 1.05395")],  # no closed form, no difference
+)
+def test_dim_check_human_mode(runner, expression, check):
+    result = runner.invoke(main, ["dim", expression, "--check", "--human"])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[-1] == f"{'check':<24} {check}"
+
+
 def test_dim_deterministic(runner):
     first = runner.invoke(main, ["dim", "C[1/2,1/3] K[pi/3]"]).output
     second = runner.invoke(main, ["dim", "C[1/2,1/3] K[pi/3]"]).output
@@ -290,22 +301,29 @@ _BIG = "9" * 400
 def test_integers_beyond_the_float_range_answer_or_exit_at_once(runner, tmp_path):
     # each ended in OverflowError, ran on for minutes, or (render) exited 4, before
     out = tmp_path / "one.svg"
+    unreduced = f"C[1/2,1/3]^{_BIG} C[1/2,1/4]"
+    repeat_error = "a repeat count is beyond the float range"
     cases = [
-        (["render", f"C[1/2,1/3]^{_BIG} C[1/2,1/4]", "--stage", "0", "-o", str(out)], 0),
-        (["dim", f"C[1/2,1/3]^{_BIG} C[1/2,1/4]"], 2),
-        (["dim", f"C[1/2,1/3]^{_BIG}", "--check"], 2),
-        (["census", "C[1/2]", "--stage", _BIG], 0),
-        (["stats", "C[1/2]", "--stage", _BIG], 4),
+        (["render", unreduced, "--stage", "0", "-o", str(out)], 0, None),
+        (["dim", unreduced], 2, repeat_error),
+        (["dim", f"C[1/2,1/3]^{_BIG}", "--check"], 2, repeat_error),
+        (["validate", unreduced], 2, repeat_error),
+        (["stats", unreduced, "--stage", "0"], 2, repeat_error),
+        # past stage 0 the census budget check of stats comes first
+        (["stats", unreduced], 4,
+         "census would enumerate about 10^401.301 buckets or more, over the budget of 10000000"),
+        (["census", "C[1/2]", "--stage", _BIG], 0, None),
+        (["stats", "C[1/2]", "--stage", _BIG], 4,
+         "census would enumerate 10000001 buckets or more, over the budget of 10000000"),
     ]
-    for args, code in cases:
+    for args, code, message in cases:
         start = time.perf_counter()
         result = runner.invoke(main, args)
         assert time.perf_counter() - start < 1.0, args
         assert result.exit_code == code, (args, result.output)
         if code:
             assert result.stdout == ""
-            lines = result.stderr.strip().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), args
+            assert result.stderr == f"error: {message}\n", args
     # stage 0 is the initiator alone, however large the repeats
     assert out.read_bytes().count(b"<polyline") == 1
     # the length 2^-N underflows, as the warning says; the count stays exact
@@ -648,6 +666,54 @@ def test_usage_error_exit_code(runner):
     assert runner.invoke(main, ["nonsense"]).exit_code == 2
 
 
+# --- one boundary maps library errors to exits; any other exception is a bug -----
+
+@pytest.mark.parametrize(
+    "expression,message",
+    [(f"C[1/{_BIG}]", "invalid schedule: scale factor 0.0 outside (0, 1)"),
+     (f"G[(1/{_BIG},0,draw)]", "invalid schedule: scale factor 0.0 outside (0, 1)"),
+     (f"K[pi/{_BIG}]", "invalid schedule: Koch angle must lie in (0, pi/2), got 0.0"),
+     ("G[(1/2,0,pen)]",
+      "cannot parse expression: expected a pen state 'pen' at byte 9 (expected draw, gap)"),
+     ("C[1/0]", "cannot parse expression: ratio denominator must be nonzero"),
+     ("C[1/²]", "cannot parse expression: unexpected character '²' at byte 4")],
+    ids=lambda text: text if len(text) < 30 else text[:12] + "...",
+)
+def test_rejected_expressions_exit_2_with_one_error_line(runner, tmp_path, monkeypatch,
+                                                        expression, message):
+    monkeypatch.chdir(tmp_path)
+    for command, *options in (["dim"], ["census"], ["stats"], ["validate"],
+                              ["render", "-o", "out.svg"]):
+        result = runner.invoke(main, [command, expression, *options])
+        assert result.exit_code == 2, (command, result.output, result.exception)
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+
+
+def _raiser(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    return raise_it
+
+
+def test_the_boundary_lets_other_exceptions_through(runner, monkeypatch):
+    # a ValueError from the library is a bug, not "invalid schedule: boom"
+    bug = ValueError("boom")
+    monkeypatch.setattr(fc.schedule, "schedule_from_text", _raiser(bug))
+    result = runner.invoke(main, ["dim", "K[pi/3]"])
+    assert result.exception is bug
+    assert result.exit_code == 1 and result.stderr == ""
+
+
+def test_render_reports_only_its_writes_as_unwritable(runner, tmp_path, monkeypatch):
+    bug = OSError("disk on fire")
+    monkeypatch.setattr(fc.geometry, "iterate", _raiser(bug))
+    result = runner.invoke(main, ["render", "K[pi/3]", "-o", str(tmp_path / "k.svg")])
+    assert result.exception is bug
+    assert "cannot write output" not in result.stderr
+
+
 # --- each command loads only the modules it runs ----------------------------------
 
 _SRC = str(Path(fc.__file__).resolve().parent.parent)
@@ -743,6 +809,9 @@ _EDGE_EXPRESSIONS = [
     "C[0.999999999]",
     "K[0.000001]",
     "G[(0.999,0,draw);(0.001,3.14,draw)]",
+    f"K[pi/{_BIG}]",
+    f"G[(1/2,pi/{_BIG},draw);(1/2,0,draw)]",
+    "C[1/²]",
 ]
 
 _LIMIT_EDGES = [

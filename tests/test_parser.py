@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -200,3 +201,58 @@ def test_error_offsets_point_into_input():
             assert 0 <= err.offset <= len(text.encode("utf-8"))
         except ScheduleSemanticError:
             pass
+
+
+# --- the parse contract: only the two documented errors ------------------------------
+
+_NINES = "9" * 400
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["C[1/²]", "C[¹/3]", "K[pi/²]", "C[1/2]^²", "C[0.5²]", "K[¹]", "C[1/2]^" + "9" * 5000,
+     f"K[pi/{_NINES}]", f"G[(1/2,pi/{_NINES},draw);(1/2,0,draw)]"],
+    ids=lambda text: text if len(text) < 40 else text[:16] + "...",
+)
+def test_parse_raises_only_the_documented_errors(text):
+    # superscript digits leaked a ValueError, and pi/k past the float range an
+    # OverflowError
+    try:
+        fc.parse(text)
+    except (ScheduleSyntaxError, ScheduleSemanticError):
+        pass
+
+
+@pytest.mark.parametrize("text", ["C[1/²]", "C[¹/3]", "C[0.5²]", "C[1/٣]", "C[１/2]", "K[pi/3]^²"])
+def test_non_ascii_digits_are_unexpected_characters(text):
+    digit = next(c for c in text if c.isdigit() and not c.isascii())
+    with pytest.raises(ScheduleSyntaxError) as err:
+        fc.parse(text)
+    assert str(err.value).startswith(f"unexpected character {digit!r}")
+    assert err.value.offset == len(text[: text.index(digit)].encode("utf-8"))
+
+
+def test_integer_past_the_digit_limit_is_a_semantic_error():
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("this Python converts integer literals of any length")
+    with pytest.raises(ScheduleSemanticError, match="limit"):
+        fc.parse("C[1/2]^" + "9" * (sys.get_int_max_str_digits() + 1))
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_pi_over_a_denominator_past_the_float_range_reads_zero(sign):
+    angle = fc.parse(f"G[(1/2,{sign}pi/{_NINES},draw);(1/2,0,draw)]").items[0].pieces[0].angle
+    assert angle.value == 0.0 and math.copysign(1.0, angle.value) == float(f"{sign}1")
+    assert angle.pi_k == int(_NINES)
+    assert fc.format(fc.parse(f"K[{sign}pi/{_NINES}]")) == f"K[{sign}pi/{_NINES}]"
+
+
+def test_whitespace_is_what_str_isspace_accepts():
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    for space in spaces:
+        assert fc.parse(f"{space}C[1/3,{space}1/3]{space}K[pi/3]{space}") == fc.parse(
+            "C[1/3,1/3] K[pi/3]"
+        )
+    for other in ("​", "﻿", "_"):  # a zero-width space and a BOM are not spaces
+        with pytest.raises(ScheduleSyntaxError):
+            fc.parse(f"C[1/3]{other}K[pi/3]")
