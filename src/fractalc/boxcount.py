@@ -32,7 +32,6 @@ this module does not load it (enforced by a test in `tests/test_cli.py`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -41,6 +40,7 @@ from .errors import (
     ScaleLadderInvalid,
     SegmentBudgetExceeded,
 )
+from .frozen import Frozen
 from .geometry import SegmentSet, expand_ranges
 from .schedule import DEFAULT_SEGMENT_BUDGET
 
@@ -52,8 +52,7 @@ _KEY_LIMIT = 2**63 - 1  # the largest int64
 _CELL_BATCH = 1 << 14  # grid cells walked per batch of segments: bounds peak memory
 
 
-@dataclass(frozen=True)
-class BoxCountReport:
+class BoxCountReport(Frozen):
     """Scale ladder, occupied-box counts, fitted dimension, and fit quality.
 
     The slope is fitted by ordinary least squares on (ln 1/eps, ln N); when
@@ -62,11 +61,11 @@ class BoxCountReport:
     signal). All scales and counts are still reported.
     """
 
-    scales: tuple[float, ...]
-    counts: tuple[int, ...]
-    slope: float
-    r_squared: float
-    theoretical: float | None = None
+    __slots__ = _fields = ("scales", "counts", "slope", "r_squared", "theoretical")
+
+    def __init__(self, scales: tuple[float, ...], counts: tuple[int, ...], slope: float,
+                 r_squared: float, theoretical: float | None = None):
+        super().__init__(scales, counts, slope, r_squared, theoretical)
 
     def to_json_dict(self) -> dict:
         return {

@@ -5,21 +5,22 @@ key/value tables with 6 significant digits. Exit codes: 0 ok, 2 usage or bad
 expression, 4 segment budget exceeded; the Moran solver cannot fail. The
 environment variable FRACTALC_SEGMENT_BUDGET overrides the default segment cap.
 
-Library errors map to exit codes in one place, `_Main.invoke`:
-SegmentBudgetExceeded exits 4, any other FractalcError 2, each with one
-`error:` line. Any other exception is a bug and ends in a traceback.
+The front end is the standard library's argparse, so that a process starts
+with no more imports than its command runs. Library errors map to exit codes
+in one place, `main`: SegmentBudgetExceeded exits 4, any other FractalcError
+2, each with one `error:` line. Any other exception is a bug and ends in a
+traceback.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
-
-import click
 
 from . import moran, schedule
 from .errors import (
@@ -47,7 +48,7 @@ _TARGET_EXPONENT = re.compile(r"[eE]([-+]?)([\d_]+)\s*\Z")
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -73,21 +74,36 @@ def _segment_budget() -> int:
     return budget
 
 
-def _initiator_length(ctx, param, value: float) -> float:
-    if not (math.isfinite(value) and value > 0.0):
-        raise click.BadParameter(f"must be a finite number > 0, got {value!r}")
-    return value
+def _checked(convert, accept, requirement: str):
+    """An argparse type: `convert` the text, and refuse a value `accept` rejects."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _tolerance(ctx, param, value: float) -> float:
-    if not (math.isfinite(value) and value >= 0.0):
-        raise click.BadParameter(f"must be a finite number >= 0, got {value!r}")
-    return value
+_stage = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_initiator_length = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
+
+
+def _file_path(text: str) -> str:
+    """An output file: refused when it names an existing directory."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
 
 
 def _warn_underflow(sched: schedule.CompositionSchedule, stage: int, l0: float = 1.0) -> None:
     if schedule.census_log_floor(sched, stage, l0) < _LOG_TINIEST:
-        click.echo(_UNDERFLOW_WARNING.format(stage), err=True)
+        print(_UNDERFLOW_WARNING.format(stage), file=sys.stderr)
 
 
 def _check_printable_total(sched: schedule.CompositionSchedule, stage: int) -> None:
@@ -107,7 +123,7 @@ def _check_printable_total(sched: schedule.CompositionSchedule, stage: int) -> N
 
 def _emit(payload: dict, human: bool) -> None:
     if not human:
-        click.echo(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
         return
     for key, value in payload.items():
         if isinstance(value, float):
@@ -116,33 +132,9 @@ def _emit(payload: dict, human: bool) -> None:
             text = ", ".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in value)
         else:
             text = str(value)
-        click.echo(f"{key:<24} {text}")
+        print(f"{key:<24} {text}")
 
 
-class _Main(click.Group):
-    """The one boundary from library errors to exit codes."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except SegmentBudgetExceeded as exc:
-            _fail(EXIT_BUDGET, str(exc))
-        except FractalcError as exc:
-            _fail(EXIT_USAGE, str(exc))
-
-
-@click.group(cls=_Main)
-def main():
-    """Composite fractal dimensions from composition-schedule expressions."""
-
-
-@main.command()
-@click.argument("expression")
-@click.option("--human", is_flag=True, help="Table output instead of JSON.")
-@click.option("--check", is_flag=True, help="Cross-validate closed form against the numeric solver.")
-@click.option(
-    "--closed-form-only", is_flag=True, help="Fail unless a closed form applies."
-)
 def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
     """Composite dimension of EXPRESSION (analytic where possible)."""
     sched = _load_schedule(expression)
@@ -177,17 +169,6 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
     _emit(payload, human)
 
 
-@main.command()
-@click.argument("expression")
-@click.option("--stage", "-k", default=3, show_default=True, type=click.IntRange(min=0),
-              help="Full periods to apply.")
-@click.option("--output", "-o", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
-              help="Also dump segments as x1,y1,x2,y2 lines.")
-@click.option("--l0", default=1.0, show_default=True, callback=_initiator_length,
-              help="Initiator length.")
-@click.option("--warn-overlap/--no-warn-overlap", default=True,
-              help="Check for self-intersection and print the upper-bound caveat.")
 def render(expression: str, stage: int, out_path: str, csv_path: str | None,
            l0: float, warn_overlap: bool):
     """Materialize EXPRESSION at a stage and write an SVG."""
@@ -206,7 +187,7 @@ def render(expression: str, stage: int, out_path: str, csv_path: str | None,
     if warn_overlap:
         overlapping = geometry.detect_overlap(segments)
         if overlapping:
-            click.echo(_OVERLAP_CAVEAT, err=True)
+            print(_OVERLAP_CAVEAT, file=sys.stderr)
     payload = {
         "svg": out_path,
         "stage": stage,
@@ -219,11 +200,6 @@ def render(expression: str, stage: int, out_path: str, csv_path: str | None,
     _emit(payload, human=False)
 
 
-@main.command()
-@click.argument("expression")
-@click.option("--stage", "-k", default=3, show_default=True, type=click.IntRange(min=0))
-@click.option("--l0", default=1.0, show_default=True, callback=_initiator_length)
-@click.option("--human", is_flag=True)
 def census(expression: str, stage: int, l0: float, human: bool):
     """Exact (length, count) table at a stage, via multinomial expansion."""
     sched = _load_schedule(expression)
@@ -234,28 +210,19 @@ def census(expression: str, stage: int, l0: float, human: bool):
     _warn_underflow(sched, stage, l0)
     total = sum(count for _, count in buckets)
     if human:
-        click.echo(f"{'length':>24} {'count':>16}")
+        print(f"{'length':>24} {'count':>16}")
         for value, count in buckets:
-            click.echo(f"{value:>24.12g} {count:>16}")
-        click.echo(f"total {total}")
+            print(f"{value:>24.12g} {count:>16}")
+        print(f"total {total}")
         return
     payload = {
         "stage": stage,
         "total_count": total,
         "buckets": [{"length": value, "count": count} for value, count in buckets],
     }
-    click.echo(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))
 
 
-@main.command()
-@click.argument("expression")
-@click.option("--stage", "-k", default=8, show_default=True, type=click.IntRange(min=0))
-@click.option("--scales", default=10, show_default=True, help="Max rungs of the dyadic ladder.")
-@click.option("--min-scale", default=None, type=float,
-              help="Finest box size (default: smallest segment length).")
-@click.option("--tolerance", default=0.05, show_default=True, callback=_tolerance)
-@click.option("--l0", default=1.0, show_default=True, callback=_initiator_length)
-@click.option("--human", is_flag=True)
 def validate(expression: str, stage: int, scales: int, min_scale: float | None,
              tolerance: float, l0: float, human: bool):
     """Cross-validate the theoretical dimension against empirical box counting."""
@@ -277,10 +244,6 @@ def validate(expression: str, stage: int, scales: int, min_scale: float | None,
     _emit(payload, human)
 
 
-@main.command()
-@click.argument("expression")
-@click.option("--stage", "-k", default=4, show_default=True, type=click.IntRange(min=0))
-@click.option("--human", is_flag=True)
 def stats(expression: str, stage: int, human: bool):
     """Incomplete-statistics report: normalization and factorization checks."""
     from . import incstats
@@ -314,12 +277,6 @@ def _target_ratio(target: str) -> tuple[int, int]:
     return frac.numerator, frac.denominator
 
 
-@main.command()
-@click.option("--base", required=True, help="Single uniform-generator expression.")
-@click.option("--target", required=True, help="Rational target dimension a1/a2.")
-@click.option("--n", "n_value", required=True, type=int,
-              help="Copies n^a1 at scale n^-a2 for the auxiliary fractal.")
-@click.option("--human", is_flag=True)
 def limit(base: str, target: str, n_value: int, human: bool):
     """Compose BASE toward a rational dimension with an (n^a1, n^-a2) fractal."""
     sched = _load_schedule(base)
@@ -347,5 +304,102 @@ def limit(base: str, target: str, n_value: int, human: bool):
     _emit(payload, human)
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that refuses abbreviated options, has `--help` but no
+    `-h`, and reads an argument starting with "-" and a digit (`--target
+    -3/2`, `--l0 -1e5`) as a value, which the option's own check then refuses
+    with its own message; by default argparse reads only plain negative
+    numbers so. No option name starts with a digit."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="fractalc",
+        description="Composite fractal dimensions from composition-schedule expressions.",
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run):
+        sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    human = {"action": "store_true", "help": "Table output instead of JSON."}
+    l0 = {"type": _initiator_length, "default": 1.0,
+          "help": "Initiator length. (default: %(default)s)"}
+
+    sub = command(dim)
+    sub.add_argument("expression", metavar="EXPRESSION")
+    sub.add_argument("--human", **human)
+    sub.add_argument("--check", action="store_true",
+                     help="Cross-validate closed form against the numeric solver.")
+    sub.add_argument("--closed-form-only", action="store_true",
+                     help="Fail unless a closed form applies.")
+
+    sub = command(render)
+    sub.add_argument("expression", metavar="EXPRESSION")
+    sub.add_argument("--stage", "-k", type=_stage, default=3,
+                     help="Full periods to apply. (default: %(default)s)")
+    sub.add_argument("--output", "-o", dest="out_path", metavar="PATH", required=True,
+                     type=_file_path)
+    sub.add_argument("--csv", dest="csv_path", metavar="PATH", type=_file_path,
+                     help="Also dump segments as x1,y1,x2,y2 lines.")
+    sub.add_argument("--l0", **l0)
+    sub.add_argument("--warn-overlap", action=argparse.BooleanOptionalAction, default=True,
+                     help="Check for self-intersection and print the upper-bound caveat.")
+
+    sub = command(census)
+    sub.add_argument("expression", metavar="EXPRESSION")
+    sub.add_argument("--stage", "-k", type=_stage, default=3, help="default: %(default)s")
+    sub.add_argument("--l0", **l0)
+    sub.add_argument("--human", **human)
+
+    sub = command(validate)
+    sub.add_argument("expression", metavar="EXPRESSION")
+    sub.add_argument("--stage", "-k", type=_stage, default=8, help="default: %(default)s")
+    sub.add_argument("--scales", type=int, default=10,
+                     help="Max rungs of the dyadic ladder. (default: %(default)s)")
+    sub.add_argument("--min-scale", type=float,
+                     help="Finest box size (default: smallest segment length).")
+    sub.add_argument("--tolerance", type=_tolerance, default=0.05, help="default: %(default)s")
+    sub.add_argument("--l0", **l0)
+    sub.add_argument("--human", **human)
+
+    sub = command(stats)
+    sub.add_argument("expression", metavar="EXPRESSION")
+    sub.add_argument("--stage", "-k", type=_stage, default=4, help="default: %(default)s")
+    sub.add_argument("--human", **human)
+
+    sub = command(limit)
+    sub.add_argument("--base", required=True, help="Single uniform-generator expression.")
+    sub.add_argument("--target", required=True, help="Rational target dimension a1/a2.")
+    sub.add_argument("--n", dest="n_value", required=True, type=int,
+                     help="Copies n^a1 at scale n^-a2 for the auxiliary fractal.")
+    sub.add_argument("--human", **human)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command in `argv` (default: sys.argv[1:]); 0 when it succeeds.
+
+    Any other exit is a SystemExit: 2 for a usage error, with argparse's
+    usage lines, and the one boundary from library errors to exit codes.
+    """
+    args = vars(_parser().parse_args(argv))
+    run = args.pop("run")
+    try:
+        run(**args)
+    except SegmentBudgetExceeded as exc:
+        _fail(EXIT_BUDGET, str(exc))
+    except FractalcError as exc:
+        _fail(EXIT_USAGE, str(exc))
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

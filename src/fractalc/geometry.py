@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import GeometryOutOfRange, SegmentBudgetExceeded
+from .frozen import Frozen
 from .schedule import DEFAULT_SEGMENT_BUDGET, _check_initiator
 
 # bench/jobs.py calls these three through `geometry.`
@@ -37,8 +37,7 @@ RENDER_SEGMENT_LIMIT = 1_000_000
 _PAIR_CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
-class SegmentSet:
+class SegmentSet(Frozen):
     """Stage-k geometry: oriented segments as an (n, 4) array of x1,y1,x2,y2.
 
     `iterate` also carries each segment's length as a running product of the
@@ -47,15 +46,19 @@ class SegmentSet:
     accurate at any depth (they are what the census predicts).
     """
 
-    coords: np.ndarray
-    stage: int
-    initiator_length: float
-    piece_lengths: np.ndarray | None = None
+    __slots__ = _fields = ("coords", "stage", "initiator_length", "piece_lengths")
 
-    def __post_init__(self):
-        self.coords.flags.writeable = False
-        if self.piece_lengths is not None:
-            self.piece_lengths.flags.writeable = False
+    def __init__(
+        self,
+        coords: np.ndarray,
+        stage: int,
+        initiator_length: float,
+        piece_lengths: np.ndarray | None = None,
+    ):
+        coords.flags.writeable = False
+        if piece_lengths is not None:
+            piece_lengths.flags.writeable = False
+        super().__init__(coords, stage, initiator_length, piece_lengths)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -171,11 +174,14 @@ _CSV_POINT = b"%.12g,%.12g\n"
 _SVG_SEPS = b" \n\0"
 
 
-@dataclass(frozen=True)
-class SvgStyle:
-    stroke: str = "black"
-    stroke_width: float = 1.0
-    background: str = "white"
+class SvgStyle(Frozen):
+    """Stroke colour and width of the polylines, and the background fill."""
+
+    __slots__ = _fields = ("stroke", "stroke_width", "background")
+
+    def __init__(self, stroke: str = "black", stroke_width: float = 1.0,
+                 background: str = "white"):
+        super().__init__(stroke, stroke_width, background)
 
 
 @functools.cache

@@ -21,9 +21,9 @@ unit initiator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .frozen import Frozen
 from .moran import dimension
 from .schedule import (
     DEFAULT_SEGMENT_BUDGET, CompositionSchedule, census_product, check_census_budget,
@@ -33,14 +33,14 @@ from .schedule import (
 _VALUE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class IncompleteDistribution:
+class IncompleteDistribution(Frozen):
     """Stage-k segment probabilities (unique values with multiplicities)."""
 
-    probabilities: tuple[float, ...]
-    multiplicities: tuple[int, ...]
-    alpha: float
-    stage: int
+    __slots__ = _fields = ("probabilities", "multiplicities", "alpha", "stage")
+
+    def __init__(self, probabilities: tuple[float, ...], multiplicities: tuple[int, ...],
+                 alpha: float, stage: int):
+        super().__init__(probabilities, multiplicities, alpha, stage)
 
     @property
     def total_count(self) -> int:
@@ -75,15 +75,17 @@ def distribution(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> Inco
     return IncompleteDistribution(probs, counts, alpha, k)
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(Frozen):
     """Outcome of the joint-probability factorization check."""
 
-    alpha: float
-    stage: int
-    factorization_ok: bool
-    max_value_error: float
-    normalization_residual: float
+    __slots__ = _fields = (
+        "alpha", "stage", "factorization_ok", "max_value_error", "normalization_residual"
+    )
+
+    def __init__(self, alpha: float, stage: int, factorization_ok: bool,
+                 max_value_error: float, normalization_residual: float):
+        super().__init__(alpha, stage, factorization_ok, max_value_error,
+                         normalization_residual)
 
 
 def multisets_match(

@@ -15,10 +15,10 @@ double precision on logarithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InputOutOfRange
+from .frozen import Frozen
 
 MAX_BISECT_ITER = 200
 
@@ -33,26 +33,24 @@ def _validated_ratios(ratios: Iterable[float]) -> tuple[float, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class UniformFractal:
+class UniformFractal(Frozen):
     """An IFS whose contractions share one scale factor: `copies` pieces at `ratio`."""
 
-    copies: int
-    ratio: float
+    __slots__ = _fields = ("copies", "ratio")
 
-    def __post_init__(self):
-        if not (isinstance(self.copies, int) and self.copies >= 1):
-            raise ValueError(f"copies must be a positive integer, got {self.copies!r}")
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError(f"ratio {self.ratio!r} outside (0, 1)")
+    def __init__(self, copies: int, ratio: float):
+        if not (isinstance(copies, int) and copies >= 1):
+            raise ValueError(f"copies must be a positive integer, got {copies!r}")
+        if not 0.0 < ratio < 1.0:
+            raise ValueError(f"ratio {ratio!r} outside (0, 1)")
+        super().__init__(copies, ratio)
 
     @property
     def dimension(self) -> float:
         return single_dimension(self)
 
 
-@dataclass(frozen=True)
-class ScaleSpectrum:
+class ScaleSpectrum(Frozen):
     """Canonical multiset of (scale factors, repeat count) per component.
 
     The spectrum is the sole input to the Moran solver: substage order carries
@@ -63,11 +61,10 @@ class ScaleSpectrum:
     bit-identical spectra.
     """
 
-    components: tuple[tuple[tuple[float, ...], int], ...]
+    # components: ((sorted ratios), n_i) pairs; _log_terms, derived from them:
     # per component (n_i, ln m_i, ln(r_ij / m_i) of the other ratios), m_i = max_j r_ij
-    _log_terms: tuple[tuple[int, float, tuple[float, ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    _fields = ("components",)
+    __slots__ = (*_fields, "_log_terms")
 
     def __init__(self, components: Iterable[tuple[Sequence[float], int]]):
         merged: dict[tuple[float, ...], int] = {}
@@ -79,7 +76,7 @@ class ScaleSpectrum:
         if not merged:
             raise ValueError("spectrum needs at least one component")
         canon = tuple(sorted((ratios, n) for ratios, n in merged.items()))
-        object.__setattr__(self, "components", canon)
+        super().__init__(canon)
         # sorted ratios end with the largest; ln r - ln m keeps what r / m loses near 1
         logs = [(n, [math.log(r) for r in ratios]) for ratios, n in canon]
         terms = tuple((n, lg[-1], tuple(x - lg[-1] for x in lg[:-1])) for n, lg in logs)
@@ -131,16 +128,21 @@ class ScaleSpectrum:
         return tuple(component_dimension(ratios) for ratios, _ in self.components)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(Frozen):
     """Solved composite dimension plus how it was obtained."""
 
-    alpha: float
-    method: str  # "closed-form" | "moran-numeric" | "binary-analytic"
-    residual: float  # Moran product minus 1, evaluated at alpha; inf past the float range
-    # holds the exact root: the sign of ln M is certified at both ends
-    bracket: tuple[float, float]
-    iterations: int
+    __slots__ = _fields = ("alpha", "method", "residual", "bracket", "iterations")
+
+    def __init__(
+        self,
+        alpha: float,
+        method: str,  # "closed-form" | "moran-numeric" | "binary-analytic"
+        residual: float,  # Moran product minus 1, evaluated at alpha; inf past the float range
+        # holds the exact root: the sign of ln M is certified at both ends
+        bracket: tuple[float, float],
+        iterations: int,
+    ):
+        super().__init__(alpha, method, residual, bracket, iterations)
 
 
 def single_dimension(f: UniformFractal) -> float:

@@ -25,21 +25,22 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ScheduleSemanticError, ScheduleSyntaxError
+from .frozen import Frozen
 
 Ratio = Fraction | float
 
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(Frozen):
     """An angle in radians, remembering whether it was written as +/-pi/k."""
 
-    value: float
-    pi_k: int | None = None
+    __slots__ = _fields = ("value", "pi_k")
+
+    def __init__(self, value: float, pi_k: int | None = None):
+        super().__init__(value, pi_k)
 
     def __str__(self) -> str:
         if self.pi_k is not None:
@@ -48,29 +49,35 @@ class Angle:
         return repr(self.value)
 
 
-@dataclass(frozen=True)
-class PieceExpr:
+class PieceExpr(Frozen):
     """One generator piece: scale factor, heading, pen up or down."""
 
-    ratio: Ratio
-    angle: Angle
-    draw: bool
+    __slots__ = _fields = ("ratio", "angle", "draw")
+
+    def __init__(self, ratio: Ratio, angle: Angle, draw: bool):
+        super().__init__(ratio, angle, draw)
 
     def __str__(self) -> str:
         pen = "draw" if self.draw else "gap"
         return f"({_format_ratio(self.ratio)},{self.angle},{pen})"
 
 
-@dataclass(frozen=True)
-class ScheduleItem:
+class ScheduleItem(Frozen):
     """One substage term: a generator primitive with a repeat count."""
 
-    kind: str  # "K" | "Q" | "C" | "G"
-    repeat: int = 1
-    angle: Angle | None = None
-    ratios: tuple[Ratio, ...] | None = None
-    pieces: tuple[PieceExpr, ...] | None = None
-    span: tuple[int, int] = field(default=(0, 0), compare=False)  # byte offsets
+    __slots__ = _fields = ("kind", "repeat", "angle", "ratios", "pieces", "span")
+    _compared = _fields[:-1]  # the span, byte offsets in the text, is not the value
+
+    def __init__(
+        self,
+        kind: str,  # "K" | "Q" | "C" | "G"
+        repeat: int = 1,
+        angle: Angle | None = None,
+        ratios: tuple[Ratio, ...] | None = None,
+        pieces: tuple[PieceExpr, ...] | None = None,
+        span: tuple[int, int] = (0, 0),
+    ):
+        super().__init__(kind, repeat, angle, ratios, pieces, span)
 
     def __str__(self) -> str:
         if self.kind in ("K", "Q"):
@@ -85,11 +92,13 @@ class ScheduleItem:
         return text
 
 
-@dataclass(frozen=True)
-class ScheduleExpr:
+class ScheduleExpr(Frozen):
     """Ordered substage terms making up one period of the composition."""
 
-    items: tuple[ScheduleItem, ...]
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple[ScheduleItem, ...]):
+        super().__init__(items)
 
     def __str__(self) -> str:
         return format(self)
@@ -246,14 +255,11 @@ class _Parser:
             value: Ratio = float(self.advance().text)
         elif self.tok.kind == "INT":
             num = self.integer()
-            if self.tok.kind == "/":
-                self.advance()
-                den = self.integer()
-                if den == 0:
-                    self.semantic("ratio denominator must be nonzero")
-                value = Fraction(num, den)
-            else:
-                value = Fraction(num)
+            self.expect("/")
+            den = self.integer()
+            if den == 0:
+                self.semantic("ratio denominator must be nonzero")
+            value = Fraction(num, den)
         else:
             self.fail({"number"}, "expected a ratio")
         if not 0 < value < 1:

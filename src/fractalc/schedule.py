@@ -12,11 +12,9 @@ this.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -26,6 +24,7 @@ from .errors import (
     ScheduleSemanticError,
     SegmentBudgetExceeded,
 )
+from .frozen import Frozen
 from .moran import ScaleSpectrum
 from .parser import ScheduleExpr, parse
 
@@ -43,45 +42,49 @@ _VALUE = operator.itemgetter(0)
 _SHORT_ROW = 128
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(Frozen):
     """One generator piece: scale factor, heading relative to the parent, pen state."""
 
-    ratio: float
-    angle: float
-    draw: bool
+    __slots__ = _fields = ("ratio", "angle", "draw")
+
+    def __init__(self, ratio: float, angle: float, draw: bool):
+        super().__init__(ratio, angle, draw)
 
 
-@dataclass(frozen=True)
-class Generator:
-    """One IFS substage: ordered pieces applied to every current segment."""
+class Generator(Frozen):
+    """One IFS substage: ordered pieces applied to every current segment.
 
-    kind: str  # "K" | "Q" | "C" | "G"
-    pieces: tuple[Piece, ...]
-    connected: bool  # all-draw chain ending exactly at the parent endpoint
+    `draw_ratios`, the draw pieces' scale factors, and `copies`, their number,
+    are built once: the census and the spectrum read them many times.
+    """
 
-    # built once per generator: the census and the spectrum read them many times
-    @functools.cached_property
-    def draw_ratios(self) -> tuple[float, ...]:
-        return tuple(p.ratio for p in self.pieces if p.draw)
+    _fields = ("kind", "pieces", "connected")
+    __slots__ = (*_fields, "draw_ratios", "copies")
 
-    @functools.cached_property
-    def copies(self) -> int:
-        return len(self.draw_ratios)
+    def __init__(
+        self,
+        kind: str,  # "K" | "Q" | "C" | "G"
+        pieces: tuple[Piece, ...],
+        connected: bool,  # all-draw chain ending exactly at the parent endpoint
+    ):
+        super().__init__(kind, pieces, connected)
+        draw_ratios = tuple(p.ratio for p in pieces if p.draw)
+        object.__setattr__(self, "draw_ratios", draw_ratios)
+        object.__setattr__(self, "copies", len(draw_ratios))
 
 
-@dataclass(frozen=True)
-class CompositionSchedule:
+class CompositionSchedule(Frozen):
     """One period of the composition: ordered (generator, repeat count) items."""
 
-    items: tuple[tuple[Generator, int], ...]
+    __slots__ = _fields = ("items",)
 
-    def __post_init__(self):
-        if not self.items:
+    def __init__(self, items: tuple[tuple[Generator, int], ...]):
+        if not items:
             raise ValueError("schedule needs at least one generator")
-        for _, repeat in self.items:
+        for _, repeat in items:
             if repeat < 1:
                 raise ValueError("repeat count must be >= 1")
+        super().__init__(items)
 
     def spectrum(self) -> ScaleSpectrum:
         return ScaleSpectrum([(gen.draw_ratios, n) for gen, n in self.items])

@@ -1,17 +1,56 @@
-"""Shared deterministic fuzz generators for the test suite."""
+"""Shared deterministic fuzz generators for the test suite, and an in-process
+CLI runner."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 import fractalc as fc
 from fractalc.incstats import multisets_match
 from fractalc.parser import Angle, PieceExpr, ScheduleExpr, ScheduleItem
+
+
+class CliResult(NamedTuple):
+    """One CLI run: its exit code, both streams, and the exception that ended
+    it (a SystemExit with a nonzero code, or a bug's own exception)."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run_cli(args: list[str]) -> CliResult:
+    """Run `fractalc ARGS` in this process through `cli.main`, capturing both streams.
+
+    An exception other than SystemExit escaping `main` is a bug: it is kept in
+    `exception`, with exit code 1, as an uncaught exception exits a process.
+    """
+    from fractalc import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code or 0
+            exception = exc if code else None
+        except Exception as exc:
+            code, exception = 1, exc
+    return CliResult(code, stdout.getvalue(), stderr.getvalue(), exception)
 
 
 def random_uniform_parts(rng: random.Random) -> list[tuple[fc.UniformFractal, int]]:

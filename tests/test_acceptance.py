@@ -10,10 +10,8 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
 
 import fractalc as fc
-from fractalc.cli import main
 from fractalc.errors import ScheduleSemanticError, ScheduleSyntaxError
 from helpers import (
     census_feasible_stage,
@@ -24,6 +22,7 @@ from helpers import (
     random_schedule_expr,
     random_spectrum,
     random_uniform_parts,
+    run_cli,
     spectrum_of_uniform,
 )
 
@@ -39,14 +38,13 @@ def _criterion(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _dim(runner: CliRunner, expression: str, *flags: str) -> dict:
-    result = runner.invoke(main, ["dim", expression, *flags])
+def _dim(expression: str, *flags: str) -> dict:
+    result = run_cli(["dim", expression, *flags])
     assert result.exit_code == 0, result.output
-    return json.loads(result.output)
+    return json.loads(result.stdout)
 
 
 def test_criterion_1_reference_dimension_regressions():
-    runner = CliRunner()
     cases = [
         ("K[pi/3]", 1.26),
         ("K[pi/4] K[pi/3]", 1.19),
@@ -57,11 +55,11 @@ def test_criterion_1_reference_dimension_regressions():
     start = time.perf_counter()
     failures = []
     for expression, reported in cases:
-        payload = _dim(runner, expression)
+        payload = _dim(expression)
         if abs(payload["alpha"] - reported) > 0.005:
             failures.append(f"{expression}: {payload['alpha']:.4f} vs {reported}")
     # the binary special case must agree between closed form and solver
-    checked = _dim(runner, "C[1/2,1/12] K[pi/3]", "--check")
+    checked = _dim("C[1/2,1/12] K[pi/3]", "--check")
     if checked["method"] != "binary-analytic":
         failures.append("binary schedule not solved analytically")
     if checked["check"]["difference"] > 1e-9:

@@ -147,8 +147,12 @@ def test_ratio_out_of_range():
         fc.parse("C[3/2]")
     with pytest.raises(ScheduleSemanticError):
         fc.parse("C[0.0,1/3]")
-    with pytest.raises(ScheduleSemanticError):
-        fc.parse("C[1]")
+    # a bare INT is not a ratio (ratio := INT "/" INT | DECIMAL): the parser
+    # expects the "/", rather than reading 1/1 and rejecting a fraction never written
+    for text, offset in (("C[1]", 3), ("C[1/2,1]", 7), ("G[(1,0,draw)]", 4)):
+        with pytest.raises(ScheduleSyntaxError) as err:
+            fc.parse(text)
+        assert (err.value.offset, err.value.expected) == (offset, frozenset({"/"})), text
 
 
 def test_angle_at_or_beyond_pi():
