@@ -150,7 +150,9 @@ def _occupied_cells(
     cells = cells.astype(np.int64)
     # batches of whole segments walking about _CELL_BATCH cells each
     starts = np.searchsorted(ends, np.arange(0.0, ends[-1], _CELL_BATCH), side="right")
-    bounds = np.append(np.unique(starts), len(coords))
+    # non-decreasing, so the first of each run of equal starts; np.unique
+    # would load numpy.ma for its masked-array check
+    bounds = np.append(starts[np.diff(starts, prepend=-1) > 0], len(coords))
     keys = [
         _cell_keys(coords[a:b], cells[a:b], x0, y0, eps, nx, ny)
         for a, b in zip(bounds[:-1], bounds[1:])

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import TYPE_CHECKING
 
 from .errors import GeometryOutOfRange, SegmentBudgetExceeded
@@ -167,8 +166,6 @@ def total_length(s: SegmentSet) -> float:
 # 4096 segments a chunk raised the process's peak memory by about 1 MB
 _EXPORT_CHUNK = 1 << 10
 
-# a CSV point; a row is two of them, the second ending the line
-_CSV_POINT = b"%.12g,%.12g\n"
 # the separator after an SVG point's y: the next point of its chain, the end
 # of its chain (replaced by the polyline boundary), or nothing (the last point)
 _SVG_SEPS = b" \n\0"
@@ -189,7 +186,11 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
     """Little-endian uint32 words whose four bytes, in memory order, are ASCII:
     for i in 0..9999, `digits` zero-padded ("0042") and `leading` with leading
     zeros as NUL, the units digit kept ("\\0\\042"); for i in 0..999, `dotted`
-    (".042") and `tail` ("042\\0"). Read-only, since every caller shares them.
+    (".042") and `tail` ("042\\0"). `digits[10000 + i]` and `dotted[1000 + i]`
+    write trailing zeros as NUL ("042\\0", ".04\\0"; all NUL for 0), which
+    strips them as %g does. `signed[i]` for i in 0..100 is `leading[i]`, and
+    `signed[101 + i]` the same with "-" in its second byte. `powers[k]` is
+    10^k for k in 0..15, exact. Read-only, since every caller shares them.
     """
     import numpy as np
     i = np.arange(10_000)
@@ -199,7 +200,14 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
     dotted[:, 0] = ord(".")
     tail = np.zeros_like(dotted)
     tail[:, :3] = text[:1000, 1:]
-    tables = tuple(t.astype(np.uint8).view("<u4").ravel() for t in (text, leading, dotted, tail))
+    # a digit is a trailing zero when it and every digit after it are 0
+    digits = np.concatenate((text, text * (i[:, None] % [10_000, 1000, 100, 10] != 0)))
+    dotted = np.concatenate((dotted, dotted * (i[:1000, None] % [1000, 1000, 100, 10] != 0)))
+    signed = np.concatenate((leading[:101], leading[:101]))
+    signed[101:, 1] = ord("-")
+    tables = tuple(
+        t.astype(np.uint8).view("<u4").ravel() for t in (digits, leading, dotted, tail, signed)
+    ) + (np.array([float(10**k) for k in range(16)]),)
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -209,7 +217,7 @@ def _fixed6_rows(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """The (n, 20) uint8 text rows of `_fixed6`, separators left out; clears
     ok where a value falls back."""
     import numpy as np
-    digits, leading, dotted, tail = _digit_tables()
+    digits, leading, dotted, tail, _, _ = _digit_tables()
     # in place where it can be: a is |v|, then xf, then m, then the fraction
     # of m, then its distance from a half; xi and r stay floats until whole
     a = np.abs(values)
@@ -274,11 +282,89 @@ def _fixed6(values: np.ndarray, seps: np.ndarray) -> bytes:
         rows = np.empty((len(values), 5), dtype=np.uint8)
     # a value that falls back reads "%.6f", then its separator
     rows[~ok, :-1] = np.frombuffer(b"%.6f".ljust(rows.shape[1] - 1, b"\0"), dtype=np.uint8)
-    rows[:, -1] = seps
+    text = _render(rows, seps, -1, values[~ok])
+    return text if ok.all() else text.replace(b"-0.000000", b"0.000000")
+
+
+def _g12_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """'%.12g' % v of every value as (n, 20) uint8 text rows whose first byte
+    is NUL, left for a separator, and a mask of the values formatted exactly.
+
+    Exact for |v| < 100 that %.12g writes without an exponent, from 1e-4 up:
+    a = |v| splits into ip = floor(a) and a - ip without rounding. With
+    X = floor(log10 a), %.12g keeps q = 11 - X fraction digits (10 to 15),
+    and m = (a - ip) * 10^q, exact 10^q, is one correctly rounded product
+    below 10^12 < 2^40, so within 2^-14 of the exact value. Rounding m
+    therefore rounds the exact value; a value whose m lies within 2^-12 of a
+    half (a tie, or too close to call) falls back. An X off by one, which
+    log10 can give only within a few ulps of a power of ten, gives the same
+    text (and m stays below 2^40): such a value rounds to that power at
+    11, 12 or 13 digits, and the digits that differ are trailing zeros. A
+    rounded 10^q carries into ip. The fraction, m * 10^(15 - q), is below
+    10^15 and so still exact; its digits go into four words from
+    `_digit_tables` (".ddd" and three of 4 digits), each word after the last
+    nonzero one all NUL, and that one with its trailing zeros as NUL, so
+    nothing is left of a zero fraction, its "." included. Zeros come out as
+    "0" and "-0". The sign and the integer part share the first word. Every
+    other row (|v| >= 100, a carry to 100, 0 < |v| < 1e-4, a near tie, nan,
+    inf) reads "%.12g", for `_render`.
+    """
+    import numpy as np
+    digits, _, dotted, _, signed, powers = _digit_tables()
+    # in place where it can be: a is |v|, then its fraction, then m, then the
+    # fraction of m, then its distance from a half; ip and r stay floats
+    a = np.abs(values)
+    ok = (a < 100.0) & ((a >= 1e-4) | (a == 0.0))
+    np.copyto(a, 0.0, where=~ok)
+    # clamped so that no rounding of log10 takes X below -4; zeros get X = -4
+    scale = powers[11 - np.floor(np.log10(np.maximum(a, 1.001e-4))).astype(np.intp)]
+    ip = np.floor(a)
+    a -= ip
+    a *= scale
+    r = np.floor(a)
+    a -= r
+    r += a > 0.5
+    a -= 0.5
+    ok &= np.abs(a, out=a) >= 2.0**-12
+    carry = r == scale
+    ip += carry
+    r[carry] = 0.0
+    ok &= ip < 100.0
+    # the fraction as 15 digits: d0 (3), d1, d2 and f (4 each)
+    r *= 1e15 / scale
+    f = r.astype(np.int64)
+    d0 = f // 10**12
+    f -= d0 * 10**12
+    d1 = f // 10**8
+    f -= d1 * 10**8
+    d2 = f // 10**4
+    f -= d2 * 10**4
+    # a word writes its trailing zeros as NUL when every later word is zero
+    s2 = f == 0
+    s1 = s2 & (d2 == 0)
+    s0 = s1 & (d1 == 0)
+    # a carry to 100 falls back, but its index stays in the table
+    ip += 101.0 * np.signbit(values)
+    words = np.empty((len(values), 5), dtype="<u4")
+    words[:, 0] = signed[ip.astype(np.intp)]
+    words[:, 1] = dotted[d0 + 1000 * s0]
+    words[:, 2] = digits[d1 + 10_000 * s1]
+    words[:, 3] = digits[d2 + 10_000 * s2]
+    words[:, 4] = digits[f + 10_000]
+    words[~ok] = np.frombuffer(b"\0%.12g".ljust(20, b"\0"), dtype="<u4")
+    return words.view(np.uint8), ok
+
+
+def _render(rows: np.ndarray, seps: np.ndarray, sep_at: int, fallbacks: np.ndarray) -> bytes:
+    """The text of (n, w) uint8 rows, one per value, with each value's
+    separator byte from `seps` (0 for none) written at column `sep_at` and the
+    NULs dropped. The rows of the values that fall back hold a % specifier,
+    so the text is itself the template that formats those values, given in
+    text order as `fallbacks`, with one %: no other byte of it is a "%".
+    """
+    rows[:, sep_at] = seps
     text = rows.tobytes().translate(None, b"\0")
-    if ok.all():
-        return text
-    return (text % tuple(values[~ok].tolist())).replace(b"-0.000000", b"0.000000")
+    return text % tuple(fallbacks.tolist()) if len(fallbacks) else text
 
 
 def _write_chunked(path, head: bytes, n: int, chunk_text, tail: bytes) -> None:
@@ -359,14 +445,20 @@ def export_csv(s: SegmentSet, path) -> None:
     """Dump segments as `x1,y1,x2,y2` lines with 12 significant digits.
 
     The rows are formatted and written in chunks of a fixed number of
-    segments, so the text is never built whole. Each point is formatted once:
-    a row whose start equals the end of the row before it, bit for bit (so
-    0.0 and -0.0 stay apart), reuses that end's text. Per chunk, one % formats
-    the first row's start, the other starts that differ and every end, and
-    one more % joins the texts into rows.
+    segments, so the text is never built whole. Each point is formatted once,
+    by `_g12_rows`, an array kernel whose bytes equal '%.12g' for zeros and
+    for 1e-4 <= |v| < 100 and which hands near ties and the other values to
+    one % format per chunk. A row whose start equals the end of the row
+    before it, bit for bit (so 0.0 and -0.0 stay apart), reuses that end's
+    text. The points' text rows are gathered into the CSV's rows, each
+    value's separator goes into the NUL byte its text row starts with, and
+    one `bytes.translate` drops the other NULs.
     """
     import numpy as np
     coords = s.coords
+    # the separator before each value of a chunk's rows; none before its first
+    seps = np.tile(np.frombuffer(b"\n,,,", dtype=np.uint8), _EXPORT_CHUNK)
+    seps[0] = 0
 
     def chunk_text(start: int, stop: int) -> bytes:
         c = coords[start:stop]
@@ -374,12 +466,15 @@ def export_csv(s: SegmentSet, path) -> None:
         fresh = np.ones(stop - start, dtype=bool)
         fresh[1:] = (bits[1:, 0] != bits[:-1, 2]) | (bits[1:, 1] != bits[:-1, 3])
         points = np.concatenate((c[fresh, :2], c[:, 2:]))
-        texts = (_CSV_POINT * len(points) % tuple(points.ravel().tolist())).split(b"\n")
-        # row i: its start text (its own, or the end text of row i - 1), then its end text
+        rows, ok = _g12_rows(points.ravel())
+        # row i: its start point (its own, or the end point of row i - 1), then its end point
         order = np.empty((stop - start, 2), dtype=np.intp)
         order[:, 1] = np.arange(len(points) - (stop - start), len(points))
         order[:, 0] = np.where(fresh, np.cumsum(fresh) - 1, order[:, 1] - 1)
-        return b"%s,%s\n" * (stop - start) % operator.itemgetter(*order.ravel().tolist())(texts)
+        order = order.ravel()
+        rows = np.take(rows.reshape(len(points), 40), order, axis=0).reshape(-1, 20)
+        fallbacks = np.take(points, order, axis=0)[~np.take(ok.reshape(-1, 2), order, axis=0)]
+        return _render(rows, seps[: 4 * (stop - start)], 0, fallbacks) + b"\n"
 
     _write_chunked(path, b"", len(s), chunk_text, b"")
 

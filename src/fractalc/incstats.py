@@ -21,7 +21,7 @@ unit initiator.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .frozen import Frozen
 from .moran import dimension

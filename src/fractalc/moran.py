@@ -15,7 +15,7 @@ double precision on logarithms.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import InputOutOfRange
 from .frozen import Frozen

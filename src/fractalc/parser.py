@@ -23,10 +23,10 @@ spaces between ratios; this grammar standardizes on commas.
 
 from __future__ import annotations
 
+import collections
 import math
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ScheduleSemanticError, ScheduleSyntaxError
 from .frozen import Frozen
@@ -118,10 +118,8 @@ def format(e: ScheduleExpr) -> str:
 # --- tokenizer -------------------------------------------------------------
 
 
-class _Token(NamedTuple):
-    kind: str  # NAME, INT, DECIMAL, one of the punct chars, EOF
-    text: str
-    pos: int  # character offset
+# kind: NAME, INT, DECIMAL, one of the punct chars, EOF; pos: character offset
+_Token = collections.namedtuple("_Token", "kind text pos")
 
 
 # Optional whitespace (\s is exactly str.isspace), then one token. Digits and

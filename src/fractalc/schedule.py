@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     InputOutOfRange,

@@ -312,6 +312,72 @@ def test_fixed6_kernel_matches_python_format():
         assert geometry._fixed6(values, seps) == want.encode()
 
 
+def _g12_families(rng: np.random.Generator) -> list[np.ndarray]:
+    """About 840k values for the %.12g kernel: families of 2^16 and 2^14,
+    within its exact range (zeros, 1e-4 <= |v| < 100) and past it."""
+    n, few = 1 << 16, 1 << 14
+    sign = rng.choice([-1.0, 1.0], n)
+    # decades 1e-5 to 1e3: X = floor(log10 |v|) of the value's leading digit
+    x = rng.integers(-5, 4, n)
+    # the float nearest a 12-significant-digit decimal tie, and its neighbours
+    exact = np.array([float(10**k) for k in range(17)])
+    digits = rng.integers(10**11, 10**12, n)
+    near_ties = (2 * digits + 1) / (2 * exact[11 - x])
+    # exact dyadic ties: odd / 2^(12 - x) in the decade of x has 13 significant digits, the last a 5
+    ties = rng.integers(-4, 2, n)
+    lo, hi = 10.0 ** ties * 2.0 ** (12 - ties), 10.0 ** (ties + 1) * 2.0 ** (12 - ties)
+    odd = 2 * np.floor(rng.uniform(lo, hi) / 2) + 1
+    powers = np.array([10.0**k for k in range(-7, 5)])
+    return [
+        # random bit patterns: every exponent, both signs, nan, inf, subnormals
+        rng.integers(0, 2**64, few, dtype=np.uint64).view(np.float64),
+        sign * rng.uniform(0.0, 100.0, n),
+        sign * rng.uniform(0.0, 1.0, n),
+        sign * 10.0 ** rng.uniform(-4.0, 2.0, n),
+        # past the exact range: below 1e-4 (exponent form) and from 100 up
+        sign[:few] * 10.0 ** rng.uniform(-12.0, -4.0, few),
+        sign[:few] * 10.0 ** rng.uniform(2.0, 20.0, few),
+        sign * near_ties,
+        sign * np.nextafter(near_ties, np.inf),
+        sign * np.nextafter(near_ties, 0.0),
+        sign * np.ldexp(odd, ties - 12),
+        # carries: below a power of ten by less than half a 12th digit, or by
+        # more, and up from a fraction of nines into the integer part
+        sign * 10.0 ** (x + 1) * (1.0 - rng.uniform(0.0, 1e-12, n)),
+        sign * (rng.integers(0, 100, n) + 1.0 - 10.0 ** (x - 12.0) * rng.uniform(0.0, 10.0, n)),
+        # powers of ten and the floats up to two ulps either side
+        np.concatenate([s * q for s in (-1.0, 1.0) for q in (
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            np.nextafter(np.nextafter(powers, 0.0), 0.0),
+            np.nextafter(np.nextafter(powers, np.inf), np.inf))]),
+        # the 1e-4 boundary, and values below it that round up onto it
+        sign * 1e-4 * (1.0 + rng.integers(-8, 9, n) * 2.0**-52),
+        sign * 1e-4 * (1.0 - rng.uniform(0.0, 1e-11, n)),
+        # signed zeros and subnormals
+        np.copysign(rng.integers(0, 2**52, n, dtype=np.uint64).view(np.float64) * (rng.random(n) < 0.5), sign),
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+def test_g12_kernel_matches_python_format():
+    # oracle: CPython's '%.12g' % v one value at a time, each after its
+    # separator byte (0 for none)
+    rng = np.random.default_rng(2039)
+    special = np.array(
+        [9.99999999999995, -9.99999999999995, 99.99999999999997, 99.9999999999994,
+         0.999999999999995, 9.999999999999999e-5, 1e-4, -1e-4, 0.0, -0.0, 5e-324,
+         -5e-324, 1.0, 0.1, 10.0, 100.0, 0.5, 2.0**-40, np.nan, np.inf, -np.inf]
+    )
+    for values in [special, *_g12_families(rng)]:
+        seps = rng.choice(np.frombuffer(b", \n\0", dtype=np.uint8), len(values))
+        want = "".join(
+            (chr(sep) if sep else "") + text
+            for text, sep in zip(map("%.12g".__mod__, values.tolist()), seps.tolist())
+        )
+        rows, ok = geometry._g12_rows(values)
+        assert geometry._render(rows, seps, 0, values[~ok]) == want.encode()
+
+
 def test_exports_stream_in_bounded_memory(tmp_path):
     # 65,536 segments span 64 export chunks; their text is a quarter of the
     # stage-9 figure's, for which 10 MiB was the bound, so 2.5 MiB is here.
