@@ -58,7 +58,7 @@ _EXPORTS = {
     "segment_census": "schedule",
 }
 
-_SUBMODULES = {*_EXPORTS.values(), "cli", "errors"}
+_SUBMODULES = {*_EXPORTS.values(), "cli", "errors", "work"}
 
 __all__ = sorted(_EXPORTS)
 

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .frozen import Frozen
 from .geometry import SegmentSet, expand_ranges
-from .schedule import DEFAULT_SEGMENT_BUDGET
+from .work import DEFAULT_SEGMENT_BUDGET
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,9 +140,8 @@ def _occupied_cells(
     )
     ends = np.cumsum(np.abs(cells[:, 2] - cells[:, 0]) + np.abs(cells[:, 3] - cells[:, 1]) + 1.0)
     if ends[-1] > budget:
-        raise SegmentBudgetExceeded(
-            int(ends[-1]), budget, f"box counting at scale {eps:.6g} would walk {{}} grid cells"
-        )
+        raise SegmentBudgetExceeded(int(ends[-1]), budget, f"box counting at scale {eps:.6g} "
+                                    "would walk {count} grid cells, over the budget of {limit}")
     if nx * ny > _KEY_LIMIT:
         raise ScaleLadderInvalid(
             f"box grid at scale {eps:.6g} has {nx} x {ny} cells, more than 64-bit keys can number"

@@ -2,8 +2,8 @@
 
 Output is JSON on stdout by default (full double precision); `--human` prints
 key/value tables with 6 significant digits. Exit codes: 0 ok, 2 usage or bad
-expression, 4 segment budget exceeded; the Moran solver cannot fail. The
-environment variable FRACTALC_SEGMENT_BUDGET overrides the default segment cap.
+expression, 4 segment budget exceeded; the Moran solver cannot fail.
+FRACTALC_SEGMENT_BUDGET overrides the budget `work` charges commands against.
 
 The front end is the standard library's argparse, so that a process starts
 with no more imports than its command runs. Library errors map to exit codes
@@ -22,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import moran, schedule
+from . import moran, schedule, work
 from .errors import (
     FractalcError,
     ScheduleSemanticError,
@@ -41,8 +41,7 @@ _UNDERFLOW_WARNING = (
     "warning: the smallest stage-{} lengths fall below the float range while "
     "the census is computed and read 0.0"
 )
-# ln of the smallest positive double, 2**-1074
-_LOG_TINIEST = math.log(5e-324)
+_LOG_TINIEST = math.log(5e-324)  # ln of the smallest positive double, 2**-1074
 # the decimal exponent of a `limit --target`, as Fraction's syntax allows it
 _TARGET_EXPONENT = re.compile(r"[eE]([-+]?)([\d_]+)\s*\Z")
 
@@ -63,15 +62,10 @@ def _load_schedule(expression: str) -> schedule.CompositionSchedule:
 
 def _segment_budget() -> int:
     raw = os.environ.get("FRACTALC_SEGMENT_BUDGET")
-    if raw is None:
-        return schedule.DEFAULT_SEGMENT_BUDGET
     try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        _fail(EXIT_USAGE, f"FRACTALC_SEGMENT_BUDGET must be an integer >= 1, got {raw!r}")
-    return budget
+        return work.DEFAULT_SEGMENT_BUDGET if raw is None else _budget(raw)
+    except argparse.ArgumentTypeError as exc:
+        _fail(EXIT_USAGE, f"FRACTALC_SEGMENT_BUDGET {exc}")
 
 
 def _checked(convert, accept, requirement: str):
@@ -90,6 +84,7 @@ def _checked(convert, accept, requirement: str):
 
 
 _stage = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_budget = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _initiator_length = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0")
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
 
@@ -102,23 +97,8 @@ def _file_path(text: str) -> str:
 
 
 def _warn_underflow(sched: schedule.CompositionSchedule, stage: int, l0: float = 1.0) -> None:
-    if schedule.census_log_floor(sched, stage, l0) < _LOG_TINIEST:
+    if work.census_log_floor(sched, stage, l0) < _LOG_TINIEST:
         print(_UNDERFLOW_WARNING.format(stage), file=sys.stderr)
-
-
-def _check_printable_total(sched: schedule.CompositionSchedule, stage: int) -> None:
-    """Exit 4 when the stage's total count prod_i l_i^(n_i k) has more decimal
-    digits than Python converts an int to text (sys.get_int_max_str_digits;
-    0, or a Python without that function, means no limit). Called after the
-    census budget check, which bounds every n_i k with l_i > 1 by the budget."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return
-    log10 = math.fsum(stage * n * math.log10(g.copies) for g, n in sched.items if g.copies > 1)
-    digits = math.floor(log10) + 1
-    if digits > limit:
-        _fail(EXIT_BUDGET, f"the total count has {digits} decimal digits, over the {limit}-digit "
-                           "limit for printing an int (sys.set_int_max_str_digits)")
 
 
 def _emit(payload: dict, human: bool) -> None:
@@ -174,8 +154,8 @@ def render(expression: str, stage: int, out_path: str, csv_path: str | None,
     """Materialize EXPRESSION at a stage and write an SVG."""
     from . import geometry
     sched = _load_schedule(expression)
-    # export_svg refuses a figure over RENDER_SEGMENT_LIMIT, so refuse to build it
-    budget = min(_segment_budget(), geometry.RENDER_SEGMENT_LIMIT)
+    budget = _segment_budget()
+    work.charge_export(sched, stage, budget)
     segments = geometry.iterate(sched, stage, L0=l0, budget=budget)
     try:
         geometry.export_svg(segments, out_path)
@@ -203,10 +183,8 @@ def render(expression: str, stage: int, out_path: str, csv_path: str | None,
 def census(expression: str, stage: int, l0: float, human: bool):
     """Exact (length, count) table at a stage, via multinomial expansion."""
     sched = _load_schedule(expression)
-    budget = _segment_budget()
-    schedule.check_census_budget(sched, (stage,), budget)
-    _check_printable_total(sched, stage)
-    buckets = schedule.segment_census(sched, stage, l0, budget=budget)
+    work.charge_census(sched, stage, _segment_budget(), printed=True)
+    buckets = schedule.build_census(sched, stage, l0)
     _warn_underflow(sched, stage, l0)
     total = sum(count for _, count in buckets)
     if human:

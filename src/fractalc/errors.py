@@ -41,23 +41,18 @@ class RatiosExceedUnit(FractalcError):
 
 
 class SegmentBudgetExceeded(FractalcError):
-    """Materializing the geometry would produce more segments than allowed.
+    """Work over the budget or a fixed cap: predicted by `work` before any work,
+    or counted from the data by box counting and the export and overlap guards.
+    `what` words the message around `{count}`, the count `predicted` (None when
+    too large to build; a power of ten past 30 digits), and `{limit}`, `budget`."""
 
-    Box counting raises it too, for a rung that would walk more grid cells
-    than the budget, and the census for a product with more buckets than the
-    budget; `what` words the message around the predicted count. A count of
-    more than 30 digits is given by its power of ten. `predicted` is None when
-    the count was too large to build, and `what` then words it alone.
-    """
-
-    def __init__(
-        self, predicted: int | None, budget: int, what: str = "stage would produce {} segments"
-    ):
+    def __init__(self, predicted: int | None, budget: int,
+                 what: str = "stage would produce {count} segments, over the budget of {limit}"):
         self.predicted = predicted
         self.budget = budget
         if predicted is not None and predicted >= 10**30:
             predicted = f"about 10^{math.log10(predicted):.6g}"
-        super().__init__(f"{what.format(predicted)}, over the budget of {budget}")
+        super().__init__(what.format(count=predicted, limit=budget))
 
 
 class ScaleLadderInvalid(FractalcError):

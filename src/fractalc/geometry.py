@@ -8,7 +8,7 @@ upper-bound caveat for self-intersecting compositions. The schedule, the
 segment census and the content closed form live in `schedule`.
 
 numpy is imported only inside the functions that use arrays, so `render`
-loads it only once the stage is within the segment budget.
+loads it only once `work` has charged the stage.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING
 
 from .errors import GeometryOutOfRange, SegmentBudgetExceeded
 from .frozen import Frozen
-from .schedule import DEFAULT_SEGMENT_BUDGET, _check_initiator
+from .schedule import _check_stage
+from .work import DEFAULT_SEGMENT_BUDGET, RENDER_SEGMENT_LIMIT, charge_geometry
 
 # bench/jobs.py calls these three through `geometry.`
 from .schedule import build_schedule, content, segment_census
@@ -29,8 +30,6 @@ if TYPE_CHECKING:
 
     from .schedule import CompositionSchedule, Generator
 
-
-RENDER_SEGMENT_LIMIT = 1_000_000
 
 # candidate pairs per vectorized overlap test: bounds detect_overlap's memory
 _PAIR_CHUNK = 1 << 14
@@ -102,40 +101,16 @@ def _apply_substage(
     return new_coords, new_lengths
 
 
-def iterate(
-    schedule: CompositionSchedule,
-    k: int,
-    L0: float = 1.0,
-    budget: int = DEFAULT_SEGMENT_BUDGET,
-) -> SegmentSet:
+def iterate(schedule: CompositionSchedule, k: int, L0: float = 1.0,
+            budget: int = DEFAULT_SEGMENT_BUDGET) -> SegmentSet:
     """Materialize k full periods of the schedule on the initiator [(0,0)->(L0,0)].
 
-    Raises SegmentBudgetExceeded before doing any work if the stage would
-    produce more segments than the budget, or apply more substages (k times
-    the sum of the repeats) than the budget. The exact segment count is built
-    only when it is at most the budget squared; a count beyond that is
-    reported by its power of ten, with `predicted` None. Raises
+    Charges the stage against `budget` first (`work.charge_geometry`). Raises
     GeometryOutOfRange when a coordinate, the figure's extent along x or y, or
     its total length is not finite.
     """
-    if k < 0:
-        raise ValueError("stage must be >= 0")
-    _check_initiator(L0)
-    try:
-        log_count = k * sum(n * math.log(gen.copies) for gen, n in schedule.items)
-    except OverflowError:  # a repeat count beyond the float range
-        log_count = math.inf if k else 0.0
-    if log_count > 2 * math.log(max(budget, 2)):
-        raise SegmentBudgetExceeded(
-            None, budget, f"stage would produce about 10^{log_count / math.log(10):.6g} segments"
-        )
-    predicted = schedule.predicted_count(k)
-    if predicted > budget:
-        raise SegmentBudgetExceeded(predicted, budget)
-    # one-piece generators keep the count at 1, so charge the work per substage too
-    applications = k * sum(n for _, n in schedule.items)
-    if applications > budget:
-        raise SegmentBudgetExceeded(applications, budget, "stage would apply {} substages")
+    _check_stage(k, L0)
+    charge_geometry(schedule, k, budget)
     import numpy as np
     coords = np.array([[0.0, 0.0, L0, 0.0]])
     lengths = np.array([L0])

@@ -23,12 +23,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
+from . import work
 from .frozen import Frozen
 from .moran import dimension
-from .schedule import (
-    DEFAULT_SEGMENT_BUDGET, CompositionSchedule, census_product, check_census_budget,
-    segment_census,
-)
+from .schedule import CompositionSchedule, build_census, census_product, segment_census
 
 _VALUE_RTOL = 1e-12
 
@@ -108,12 +106,6 @@ def multisets_match(
     return True, worst
 
 
-def _factorization(joint_census, parts, k: int, budget: int = DEFAULT_SEGMENT_BUDGET):
-    """(product, ok, worst error): the parts' stage-k censuses crossed, against the joint."""
-    product = census_product([segment_census(p, k, budget=budget) for p in parts])
-    return (product, *multisets_match(joint_census, product))
-
-
 def joint_factorization_check(
     a: CompositionSchedule, b: CompositionSchedule, k: int
 ) -> FactorizationReport:
@@ -126,29 +118,30 @@ def joint_factorization_check(
     """
     joint = CompositionSchedule(a.items + b.items)
     alpha = dimension(joint.spectrum()).alpha
-    product, ok, worst = _factorization(segment_census(joint, k), (a, b), k)
+    census = segment_census(joint, k)  # charges the parts too: each is a factor of it
+    product = census_product([build_census(a, k), build_census(b, k)])
+    ok, worst = multisets_match(census, product)
     return FactorizationReport(alpha, k, ok, worst, normalization_residual(product, alpha))
 
 
-def stats_report(
-    schedule: CompositionSchedule, k: int, budget: int = DEFAULT_SEGMENT_BUDGET
-) -> dict:
+def stats_report(schedule: CompositionSchedule, k: int,
+                 budget: int = work.DEFAULT_SEGMENT_BUDGET) -> dict:
     """JSON-ready summary: {alpha, max_normalization_residual, factorization_ok}.
 
     The normalization residual is the worst over stages 0..k (stage 0 is
     exact). Factorization compares the product of the items' stage-k censuses
     against the joint census; with a single item the product is the census
-    itself, so the check is trivially true. Raises SegmentBudgetExceeded
-    before any work when stages 0..k would enumerate over `budget` buckets.
+    itself, so the check is trivially true. Charges `budget` first (`work`).
     """
-    check_census_budget(schedule, range(k, -1, -1), budget)
+    work.charge_census(schedule, k, budget, stages=k + 1)
     alpha = dimension(schedule.spectrum()).alpha
     max_resid = 0.0
     for stage in range(k + 1):
-        census = segment_census(schedule, stage, budget=budget)
+        census = build_census(schedule, stage)
         max_resid = max(max_resid, normalization_residual(census, alpha))
-    parts = [CompositionSchedule((item,)) for item in schedule.items]
-    ok = len(parts) == 1 or _factorization(census, parts, k, budget)[1]
+    # the parts' censuses are factors of the joint's, charged with it
+    parts = (build_census(CompositionSchedule((item,)), k) for item in schedule.items)
+    ok = len(schedule.items) == 1 or multisets_match(census, census_product(parts))[0]
     return {
         "alpha": alpha,
         "max_normalization_residual": max_resid,

@@ -3,7 +3,7 @@
 Generators and the schedule of (generator, repeat count) items built from a
 parsed expression, and what follows from the schedule alone, without
 geometry: the exact segment census (multinomial expansion, big-integer
-counts) with its budget and underflow checks, and the content closed form.
+counts), whose cost `work` charges, and the content closed form.
 
 Nothing here imports numpy or `geometry`, so `dim`, `census`, `stats` and
 `limit` run without loading either; a test in `tests/test_cli.py` enforces
@@ -17,19 +17,11 @@ import math
 import operator
 from collections.abc import Iterable, Sequence
 
-from .errors import (
-    InputOutOfRange,
-    InvalidAngle,
-    RatiosExceedUnit,
-    ScheduleSemanticError,
-    SegmentBudgetExceeded,
-)
+from . import work
+from .errors import InputOutOfRange, InvalidAngle, RatiosExceedUnit, ScheduleSemanticError
 from .frozen import Frozen
 from .moran import ScaleSpectrum
 from .parser import ScheduleExpr, parse
-
-
-DEFAULT_SEGMENT_BUDGET = 10_000_000
 
 # relative tolerance for merging census buckets of nearly equal length
 _LENGTH_MERGE_RTOL = 1e-12
@@ -194,6 +186,12 @@ def schedule_from_text(text: str) -> CompositionSchedule:
     return build_schedule(parse(text))
 
 
+def _check_stage(k: int, L0: float) -> None:
+    if k < 0:
+        raise ValueError("stage must be >= 0")
+    _check_initiator(L0)
+
+
 def _check_initiator(L0: float) -> None:
     if not (math.isfinite(L0) and L0 > 0.0):
         raise ValueError(f"initiator length must be positive and finite, got {L0!r}")
@@ -302,25 +300,8 @@ def census_product(
     return _merge_buckets(cross if scale == 1.0 else ((v * scale, c) for v, c in cross))
 
 
-def check_census_budget(schedule: CompositionSchedule, stages: Sequence[int], budget: int) -> None:
-    """Raise SegmentBudgetExceeded once the census buckets of `stages` sum over the budget."""
-    if all(gen.copies == 1 for gen, _ in schedule.items) and stages[budget:]:
-        # one bucket per stage, and more stages than the budget: the loop below
-        # would stop at budget + 1, after as many steps
-        raise SegmentBudgetExceeded(budget + 1, budget, "census would enumerate {} buckets or more")
-    work = 0
-    for stage in stages:
-        work += schedule.census_size(stage)
-        if work > budget:
-            raise SegmentBudgetExceeded(work, budget, "census would enumerate {} buckets or more")
-
-
-def segment_census(
-    schedule: CompositionSchedule,
-    k: int,
-    L0: float = 1.0,
-    budget: int = DEFAULT_SEGMENT_BUDGET,
-) -> list[tuple[float, int]]:
+def segment_census(schedule: CompositionSchedule, k: int, L0: float = 1.0,
+                   budget: int = work.DEFAULT_SEGMENT_BUDGET) -> list[tuple[float, int]]:
     """Exact (length, count) multiset at stage k, without materializing geometry.
 
     Per component, t = n_i * k applications contribute multinomially many
@@ -329,32 +310,19 @@ def segment_census(
     count), so each distinct-ratio exponent vector is computed once; the
     composite census is the product across components, times L0, merged by
     length (1e-12 relative). Counts are exact integers; their total is
-    prod_i l_i^(n_i * k). Raises SegmentBudgetExceeded before any work when
-    the compositions over the pieces, counted before folding, exceed
-    `budget`, and ValueError unless L0 is positive and finite.
+    prod_i l_i^(n_i * k). Charges the stage against `budget` first, and
+    raises ValueError unless L0 is positive and finite.
     """
-    if k < 0:
-        raise ValueError("stage must be >= 0")
-    _check_initiator(L0)
-    check_census_budget(schedule, (k,), budget)
+    _check_stage(k, L0)
+    work.charge_census(schedule, k, budget)
+    return build_census(schedule, k, L0)
+
+
+def build_census(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> list[tuple[float, int]]:
+    """segment_census without its checks, for callers that charged the work."""
     return census_product(
         (_component_buckets(gen.draw_ratios, repeat * k) for gen, repeat in schedule.items), L0
     )
-
-
-def census_log_floor(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> float:
-    """ln of the smallest value segment_census forms at stage k.
-
-    That is min(ln L0, 0) + k * sum_i n_i ln min_j r_ij, computed in the log
-    domain so it stays finite where the value underflows to 0.0. The census
-    crosses the unscaled lengths (all ratios are below 1) and scales by L0
-    last, so an L0 above 1 cannot lift a product that has already underflowed.
-    """
-    try:
-        floor = k * math.fsum(n * math.log(min(gen.draw_ratios)) for gen, n in schedule.items)
-    except OverflowError:  # k or a repeat count beyond the float range
-        floor = -math.inf if k else 0.0
-    return min(math.log(L0), 0.0) + floor
 
 
 def content(schedule: CompositionSchedule, k: int, beta: float, L0: float = 1.0) -> float:

@@ -295,7 +295,7 @@ def test_integers_beyond_the_float_range_answer_or_exit_at_once(tmp_path):
          "census would enumerate about 10^401.301 buckets or more, over the budget of 10000000"),
         (["census", "C[1/2]", "--stage", _BIG], 0, None),
         (["stats", "C[1/2]", "--stage", _BIG], 4,
-         "census would enumerate 10000001 buckets or more, over the budget of 10000000"),
+         "census would enumerate about 10^400 buckets or more, over the budget of 10000000"),
     ]
     for args, code, message in cases:
         start = time.perf_counter()
@@ -317,15 +317,15 @@ def test_integers_beyond_the_float_range_answer_or_exit_at_once(tmp_path):
 
 
 def test_one_bucket_stages_over_the_budget_exit_as_the_loop_would(monkeypatch):
-    # each stage of a one-piece schedule is one bucket: the budget check stops
-    # where summing them stage by stage would, without taking budget + 1 steps
+    # each stage of a one-piece schedule is one bucket, but costs a census and
+    # a residual: stages 0..k are charged 10 units each
     monkeypatch.setenv("FRACTALC_SEGMENT_BUDGET", "20")
-    result = run_cli(["stats", "C[1/2]", "--stage", "20"])
+    result = run_cli(["stats", "C[1/2]", "--stage", "2"])
     assert result.exit_code == 4
     assert result.stderr.strip() == (
-        "error: census would enumerate 21 buckets or more, over the budget of 20"
+        "error: census would build stages worth 30 units, 10 per stage, over the budget of 20"
     )
-    result = run_cli(["stats", "C[1/2]", "--stage", "19"])
+    result = run_cli(["stats", "C[1/2]", "--stage", "1"])
     assert result.exit_code == 0
 
 
@@ -406,7 +406,7 @@ def test_render_over_the_export_cap_exits_4_before_building(tmp_path, expression
     assert time.perf_counter() - start < 0.5
     assert result.exit_code == 4
     assert result.stdout == "" and not out.exists()
-    assert result.stderr.strip().endswith(" segments, over the budget of 1000000")
+    assert result.stderr.strip().endswith(" segments, over the SVG export cap of 1000000")
 
 
 @pytest.mark.parametrize("command", ["render", "validate"])
@@ -423,6 +423,110 @@ def test_one_piece_generator_repeats_exit_4_at_once(tmp_path, command):
     assert result.stdout == "" and not out.exists()
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: stage would apply ")
+
+
+@pytest.mark.parametrize(
+    "budget,limit",
+    [("100000000", "the SVG export cap of 1000000"), ("1000000", "the budget of 1000000"),
+     ("500000", "the budget of 500000")],
+)
+def test_render_names_the_limit_that_binds(tmp_path, monkeypatch, budget, limit):
+    # the SVG export writes at most 10^6 segments; under a larger budget the
+    # message names that cap, not a budget the user did not set
+    monkeypatch.setenv("FRACTALC_SEGMENT_BUDGET", budget)
+    out = tmp_path / "k.svg"
+    result = run_cli(["render", "K[pi/3]", "--stage", "11", "-o", str(out)])
+    assert result.exit_code == 4
+    assert result.stdout == "" and not out.exists()
+    assert result.stderr == f"error: stage would produce 4194304 segments, over {limit}\n"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        # 10^7 one-bucket stages, about a minute of work
+        (["stats", "C[1/2]", "--stage", "9999999"],
+         "census would build stages worth 100000000 units, 10 per stage"),
+        # 10^6 - 1 and 10^7 - 1 one-piece substages, about 30 s and 5 min of work
+        (["render", "C[1/2]^999999", "--stage", "1", "-o", "x.svg"],
+         "stage would apply substages worth 299999700 units, 300 per substage"),
+        (["validate", "C[1/2]^9999999", "--stage", "1"],
+         "stage would apply substages worth 2999999700 units, 300 per substage"),
+    ],
+    ids=["stats", "render", "validate"],
+)
+def test_stage_and_substage_charges_exit_4_at_once(tmp_path, args, message):
+    # a separate process with a timeout, so a missing charge fails, not hangs
+    start = time.perf_counter()
+    result = _run_python(["-m", "fractalc.cli", *args], tmp_path, timeout=5)
+    assert time.perf_counter() - start < 1.0
+    assert result.returncode == 4
+    assert result.stdout == "" and not (tmp_path / "x.svg").exists()
+    assert result.stderr == f"error: {message}, over the budget of 10000000\n"
+
+
+def _work_started(*args):
+    raise AssertionError("work started before the charge")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail any census or geometry work: the charge must come first."""
+    monkeypatch.setattr(fc.schedule, "_component_buckets", _work_started)
+    monkeypatch.setattr(fc.geometry, "_apply_substage", _work_started)
+
+
+@pytest.mark.parametrize(
+    "budget,args,message",
+    [
+        (None, ["census", "K[pi/3]", "--stage", "2000"], "census would enumerate 1337337001 "),
+        ("9", ["census", "K[pi/3]", "--stage", "1"], "census would build stages worth 10 units"),
+        (None, ["stats", "K[pi/3]", "--stage", "2000"], "census would enumerate 1337337001 "),
+        ("20", ["stats", "C[1/2]", "--stage", "2"], "census would build stages worth 30 units"),
+        ("1000", ["render", "K[pi/3]", "--stage", "8", "-o", "x.svg"],
+         "stage would produce 65536 segments, over the budget of 1000"),
+        (None, ["render", "K[pi/3]", "--stage", "11", "-o", "x.svg"],
+         "stage would produce 4194304 segments, over the SVG export cap"),
+        (None, ["render", "C[1/2]^999999", "--stage", "1", "-o", "x.svg"],
+         "stage would apply substages worth 299999700 units"),
+        (None, ["validate", "K[pi/3]", "--stage", "12"],
+         "stage would produce 16777216 segments, over the budget of 10000000"),
+        (None, ["validate", "C[1/2]^9999999", "--stage", "1"],
+         "stage would apply substages worth 2999999700 units"),
+        # one segment at any stage: only the substage applications are over
+        (None, ["render", "C[1/2]", "--stage", _BIG, "-o", "x.svg"],
+         "stage would apply substages worth about 10^402.477 units"),
+    ],
+)
+def test_each_kind_of_work_is_charged_before_any_work(
+    tmp_path, monkeypatch, no_work, budget, args, message
+):
+    monkeypatch.chdir(tmp_path)
+    if budget:
+        monkeypatch.setenv("FRACTALC_SEGMENT_BUDGET", budget)
+    result = run_cli(args)
+    assert result.exit_code == 4, result.output
+    assert result.stderr.startswith(f"error: {message}")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_census_digits_are_charged_before_any_work(int_digit_limit, no_work):
+    int_digit_limit(4300)
+    result = run_cli(["census", "C[1/2,1/2]", "--stage", "14285"])
+    assert result.exit_code == 4, result.output
+    assert result.stderr.startswith("error: the total count has 4301 decimal digits")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["census", "K[pi/3]", "--stage", "1"], ["stats", "C[1/2]", "--stage", "1"],
+     ["render", "K[pi/3]", "--stage", "1", "-o", "x.svg"], ["validate", "K[pi/3]", "--stage", "1"]],
+)
+def test_work_within_the_budget_reaches_the_patched_work(tmp_path, monkeypatch, no_work, args):
+    # the runs above exit 4 before any work, not because the patch is missed
+    monkeypatch.chdir(tmp_path)
+    result = run_cli(args)
+    assert isinstance(result.exception, AssertionError), result.output
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan"])
@@ -692,11 +796,12 @@ def test_render_reports_only_its_writes_as_unwritable(tmp_path, monkeypatch):
 _SRC = str(Path(fc.__file__).resolve().parent.parent)
 
 
-def _run_python(args, cwd):
+def _run_python(args, cwd, timeout=60):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env.pop("FRACTALC_SEGMENT_BUDGET", None)
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout
     )
 
 

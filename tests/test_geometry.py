@@ -138,13 +138,16 @@ def test_budget_far_exceeded_reports_power_of_ten():
 
 
 def test_one_piece_substages_count_against_the_budget():
-    # a one-piece generator keeps a single segment: 2 stages apply 100 substages
+    # a one-piece generator keeps a single segment: 2 stages apply 100
+    # substages, at 300 units each
     sched = fc.schedule_from_text("C[1/2]^50")
     with pytest.raises(SegmentBudgetExceeded) as err:
-        fc.iterate(sched, 2, budget=99)
-    assert err.value.predicted == 100
-    assert str(err.value) == "stage would apply 100 substages, over the budget of 99"
-    s = fc.iterate(sched, 2, budget=100)
+        fc.iterate(sched, 2, budget=29_999)
+    assert err.value.predicted == 30_000
+    assert str(err.value) == (
+        "stage would apply substages worth 30000 units, 300 per substage, over the budget of 29999"
+    )
+    s = fc.iterate(sched, 2, budget=30_000)
     assert len(s) == 1 and s.lengths()[0] == 0.5**100
 
 
@@ -234,13 +237,13 @@ def test_census_rejects_bad_initiator_length():
 def test_census_log_floor():
     sched = fc.schedule_from_text("C[1/1000] C[1/2,1/4]^2")
     unscaled = 7 * (math.log(1e-3) + 2 * math.log(0.25))
-    assert fc.schedule.census_log_floor(sched, 7, 0.4) == pytest.approx(
+    assert fc.work.census_log_floor(sched, 7, 0.4) == pytest.approx(
         math.log(0.4) + unscaled, rel=1e-15
     )
     # an L0 above 1 scales the crossed lengths only after they are formed
-    assert fc.schedule.census_log_floor(sched, 7, 2.5) == pytest.approx(unscaled, rel=1e-15)
+    assert fc.work.census_log_floor(sched, 7, 2.5) == pytest.approx(unscaled, rel=1e-15)
     # finite where the length itself underflows
-    assert fc.schedule.census_log_floor(sched, 110) < math.log(5e-324)
+    assert fc.work.census_log_floor(sched, 110) < math.log(5e-324)
 
 
 @pytest.mark.parametrize(
@@ -251,7 +254,7 @@ def test_census_log_floor_predicts_zero_lengths(stage, L0):
     sched = fc.schedule_from_text("C[1/1000] C[1/2,1/4]")
     buckets = fc.segment_census(sched, stage, L0)
     assert (buckets[-1][0] == 0.0) == (
-        fc.schedule.census_log_floor(sched, stage, L0) < math.log(5e-324)
+        fc.work.census_log_floor(sched, stage, L0) < math.log(5e-324)
     )
 
 
