@@ -140,8 +140,10 @@ def _occupied_cells(
     )
     ends = np.cumsum(np.abs(cells[:, 2] - cells[:, 0]) + np.abs(cells[:, 3] - cells[:, 1]) + 1.0)
     if ends[-1] > budget:
-        raise SegmentBudgetExceeded(int(ends[-1]), budget, f"box counting at scale {eps:.6g} "
-                                    "would walk {count} grid cells, over the budget of {limit}")
+        raise SegmentBudgetExceeded(
+            int(ends[-1]), budget,
+            f"box counting at scale {eps:.6g} would walk {{count}} grid cells, over the budget of {{limit}}"
+        )
     if nx * ny > _KEY_LIMIT:
         raise ScaleLadderInvalid(
             f"box grid at scale {eps:.6g} has {nx} x {ny} cells, more than 64-bit keys can number"

@@ -41,7 +41,8 @@ _UNDERFLOW_WARNING = (
     "warning: the smallest stage-{} lengths fall below the float range while "
     "the census is computed and read 0.0"
 )
-_LOG_TINIEST = math.log(5e-324)  # ln of the smallest positive double, 2**-1074
+# ln of the smallest positive double, 2**-1074
+_LOG_TINIEST = math.log(5e-324)
 # the decimal exponent of a `limit --target`, as Fraction's syntax allows it
 _TARGET_EXPONENT = re.compile(r"[eE]([-+]?)([\d_]+)\s*\Z")
 

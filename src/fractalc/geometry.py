@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import GeometryOutOfRange, SegmentBudgetExceeded
 from .frozen import Frozen
-from .schedule import _check_stage
+from .schedule import _check_initiator
 from .work import DEFAULT_SEGMENT_BUDGET, RENDER_SEGMENT_LIMIT, charge_geometry
 
 # bench/jobs.py calls these three through `geometry.`
@@ -101,15 +101,21 @@ def _apply_substage(
     return new_coords, new_lengths
 
 
-def iterate(schedule: CompositionSchedule, k: int, L0: float = 1.0,
-            budget: int = DEFAULT_SEGMENT_BUDGET) -> SegmentSet:
+def iterate(
+    schedule: CompositionSchedule,
+    k: int,
+    L0: float = 1.0,
+    budget: int = DEFAULT_SEGMENT_BUDGET,
+) -> SegmentSet:
     """Materialize k full periods of the schedule on the initiator [(0,0)->(L0,0)].
 
     Charges the stage against `budget` first (`work.charge_geometry`). Raises
     GeometryOutOfRange when a coordinate, the figure's extent along x or y, or
     its total length is not finite.
     """
-    _check_stage(k, L0)
+    if k < 0:
+        raise ValueError("stage must be >= 0")
+    _check_initiator(L0)
     charge_geometry(schedule, k, budget)
     import numpy as np
     coords = np.array([[0.0, 0.0, L0, 0.0]])

@@ -124,8 +124,9 @@ def joint_factorization_check(
     return FactorizationReport(alpha, k, ok, worst, normalization_residual(product, alpha))
 
 
-def stats_report(schedule: CompositionSchedule, k: int,
-                 budget: int = work.DEFAULT_SEGMENT_BUDGET) -> dict:
+def stats_report(
+    schedule: CompositionSchedule, k: int, budget: int = work.DEFAULT_SEGMENT_BUDGET
+) -> dict:
     """JSON-ready summary: {alpha, max_normalization_residual, factorization_ok}.
 
     The normalization residual is the worst over stages 0..k (stage 0 is

@@ -18,7 +18,12 @@ import operator
 from collections.abc import Iterable, Sequence
 
 from . import work
-from .errors import InputOutOfRange, InvalidAngle, RatiosExceedUnit, ScheduleSemanticError
+from .errors import (
+    InputOutOfRange,
+    InvalidAngle,
+    RatiosExceedUnit,
+    ScheduleSemanticError,
+)
 from .frozen import Frozen
 from .moran import ScaleSpectrum
 from .parser import ScheduleExpr, parse
@@ -186,12 +191,6 @@ def schedule_from_text(text: str) -> CompositionSchedule:
     return build_schedule(parse(text))
 
 
-def _check_stage(k: int, L0: float) -> None:
-    if k < 0:
-        raise ValueError("stage must be >= 0")
-    _check_initiator(L0)
-
-
 def _check_initiator(L0: float) -> None:
     if not (math.isfinite(L0) and L0 > 0.0):
         raise ValueError(f"initiator length must be positive and finite, got {L0!r}")
@@ -300,8 +299,12 @@ def census_product(
     return _merge_buckets(cross if scale == 1.0 else ((v * scale, c) for v, c in cross))
 
 
-def segment_census(schedule: CompositionSchedule, k: int, L0: float = 1.0,
-                   budget: int = work.DEFAULT_SEGMENT_BUDGET) -> list[tuple[float, int]]:
+def segment_census(
+    schedule: CompositionSchedule,
+    k: int,
+    L0: float = 1.0,
+    budget: int = work.DEFAULT_SEGMENT_BUDGET,
+) -> list[tuple[float, int]]:
     """Exact (length, count) multiset at stage k, without materializing geometry.
 
     Per component, t = n_i * k applications contribute multinomially many
@@ -313,7 +316,9 @@ def segment_census(schedule: CompositionSchedule, k: int, L0: float = 1.0,
     prod_i l_i^(n_i * k). Charges the stage against `budget` first, and
     raises ValueError unless L0 is positive and finite.
     """
-    _check_stage(k, L0)
+    if k < 0:
+        raise ValueError("stage must be >= 0")
+    _check_initiator(L0)
     work.charge_census(schedule, k, budget)
     return build_census(schedule, k, L0)
 

@@ -54,22 +54,18 @@ def charge_export(schedule, k: int, budget: int) -> None:
 
 
 def charge_census(schedule, k: int, budget: int, stages: int = 1, printed: bool = False) -> None:
-    """Charge a census of `stages` stages from k down (largest first, so a long
-    range stops early); with `printed`, the digits of the stage-k total too."""
-    if all(gen.copies == 1 for gen, _ in schedule.items):
-        compositions = stages  # one per stage, however many stages
-    else:
-        compositions = 0
-        for stage in range(k, k - stages, -1):
-            compositions += schedule.census_size(stage)
-            if compositions > budget:
-                break
-    if compositions > budget:
-        raise SegmentBudgetExceeded(compositions, budget,
-                                    "census would enumerate {count} buckets or more" + _OVER_BUDGET)
+    """Charge a census of `stages` stages, then their compositions from k down
+    (largest first, so a long range stops early; the stage charge bounds the
+    loop); with `printed`, the digits of the stage-k total too."""
     if stages * STAGE_UNITS > budget:
         raise SegmentBudgetExceeded(stages * STAGE_UNITS, budget, "census would build stages worth "
                                     f"{{count}} units, {STAGE_UNITS} per stage" + _OVER_BUDGET)
+    compositions = 0
+    for stage in range(k, k - stages, -1):
+        compositions += schedule.census_size(stage)
+        if compositions > budget:
+            raise SegmentBudgetExceeded(compositions, budget, "census would enumerate {count} "
+                                        "buckets or more" + _OVER_BUDGET)
     # 0, or a Python without the function, means no limit; past the checks
     # above every n_i k with l_i > 1 is within the budget, so a float
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() if printed else 0
@@ -82,8 +78,13 @@ def charge_census(schedule, k: int, budget: int, stages: int = 1, printed: bool 
 
 
 def census_log_floor(schedule, k: int, L0: float = 1.0) -> float:
-    """ln of the smallest value segment_census forms at stage k, finite where it
-    underflows: min(ln L0, 0) + k sum_i n_i ln min_j r_ij, as L0 scales last."""
+    """ln of the smallest value segment_census forms at stage k.
+
+    That is min(ln L0, 0) + k * sum_i n_i ln min_j r_ij, computed in the log
+    domain so it stays finite where the value underflows to 0.0. The census
+    crosses the unscaled lengths (all ratios are below 1) and scales by L0
+    last, so an L0 above 1 cannot lift a product that has already underflowed.
+    """
     try:
         floor = k * math.fsum(n * math.log(min(gen.draw_ratios)) for gen, n in schedule.items)
     except OverflowError:  # k or a repeat count beyond the float range

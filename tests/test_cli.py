@@ -266,14 +266,16 @@ def test_census_human():
 @pytest.mark.parametrize("command", ["census", "stats"])
 def test_census_over_budget_exits_4_at_once(command, stage):
     # C(2003, 3) ~ 1.3e9 compositions, over the default budget of 1e7 buckets;
-    # a 1500-digit stage gives a count too long to print in digits
+    # a 1500-digit stage gives a count too long to print in digits, and stats
+    # charges its 10^1500 stages, 10 units each, before their compositions
     start = time.perf_counter()
     result = run_cli([command, "K[pi/3]", "--stage", stage])
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 4
     assert result.stdout == ""
     lines = result.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: census would enumerate")
+    charged = "build stages worth" if command == "stats" and stage != "2000" else "enumerate"
+    assert len(lines) == 1 and lines[0].startswith(f"error: census would {charged}")
 
 
 _BIG = "9" * 400
@@ -295,7 +297,8 @@ def test_integers_beyond_the_float_range_answer_or_exit_at_once(tmp_path):
          "census would enumerate about 10^401.301 buckets or more, over the budget of 10000000"),
         (["census", "C[1/2]", "--stage", _BIG], 0, None),
         (["stats", "C[1/2]", "--stage", _BIG], 4,
-         "census would enumerate about 10^400 buckets or more, over the budget of 10000000"),
+         "census would build stages worth about 10^401 units, 10 per stage, "
+         "over the budget of 10000000"),
     ]
     for args, code, message in cases:
         start = time.perf_counter()

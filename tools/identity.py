@@ -1,15 +1,15 @@
 """Output-identity check: run one fixed list of CLI invocations on two trees.
 
-    python3 tools/identity.py BASE_REV [--allow REGEX ...] [--rounds N]
-                              [--workers N] [--timeout S]
+    python3 tools/identity.py BASE_REV [--allow REGEX ...]
 
 BASE_REV is checked out into a temporary `git worktree`, removed afterwards;
 the other tree is this checkout, uncommitted changes included. Each
 invocation runs as `python -m fractalc.cli ...` on each tree's `src`, in a
-fresh empty directory, under a timeout. The list is fixed:
+fresh empty directory, under a timeout of TIMEOUT seconds, WORKERS runs at a
+time. The list is fixed:
 
 - the cli benchmark corpus of seeds 61 and 101-105, read through
-  `bench/corpus.build` (`--rounds` rounds of each, default 5);
+  `bench/corpus.build` (ROUNDS rounds of each);
 - every `fractalc` line of README.md;
 - BUDGET_EDGES below: each command with FRACTALC_SEGMENT_BUDGET set just below
   and at the limit of each kind of work it is charged for.
@@ -41,6 +41,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (61, 101, 102, 103, 104, 105)
+ROUNDS = 5
+WORKERS = 2
+TIMEOUT = 20.0
 
 # (FRACTALC_SEGMENT_BUDGET, args): one below and at each kind's limit
 BUDGET_EDGES = [
@@ -74,13 +77,13 @@ BUDGET_EDGES = [
 ]
 
 
-def invocations(rounds: int) -> list[tuple[str | None, tuple[str, ...]]]:
+def invocations() -> list[tuple[str | None, tuple[str, ...]]]:
     """The fixed list, without repeats, in first-seen order."""
     sys.path.insert(0, str(ROOT / "bench"))
     import corpus
 
     found = [(None, [job["cmd"], *job["args"]])
-             for seed in SEEDS for job in corpus.build("cli", seed, rounds)]
+             for seed in SEEDS for job in corpus.build("cli", seed, ROUNDS)]
     for line in (ROOT / "README.md").read_text().splitlines():
         if line.startswith("fractalc "):
             found.append((None, shlex.split(line, comments=True)[1:]))
@@ -88,7 +91,7 @@ def invocations(rounds: int) -> list[tuple[str | None, tuple[str, ...]]]:
     return list(dict.fromkeys((budget, tuple(args)) for budget, args in found))
 
 
-def run(src: Path, budget: str | None, args: tuple[str, ...], timeout: float) -> tuple:
+def run(src: Path, budget: str | None, args: tuple[str, ...]) -> tuple:
     """((exit code or "timeout", stdout, stderr, {file name: bytes}), seconds) of one run."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("FRACTALC_SEGMENT_BUDGET", None)
@@ -98,7 +101,7 @@ def run(src: Path, budget: str | None, args: tuple[str, ...], timeout: float) ->
         start = time.perf_counter()
         try:
             proc = subprocess.run([sys.executable, "-m", "fractalc.cli", *args], cwd=cwd,
-                                  env=env, capture_output=True, text=True, timeout=timeout)
+                                  env=env, capture_output=True, text=True, timeout=TIMEOUT)
             code, out, err = proc.returncode, proc.stdout, proc.stderr
         except subprocess.TimeoutExpired:
             code, out, err = "timeout", "", ""
@@ -133,23 +136,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("base_rev", metavar="BASE_REV")
     parser.add_argument("--allow", action="append", default=[], metavar="REGEX",
                         help="a difference line this matches is expected (repeatable)")
-    parser.add_argument("--rounds", type=int, default=5,
-                        help="cli corpus rounds per seed (default: %(default)s)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="runs at once (default: %(default)s)")
-    parser.add_argument("--timeout", type=float, default=20.0,
-                        help="seconds per run (default: %(default)s)")
     args = parser.parse_args(argv)
     allowed = [re.compile(p) for p in args.allow]
-    cases = invocations(args.rounds)
+    cases = invocations()
 
     with tempfile.TemporaryDirectory(prefix="identity-base-") as tmp:
         base_tree = Path(tmp) / "base"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
                         str(base_tree), args.base_rev], check=True)
         try:
-            with concurrent.futures.ThreadPoolExecutor(args.workers) as pool:
-                futures = [(case, pool.submit(run, tree / "src", *case, args.timeout))
+            with concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
+                futures = [(case, pool.submit(run, tree / "src", *case))
                            for case in cases for tree in (base_tree, ROOT)]
                 results = [(case, future.result()) for case, future in futures]
         finally:
