@@ -19,16 +19,11 @@ _EXPORTS = {
     "BoxCountReport": "boxcount",
     "estimate_dimension": "boxcount",
     "SegmentSet": "geometry",
-    "SvgStyle": "geometry",
     "detect_overlap": "geometry",
     "export_csv": "geometry",
     "export_svg": "geometry",
     "iterate": "geometry",
     "total_length": "geometry",
-    "FactorizationReport": "incstats",
-    "IncompleteDistribution": "incstats",
-    "distribution": "incstats",
-    "joint_factorization_check": "incstats",
     "stats_report": "incstats",
     "DimensionReport": "moran",
     "ScaleSpectrum": "moran",
@@ -39,7 +34,6 @@ _EXPORTS = {
     "dimension": "moran",
     "dimension_bounds": "moran",
     "rational_limit_dimension": "moran",
-    "single_dimension": "moran",
     "solve_moran": "moran",
     "Angle": "parser",
     "PieceExpr": "parser",

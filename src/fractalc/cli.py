@@ -278,7 +278,7 @@ def limit(base: str, target: str, n_value: int, human: bool):
         "target": f"{a1}/{a2}",
         "error": abs(alpha - a1 / a2),
         "n": n_value,
-        "base_dimension": moran.single_dimension(fractal),
+        "base_dimension": moran.component_dimension(ratios),
     }
     _emit(payload, human)
 

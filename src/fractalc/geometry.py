@@ -152,16 +152,6 @@ _EXPORT_CHUNK = 1 << 10
 _SVG_SEPS = b" \n\0"
 
 
-class SvgStyle(Frozen):
-    """Stroke colour and width of the polylines, and the background fill."""
-
-    __slots__ = _fields = ("stroke", "stroke_width", "background")
-
-    def __init__(self, stroke: str = "black", stroke_width: float = 1.0,
-                 background: str = "white"):
-        super().__init__(stroke, stroke_width, background)
-
-
 @functools.cache
 def _digit_tables() -> tuple[np.ndarray, ...]:
     """Little-endian uint32 words whose four bytes, in memory order, are ASCII:
@@ -358,7 +348,7 @@ def _write_chunked(path, head: bytes, n: int, chunk_text, tail: bytes) -> None:
         fh.write(tail)
 
 
-def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
+def export_svg(s: SegmentSet, path) -> None:
     """Write a standalone SVG: one polyline per maximal connected chain.
 
     Output is deterministic (byte-identical across runs for identical input):
@@ -375,7 +365,6 @@ def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
     if n > RENDER_SEGMENT_LIMIT:
         raise SegmentBudgetExceeded(n, RENDER_SEGMENT_LIMIT)
     import numpy as np
-    style = style or SvgStyle()
     coords = s.coords
     pts = coords.reshape(-1, 2)
     # flip y so the curve "bumps" point up like the construction sketches
@@ -394,7 +383,7 @@ def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
         np.abs(coords[:-1, 3] - coords[1:, 1]) > join_tol
     )
     close = (
-        f'" fill="none" stroke="{style.stroke}" stroke-width="{style.stroke_width:g}" '
+        '" fill="none" stroke="black" stroke-width="1" '
         'vector-effect="non-scaling-stroke"/>\n'
     ).encode()
     polyline = b'<polyline points="'
@@ -417,7 +406,7 @@ def export_svg(s: SegmentSet, path, style: SvgStyle | None = None) -> None:
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x} {y} {w} {h}">\n'
-        f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{style.background}"/>\n'
+        f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="white"/>\n'
     ).encode() + polyline
     _write_chunked(path, head, n, chunk_text, close + b"</svg>\n")
 

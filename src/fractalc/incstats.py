@@ -6,6 +6,8 @@ multiset that sums to one only when raised to the composite dimension alpha
 factors, so the joint probability multiset must factor into the outer product
 of the component multisets. Both identities are computed from the analytic
 census, never from materialized geometry, so large stages stay cheap.
+`stats_report` is the one check of both: the normalization at stages 0..k,
+the factorization at stage k.
 
 The factorization check crosses per-part censuses with the census's own
 cross-product routine (`schedule.census_product`), so it checks that merging
@@ -24,29 +26,10 @@ import math
 from collections.abc import Iterable, Sequence
 
 from . import work
-from .frozen import Frozen
 from .moran import dimension
-from .schedule import CompositionSchedule, build_census, census_product, segment_census
+from .schedule import CompositionSchedule, build_census, census_product
 
 _VALUE_RTOL = 1e-12
-
-
-class IncompleteDistribution(Frozen):
-    """Stage-k segment probabilities (unique values with multiplicities)."""
-
-    __slots__ = _fields = ("probabilities", "multiplicities", "alpha", "stage")
-
-    def __init__(self, probabilities: tuple[float, ...], multiplicities: tuple[int, ...],
-                 alpha: float, stage: int):
-        super().__init__(probabilities, multiplicities, alpha, stage)
-
-    @property
-    def total_count(self) -> int:
-        return sum(self.multiplicities)
-
-    def normalization_residual(self) -> float:
-        """|sum_i p_i^alpha - 1|, the defining incomplete normalization."""
-        return normalization_residual(zip(self.probabilities, self.multiplicities), self.alpha)
 
 
 def normalization_residual(buckets: Iterable[tuple[float, int]], alpha: float) -> float:
@@ -62,28 +45,6 @@ def normalization_residual(buckets: Iterable[tuple[float, int]], alpha: float) -
         except OverflowError:
             acc += math.exp(math.log(m) + alpha * math.log(p)) if p > 0.0 else 0.0
     return abs(acc - 1.0)
-
-
-def distribution(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> IncompleteDistribution:
-    """Probabilities p = length / L0 from the stage-k census, with solved alpha."""
-    census = segment_census(schedule, k, L0)
-    alpha = dimension(schedule.spectrum()).alpha
-    probs = tuple(value / L0 for value, _ in census)
-    counts = tuple(count for _, count in census)
-    return IncompleteDistribution(probs, counts, alpha, k)
-
-
-class FactorizationReport(Frozen):
-    """Outcome of the joint-probability factorization check."""
-
-    __slots__ = _fields = (
-        "alpha", "stage", "factorization_ok", "max_value_error", "normalization_residual"
-    )
-
-    def __init__(self, alpha: float, stage: int, factorization_ok: bool,
-                 max_value_error: float, normalization_residual: float):
-        super().__init__(alpha, stage, factorization_ok, max_value_error,
-                         normalization_residual)
 
 
 def multisets_match(
@@ -104,24 +65,6 @@ def multisets_match(
         if err > rtol:
             return False, worst
     return True, worst
-
-
-def joint_factorization_check(
-    a: CompositionSchedule, b: CompositionSchedule, k: int
-) -> FactorizationReport:
-    """Verify the composite stage-k probabilities factor over the subsystems.
-
-    Checks that the census of the concatenated schedule equals the outer
-    product {p_i(a) * p_j(b)} as multisets (values to 1e-12 relative, counts
-    exact), and that the product probabilities renormalize to one at the
-    composite alpha.
-    """
-    joint = CompositionSchedule(a.items + b.items)
-    alpha = dimension(joint.spectrum()).alpha
-    census = segment_census(joint, k)  # charges the parts too: each is a factor of it
-    product = census_product([build_census(a, k), build_census(b, k)])
-    ok, worst = multisets_match(census, product)
-    return FactorizationReport(alpha, k, ok, worst, normalization_residual(product, alpha))
 
 
 def stats_report(

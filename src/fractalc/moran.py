@@ -45,10 +45,6 @@ class UniformFractal(Frozen):
             raise ValueError(f"ratio {ratio!r} outside (0, 1)")
         super().__init__(copies, ratio)
 
-    @property
-    def dimension(self) -> float:
-        return single_dimension(self)
-
 
 class ScaleSpectrum(Frozen):
     """Canonical multiset of (scale factors, repeat count) per component.
@@ -124,9 +120,6 @@ class ScaleSpectrum(Frozen):
         """True when every component keeps a single piece (dimension 0)."""
         return all(len(ratios) == 1 for ratios, _ in self.components)
 
-    def component_dimensions(self) -> tuple[float, ...]:
-        return tuple(component_dimension(ratios) for ratios, _ in self.components)
-
 
 class DimensionReport(Frozen):
     """Solved composite dimension plus how it was obtained."""
@@ -143,11 +136,6 @@ class DimensionReport(Frozen):
         iterations: int,
     ):
         super().__init__(alpha, method, residual, bracket, iterations)
-
-
-def single_dimension(f: UniformFractal) -> float:
-    """Box dimension of one uniform fractal: ln N / ln(1/rho). Zero when N=1."""
-    return composite_dimension_uniform([(f, 1)])
 
 
 def composite_dimension_uniform(parts: Sequence[tuple[UniformFractal, int]]) -> float:

@@ -60,12 +60,15 @@ def charge_census(schedule, k: int, budget: int, stages: int = 1, printed: bool 
     if stages * STAGE_UNITS > budget:
         raise SegmentBudgetExceeded(stages * STAGE_UNITS, budget, "census would build stages worth "
                                     f"{{count}} units, {STAGE_UNITS} per stage" + _OVER_BUDGET)
-    compositions = 0
-    for stage in range(k, k - stages, -1):
-        compositions += schedule.census_size(stage)
-        if compositions > budget:
-            raise SegmentBudgetExceeded(compositions, budget, "census would enumerate {count} "
-                                        "buckets or more" + _OVER_BUDGET)
+    # census_size never falls as the stage grows, so `stages` times the
+    # stage-k size bounds the sum: the loop runs only when that bound is over
+    if stages * schedule.census_size(k) > budget:
+        compositions = 0
+        for stage in range(k, k - stages, -1):
+            compositions += schedule.census_size(stage)
+            if compositions > budget:
+                raise SegmentBudgetExceeded(compositions, budget, "census would enumerate "
+                                            "{count} buckets or more" + _OVER_BUDGET)
     # 0, or a Python without the function, means no limit; past the checks
     # above every n_i k with l_i > 1 is within the budget, so a float
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() if printed else 0

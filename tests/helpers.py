@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 import fractalc as fc
-from fractalc.incstats import multisets_match
 from fractalc.parser import Angle, PieceExpr, ScheduleExpr, ScheduleItem
 
 
@@ -64,6 +63,11 @@ def random_uniform_parts(rng: random.Random) -> list[tuple[fc.UniformFractal, in
 
 def spectrum_of_uniform(parts) -> fc.ScaleSpectrum:
     return fc.ScaleSpectrum([([f.ratio] * f.copies, n) for f, n in parts])
+
+
+def uniform_dimension(f: fc.UniformFractal) -> float:
+    """Dimension of one uniform fractal, by `component_dimension` of its ratios."""
+    return fc.component_dimension([f.ratio] * f.copies)
 
 
 def random_spectrum(rng: random.Random, max_components: int = 4, max_ratios: int = 4) -> fc.ScaleSpectrum:
@@ -421,9 +425,8 @@ def segment_soup(rng: random.Random) -> tuple[str, fc.SegmentSet]:
     return family, fc.SegmentSet(coords, stage=0, initiator_length=scale)
 
 
-def reference_export_svg(s: fc.SegmentSet, path, style: fc.SvgStyle | None = None) -> None:
+def reference_export_svg(s: fc.SegmentSet, path) -> None:
     """SVG export one chain and one formatted value at a time."""
-    style = style or fc.SvgStyle()
     pts = s.coords.reshape(-1, 2)
     xmin, xmax = float(pts[:, 0].min()), float(pts[:, 0].max())
     ymin, ymax = float(-pts[:, 1].max()), float(-pts[:, 1].min())
@@ -449,14 +452,14 @@ def reference_export_svg(s: fc.SegmentSet, path, style: fc.SvgStyle | None = Non
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{fmt(vb[0])} {fmt(vb[1])} {fmt(vb[2])} {fmt(vb[3])}">',
-        f'<rect x="{fmt(vb[0])}" y="{fmt(vb[1])}" width="{fmt(vb[2])}" height="{fmt(vb[3])}" fill="{style.background}"/>',
+        f'<rect x="{fmt(vb[0])}" y="{fmt(vb[1])}" width="{fmt(vb[2])}" height="{fmt(vb[3])}" fill="white"/>',
     ]
     for chain in chains:
         points = [f"{fmt(chain[0, 0])},{fmt(-chain[0, 1])}"]
         points += [f"{fmt(x)},{fmt(-y)}" for x, y in chain[:, 2:4]]
         lines.append(
             f'<polyline points="{" ".join(points)}" fill="none" '
-            f'stroke="{style.stroke}" stroke-width="{style.stroke_width:g}" '
+            'stroke="black" stroke-width="1" '
             f'vector-effect="non-scaling-stroke"/>'
         )
     lines.append("</svg>")
@@ -486,52 +489,50 @@ def reference_merge_buckets(buckets) -> list[tuple[float, int]]:
     return merged
 
 
-def reference_outer_product(dists) -> list[tuple[float, int]]:
-    """Merged outer product of IncompleteDistributions, crossed left to right."""
+def reference_multisets_match(a, b) -> bool:
+    """(value, count) lists of one length, counts exact and values within 1e-12
+    relative in order; so 0.0 matches only 0.0."""
+    if len(a) != len(b):
+        return False
+    for (va, ca), (vb, cb) in zip(a, b):
+        if ca != cb or abs(va - vb) > 1e-12 * max(abs(va), abs(vb)):
+            return False
+    return True
+
+
+def reference_probabilities(schedule, k: int, L0: float = 1.0) -> list[tuple[float, int]]:
+    """Stage-k (probability, count) buckets: the census lengths divided by L0."""
+    return [(v / L0, c) for v, c in fc.segment_census(schedule, k, L0)]
+
+
+def reference_outer_product(bucket_lists) -> list[tuple[float, int]]:
+    """Merged outer product of (probability, count) lists, crossed left to right."""
     cross = None
-    for d in dists:
-        buckets = list(zip(d.probabilities, d.multiplicities))
+    for buckets in bucket_lists:
         if cross is None:
-            cross = buckets
+            cross = list(buckets)
         else:
             cross = [(v * w, c * m) for v, c in cross for w, m in buckets]
     return reference_merge_buckets(cross)
 
 
-def _reference_residual(d) -> float:
+def _reference_residual(buckets, alpha: float) -> float:
     acc = 0.0
-    for p, m in zip(d.probabilities, d.multiplicities):
-        acc += m * p**d.alpha
+    for p, m in buckets:
+        acc += m * p**alpha
     return abs(acc - 1.0)
 
 
-def reference_joint_factorization_check(a, b, k: int) -> dict:
-    """FactorizationReport fields from separate distributions, census and outer product."""
-    joint = fc.CompositionSchedule(a.items + b.items)
-    da, db = fc.distribution(a, k), fc.distribution(b, k)
-    joint_census = list(fc.segment_census(joint, k))
-    product = reference_outer_product([da, db])
-    ok, worst = multisets_match(joint_census, product)
-    alpha = fc.dimension(joint.spectrum()).alpha
-    norm = abs(sum(c * v**alpha for v, c in product) - 1.0)
-    return {
-        "alpha": alpha,
-        "stage": k,
-        "factorization_ok": ok,
-        "max_value_error": worst,
-        "normalization_residual": norm,
-    }
-
-
 def reference_stats_report(schedule, k: int) -> dict:
-    """stats_report with a distribution per stage and an item-wise outer product."""
+    """stats_report from the census probabilities per stage, and an item-wise
+    outer product compared by this module's own multiset match."""
     alpha = fc.dimension(schedule.spectrum()).alpha
     max_resid = 0.0
     for stage in range(1, k + 1):
-        max_resid = max(max_resid, _reference_residual(fc.distribution(schedule, stage)))
+        max_resid = max(max_resid, _reference_residual(reference_probabilities(schedule, stage), alpha))
     parts = [fc.CompositionSchedule((item,)) for item in schedule.items]
-    product = reference_outer_product([fc.distribution(p, k) for p in parts])
-    ok, _ = multisets_match(fc.segment_census(schedule, k), product)
+    product = reference_outer_product([reference_probabilities(p, k) for p in parts])
+    ok = reference_multisets_match(reference_probabilities(schedule, k), product)
     return {
         "alpha": alpha,
         "max_normalization_residual": max_resid,

@@ -24,6 +24,7 @@ from helpers import (
     random_uniform_parts,
     run_cli,
     spectrum_of_uniform,
+    uniform_dimension,
 )
 
 KOCH_DIM = math.log(4) / math.log(3)
@@ -100,7 +101,7 @@ def test_criterion_3_property_suites():
     for _ in range(500):  # bounds
         spectrum = random_spectrum(rng)
         alpha = fc.solve_moran(spectrum).alpha
-        lo, hi = fc.dimension_bounds(spectrum.component_dimensions())
+        lo, hi = fc.dimension_bounds([fc.component_dimension(r) for r, _ in spectrum.components])
         if not lo <= alpha <= hi:
             failures.append("bounds")
             break
@@ -125,7 +126,7 @@ def test_criterion_3_property_suites():
     for _ in range(500):  # arithmetic average at equal scale factors
         rho = rng.uniform(0.05, 0.95)
         parts = [(fc.UniformFractal(rng.randint(1, 12), rho), 1) for _ in range(rng.randint(2, 5))]
-        mean = sum(fc.single_dimension(f) for f, _ in parts) / len(parts)
+        mean = sum(uniform_dimension(f) for f, _ in parts) / len(parts)
         if abs(fc.composite_dimension_uniform(parts) - mean) > 1e-12:
             failures.append("arithmetic average")
             break
@@ -137,7 +138,7 @@ def test_criterion_3_property_suites():
             (fc.UniformFractal(copies, rng.uniform(0.05, 0.95)), 1)
             for _ in range(rng.randint(2, 5))
         ]
-        inv_mean = sum(1 / fc.single_dimension(f) for f, _ in parts) / len(parts)
+        inv_mean = sum(1 / uniform_dimension(f) for f, _ in parts) / len(parts)
         if abs(1 / fc.composite_dimension_uniform(parts) - inv_mean) > 1e-12:
             failures.append("harmonic average")
             break
@@ -256,11 +257,9 @@ def test_criterion_6_incomplete_statistics():
     binary_koch = fc.schedule_from_text("C[1/2,1/3] K[pi/3]")
     three_gen = fc.schedule_from_text("C[1/2,1/4,1/6] K[pi/4] K[pi/3]")
     for name, sched in (("binary+koch", binary_koch), ("three-generator", three_gen)):
-        for k in range(1, 7):
-            residual = fc.distribution(sched, k).normalization_residual()
-            if residual >= 1e-9:
-                failures.append(f"{name} normalization at k={k}: {residual:.2e}")
-                break
+        residual = fc.stats_report(sched, 6)["max_normalization_residual"]
+        if residual >= 1e-9:
+            failures.append(f"{name} normalization at k<=6: {residual:.2e}")
 
     rng = random.Random(139)
     checked = 0
@@ -272,12 +271,12 @@ def test_criterion_6_incomplete_statistics():
         if census_size(joint, k) > 20_000:
             continue
         checked += 1
-        report = fc.joint_factorization_check(a, b, k)
-        if not report.factorization_ok:
+        report = fc.stats_report(joint, k)
+        if not report["factorization_ok"]:
             failures.append(f"factorization failed (pair {checked})")
             break
-        if report.normalization_residual >= 1e-9:
-            failures.append(f"joint normalization {report.normalization_residual:.2e}")
+        if report["max_normalization_residual"] >= 1e-9:
+            failures.append(f"joint normalization {report['max_normalization_residual']:.2e}")
             break
     _criterion(
         "criterion 6: incomplete statistics (residual <1e-9, 100 fuzzed pairs)",

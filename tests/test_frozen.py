@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fractalc import boxcount, geometry, incstats, moran, parser, schedule
+from fractalc import boxcount, geometry, moran, parser, schedule
 
 _MISSING = dataclasses.MISSING
 
@@ -31,13 +31,8 @@ _FIELDS = {
     schedule.CompositionSchedule: [("items",)],
     geometry.SegmentSet: [("coords",), ("stage",), ("initiator_length",),
                           ("piece_lengths", None)],
-    geometry.SvgStyle: [("stroke", "black"), ("stroke_width", 1.0), ("background", "white")],
     boxcount.BoxCountReport: [("scales",), ("counts",), ("slope",), ("r_squared",),
                               ("theoretical", None)],
-    incstats.IncompleteDistribution: [("probabilities",), ("multiplicities",), ("alpha",),
-                                      ("stage",)],
-    incstats.FactorizationReport: [("alpha",), ("stage",), ("factorization_ok",),
-                                   ("max_value_error",), ("normalization_residual",)],
 }
 
 _ANGLE = parser.Angle(math.pi / 3, 3)
@@ -65,10 +60,7 @@ _ARGS = {
     schedule.Generator: [("C", (_PIECE,), False), _GEN_ARGS],
     schedule.CompositionSchedule: [(((_GEN, 1),),), (((_GEN, 2), (_GEN, 1)),)],
     geometry.SegmentSet: [(_COORDS, 0, 1.0, np.array([1.0])), (_COORDS, 1, 2.0)],
-    geometry.SvgStyle: [(), ("red", 2.0, "black")],
     boxcount.BoxCountReport: [((0.5, 0.25), (2, 4), 1.0, 0.99), ((0.5,), (1,), 0.0, 1.0, 1.26)],
-    incstats.IncompleteDistribution: [((0.5,), (2,), 1.0, 1), ((0.25, 0.5), (2, 1), 0.7, 2)],
-    incstats.FactorizationReport: [(1.0, 2, True, 0.0, 1e-16), (0.5, 0, False, math.inf, 0.0)],
 }
 
 
@@ -92,7 +84,7 @@ def _outcome(fn, *args):
 
 def test_every_value_type_is_covered():
     assert set(_FIELDS) == set(_ARGS)
-    assert len(_FIELDS) == 15
+    assert len(_FIELDS) == 12
 
 
 @pytest.mark.parametrize("cls", list(_FIELDS), ids=lambda cls: cls.__name__)

@@ -5,75 +5,83 @@ import pytest
 
 import fractalc as fc
 from fractalc.errors import SegmentBudgetExceeded
-from helpers import census_feasible_stage, census_size, random_schedule
+from fractalc.incstats import multisets_match, normalization_residual
+from helpers import (
+    census_feasible_stage,
+    census_size,
+    random_schedule,
+    reference_multisets_match,
+    reference_outer_product,
+    reference_probabilities,
+)
 
 
 def koch():
     return fc.schedule_from_text("K[pi/3]")
 
 
+def joined(a, b):
+    return fc.CompositionSchedule(a.items + b.items)
+
+
 def test_uniform_distribution_normalizes():
-    dist = fc.distribution(koch(), 2)
-    assert dist.total_count == 16
-    assert dist.probabilities == (pytest.approx(1 / 9, rel=1e-12),)
-    assert dist.alpha == pytest.approx(math.log(4) / math.log(3), abs=1e-12)
-    assert dist.normalization_residual() < 1e-9
+    census = fc.segment_census(koch(), 2)
+    assert sum(count for _, count in census) == 16
+    assert [value for value, _ in census] == [pytest.approx(1 / 9, rel=1e-12)]
+    summary = fc.stats_report(koch(), 2)
+    assert summary["alpha"] == pytest.approx(math.log(4) / math.log(3), abs=1e-12)
+    assert summary["max_normalization_residual"] < 1e-9
 
 
 def test_binary_composition_distribution():
     sched = fc.schedule_from_text("C[1/2,1/3] K[pi/3]")
-    dist = fc.distribution(sched, 1)
-    assert dist.multiplicities == (4, 4)
-    assert dist.probabilities[0] == pytest.approx(1 / 6, rel=1e-12)
-    assert dist.probabilities[1] == pytest.approx(1 / 9, rel=1e-12)
-    assert dist.normalization_residual() < 1e-9
+    census = fc.segment_census(sched, 1)
+    assert [count for _, count in census] == [4, 4]
+    assert census[0][0] == pytest.approx(1 / 6, rel=1e-12)
+    assert census[1][0] == pytest.approx(1 / 9, rel=1e-12)
+    assert fc.stats_report(sched, 1)["max_normalization_residual"] < 1e-9
 
 
 def test_stage_zero_distribution_is_trivial():
-    dist = fc.distribution(koch(), 0)
-    assert dist.probabilities == (1.0,)
-    assert dist.multiplicities == (1,)
-    assert dist.normalization_residual() < 1e-12
+    assert fc.segment_census(koch(), 0) == [(1.0, 1)]
+    assert fc.stats_report(koch(), 0)["max_normalization_residual"] < 1e-12
 
 
 def test_distribution_is_initiator_invariant():
     sched = fc.schedule_from_text("C[1/2,1/3] K[pi/3]")
-    unit = fc.distribution(sched, 3)
-    scaled = fc.distribution(sched, 3, L0=2.5)
-    assert scaled.probabilities == pytest.approx(unit.probabilities, rel=1e-12)
-    assert scaled.normalization_residual() < 1e-9
+    unit = fc.segment_census(sched, 3)
+    scaled = reference_probabilities(sched, 3, L0=2.5)
+    assert [p for p, _ in scaled] == pytest.approx([p for p, _ in unit], rel=1e-12)
+    alpha = fc.dimension(sched.spectrum()).alpha
+    assert normalization_residual(scaled, alpha) < 1e-9
 
 
 def test_self_composition_factorizes():
-    report = fc.joint_factorization_check(koch(), koch(), 1)
-    assert report.factorization_ok
-    assert report.normalization_residual < 1e-9
-    joint = fc.CompositionSchedule(koch().items + koch().items)
+    joint = joined(koch(), koch())
+    report = fc.stats_report(joint, 1)
+    assert report["factorization_ok"]
+    assert report["max_normalization_residual"] < 1e-9
     census = fc.segment_census(joint, 1)
     assert census[0][1] == 16
 
 
 def test_binary_times_koch_factorizes():
-    a = fc.schedule_from_text("C[1/2,1/3]")
-    b = koch()
-    report = fc.joint_factorization_check(a, b, 2)
-    assert report.factorization_ok
-    assert report.max_value_error <= 1e-12
-    assert report.normalization_residual < 1e-9
+    # factorization_ok holds the values to 1e-12 relative and the counts exactly
+    report = fc.stats_report(joined(fc.schedule_from_text("C[1/2,1/3]"), koch()), 2)
+    assert report["factorization_ok"]
+    assert report["max_normalization_residual"] < 1e-9
 
 
 def test_three_subsystem_product_normalizes():
-    # the three-generator schedule split into its substages
     full = fc.schedule_from_text("C[1/2,1/4,1/6] K[pi/4] K[pi/3]")
-    parts = [fc.CompositionSchedule((item,)) for item in full.items]
-    a, b, c = parts
-    bc = fc.CompositionSchedule(b.items + c.items)
-    report = fc.joint_factorization_check(a, bc, 1)
-    assert report.factorization_ok
-    assert report.normalization_residual < 1e-9
-    summary = fc.stats_report(full, 2)
-    assert summary["factorization_ok"] is True
-    assert summary["max_normalization_residual"] < 1e-9
+    # split into its first substage and the other two, crossed by the helpers
+    a, bc = (fc.CompositionSchedule(items) for items in (full.items[:1], full.items[1:]))
+    product = reference_outer_product([reference_probabilities(p, 1) for p in (a, bc)])
+    assert reference_multisets_match(reference_probabilities(full, 1), product)
+    for k in (1, 2):
+        summary = fc.stats_report(full, k)
+        assert summary["factorization_ok"] is True
+        assert summary["max_normalization_residual"] < 1e-9
 
 
 def test_stats_report_schema():
@@ -89,8 +97,6 @@ def test_single_item_factorization_is_trivially_true():
 
 
 def test_multisets_match_with_underflowed_buckets():
-    from fractalc.incstats import multisets_match
-
     assert multisets_match([(0.5, 2), (0.0, 3)], [(0.5, 2), (0.0, 3)]) == (True, 0.0)
     ok, _ = multisets_match([(0.5, 2), (0.0, 3)], [(0.5, 2), (1e-300, 3)])
     assert not ok
@@ -109,9 +115,9 @@ def test_factorization_fuzz():
         k = census_feasible_stage(joint, 20_000, max_stage=3)
         if census_size(joint, k) > 20_000:
             continue
-        report = fc.joint_factorization_check(a, b, k)
-        assert report.factorization_ok
-        assert report.normalization_residual < 1e-9
+        report = fc.stats_report(joint, k)
+        assert report["factorization_ok"]
+        assert report["max_normalization_residual"] < 1e-9
         done += 1
 
 
@@ -123,8 +129,7 @@ def test_normalization_fuzz():
         k = census_feasible_stage(sched, 20_000, max_stage=6)
         if census_size(sched, k) > 20_000:
             continue
-        for stage in range(1, k + 1):
-            assert fc.distribution(sched, stage).normalization_residual() < 1e-9
+        assert fc.stats_report(sched, k)["max_normalization_residual"] < 1e-9
         done += 1
 
 
@@ -137,3 +142,18 @@ def test_stats_report_budget_covers_every_stage():
     # each stage alone is within the budget, their sum is not
     with pytest.raises(SegmentBudgetExceeded):
         fc.stats_report(koch(), 300)
+
+
+def test_census_charge_within_its_bound_sizes_one_stage(monkeypatch):
+    # census_size never falls as the stage grows, so when stages * the stage-k
+    # size is within the budget the charge accepts without a per-stage loop
+    calls = []
+    size = fc.CompositionSchedule.census_size
+    monkeypatch.setattr(fc.CompositionSchedule, "census_size",
+                        lambda self, k: calls.append(k) or size(self, k))
+    fc.work.charge_census(fc.schedule_from_text("C[1/2]"), 999_999, 10**7, stages=10**6)
+    assert len(calls) <= 2
+    # over the bound, the loop still charges the exact sum: 210 over stages 0..6
+    fc.work.charge_census(koch(), 6, 210, stages=7)
+    with pytest.raises(SegmentBudgetExceeded):
+        fc.work.charge_census(koch(), 6, 209, stages=7)

@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 import fractalc as fc
-from helpers import random_spectrum, random_uniform_parts, spectrum_of_uniform
+from helpers import random_spectrum, random_uniform_parts, spectrum_of_uniform, uniform_dimension
 
 LN = math.log
 
@@ -28,25 +28,25 @@ def bisect_root(f, lo=0.0, hi=8.0):
     return 0.5 * (lo + hi)
 
 
-# --- single_dimension --------------------------------------------------------
+# --- component_dimension of a uniform fractal ---------------------------------
 
 
 def test_koch_dimension():
-    alpha = fc.single_dimension(fc.UniformFractal(4, 1 / 3))
+    alpha = uniform_dimension(fc.UniformFractal(4, 1 / 3))
     assert alpha == pytest.approx(LN(4) / LN(3), rel=1e-15)
     assert abs(alpha - 1.26) <= 0.005
 
 
 def test_two_halves_make_a_line():
-    assert fc.single_dimension(fc.UniformFractal(2, 1 / 2)) == pytest.approx(1.0)
+    assert uniform_dimension(fc.UniformFractal(2, 1 / 2)) == pytest.approx(1.0)
 
 
 def test_cantor_dimension():
-    assert fc.single_dimension(fc.UniformFractal(2, 1 / 3)) == pytest.approx(LN(2) / LN(3))
+    assert uniform_dimension(fc.UniformFractal(2, 1 / 3)) == pytest.approx(LN(2) / LN(3))
 
 
 def test_single_copy_is_zero_dimensional():
-    assert fc.single_dimension(fc.UniformFractal(1, 0.7)) == 0.0
+    assert uniform_dimension(fc.UniformFractal(1, 0.7)) == 0.0
 
 
 def test_uniform_fractal_validation():
@@ -89,7 +89,7 @@ def test_repeated_substage_composition():
 def test_self_composition_is_idempotent():
     koch = fc.UniformFractal(4, 1 / 3)
     assert fc.composite_dimension_uniform([(koch, 1), (koch, 1)]) == pytest.approx(
-        fc.single_dimension(koch), rel=1e-15
+        uniform_dimension(koch), rel=1e-15
     )
 
 
@@ -99,7 +99,7 @@ def test_barycentric_form_agrees():
     for _ in range(50):
         parts = random_uniform_parts(rng)
         alpha = fc.composite_dimension_uniform(parts)
-        num = sum(n * fc.single_dimension(f) * LN(1 / f.ratio) for f, n in parts)
+        num = sum(n * uniform_dimension(f) * LN(1 / f.ratio) for f, n in parts)
         den = sum(n * LN(1 / f.ratio) for f, n in parts)
         assert alpha == pytest.approx(num / den, abs=1e-12)
 
@@ -121,7 +121,7 @@ def test_tiny_uniform_ratio_matches_mpmath():
     assert report.method == "closed-form"
     assert report.alpha == pytest.approx(want, rel=4e-16)
     assert abs(report.residual) < 1e-12
-    assert fc.single_dimension(fc.UniformFractal(2, rho)) == report.alpha
+    assert fc.composite_dimension_uniform([(fc.UniformFractal(2, rho), 1)]) == report.alpha
 
 
 # --- solve_moran ---------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_binary_plus_koch_schedule():
 def test_uniform_spectrum_reduces_to_single_fractal():
     spectrum = fc.ScaleSpectrum([([1 / 3] * 4, 1)])
     report = fc.solve_moran(spectrum)
-    assert abs(report.alpha - fc.single_dimension(fc.UniformFractal(4, 1 / 3))) <= 1e-9
+    assert abs(report.alpha - uniform_dimension(fc.UniformFractal(4, 1 / 3))) <= 1e-9
 
 
 def test_three_component_schedule_self_consistency():
@@ -155,7 +155,7 @@ def test_three_component_schedule_self_consistency():
     )
     report = fc.solve_moran(spectrum)
     assert abs(report.residual) <= 1e-12
-    lo, hi = fc.dimension_bounds(spectrum.component_dimensions())
+    lo, hi = fc.dimension_bounds([fc.component_dimension(r) for r, _ in spectrum.components])
     assert lo <= report.alpha <= hi
 
 
@@ -365,7 +365,7 @@ def test_binary_special_cross_checks_numerically():
 def test_binary_special_within_bounds():
     r1, f = 0.6, fc.UniformFractal(5, 0.25)
     alpha = fc.binary_special_dimension(r1, f)
-    comp = [fc.component_dimension([r1, r1 * r1 * f.ratio]), fc.single_dimension(f)]
+    comp = [fc.component_dimension([r1, r1 * r1 * f.ratio]), uniform_dimension(f)]
     lo, hi = fc.dimension_bounds(comp)
     assert lo <= alpha <= hi
 
@@ -458,7 +458,7 @@ def test_property_bounds():
     for _ in range(150):
         spectrum = random_spectrum(rng)
         alpha = fc.solve_moran(spectrum).alpha
-        lo, hi = fc.dimension_bounds(spectrum.component_dimensions())
+        lo, hi = fc.dimension_bounds([fc.component_dimension(r) for r, _ in spectrum.components])
         assert lo <= alpha <= hi
 
 
@@ -485,7 +485,7 @@ def test_property_arithmetic_average_law():
         rho = rng.uniform(0.05, 0.95)
         parts = [(fc.UniformFractal(rng.randint(1, 12), rho), 1) for _ in range(rng.randint(2, 5))]
         alpha = fc.composite_dimension_uniform(parts)
-        mean = sum(fc.single_dimension(f) for f, _ in parts) / len(parts)
+        mean = sum(uniform_dimension(f) for f, _ in parts) / len(parts)
         assert alpha == pytest.approx(mean, abs=1e-12)
 
 
@@ -495,7 +495,7 @@ def test_property_harmonic_average_law():
         copies = rng.randint(2, 12)
         parts = [(fc.UniformFractal(copies, rng.uniform(0.05, 0.95)), 1) for _ in range(rng.randint(2, 5))]
         alpha = fc.composite_dimension_uniform(parts)
-        harmonic_mean_inv = sum(1 / fc.single_dimension(f) for f, _ in parts) / len(parts)
+        harmonic_mean_inv = sum(1 / uniform_dimension(f) for f, _ in parts) / len(parts)
         assert 1 / alpha == pytest.approx(harmonic_mean_inv, abs=1e-12)
 
 

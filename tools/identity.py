@@ -12,7 +12,8 @@ time. The list is fixed:
   `bench/corpus.build` (ROUNDS rounds of each);
 - every `fractalc` line of README.md;
 - BUDGET_EDGES below: each command with FRACTALC_SEGMENT_BUDGET set just below
-  and at the limit of each kind of work it is charged for.
+  and at the limit of each kind of work it is charged for;
+- LIMIT_BASES below: `limit` on five bases the corpus does not use.
 
 Exit code, stdout, stderr and the bytes of every file the run writes are
 compared, with the run directory written as <tmp>. Differences are printed
@@ -76,6 +77,19 @@ BUDGET_EDGES = [
     *((b, ["census", "K[pi/3]", "--stage", "2"]) for b in ("0", "ten")),
 ]
 
+# limit's base dimension, on bases other than the corpus's K[pi/3]: a line,
+# dimension 0, the square curve, a decimal ratio and another Koch angle
+LIMIT_BASES = [
+    (None, ["limit", "--base", base, "--target", target, "--n", n, *human])
+    for base, target, n, human in (
+        ("C[1/3,1/3]", "3/2", "10", []),
+        ("C[1/2]", "1/2", "1000", []),
+        ("Q[pi/2]", "5/3", "100", ["--human"]),
+        ("C[0.3,0.3,0.3]", "3/2", "10", []),
+        ("K[pi/4]", "1/2", "1000000", []),
+    )
+]
+
 
 def invocations() -> list[tuple[str | None, tuple[str, ...]]]:
     """The fixed list, without repeats, in first-seen order."""
@@ -87,7 +101,7 @@ def invocations() -> list[tuple[str | None, tuple[str, ...]]]:
     for line in (ROOT / "README.md").read_text().splitlines():
         if line.startswith("fractalc "):
             found.append((None, shlex.split(line, comments=True)[1:]))
-    found += BUDGET_EDGES
+    found += BUDGET_EDGES + LIMIT_BASES
     return list(dict.fromkeys((budget, tuple(args)) for budget, args in found))
 
 
