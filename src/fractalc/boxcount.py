@@ -47,7 +47,6 @@ from .work import DEFAULT_SEGMENT_BUDGET
 if TYPE_CHECKING:
     import numpy as np
 
-_LADDER_RATIO = 0.5  # dyadic so coarse boxes are exact unions of fine ones
 _KEY_LIMIT = 2**63 - 1  # the largest int64
 _CELL_BATCH = 1 << 14  # grid cells walked per batch of segments: bounds peak memory
 
@@ -61,11 +60,11 @@ class BoxCountReport(Frozen):
     signal). All scales and counts are still reported.
     """
 
-    __slots__ = _fields = ("scales", "counts", "slope", "r_squared", "theoretical")
+    __slots__ = _fields = ("scales", "counts", "slope", "r_squared")
 
     def __init__(self, scales: tuple[float, ...], counts: tuple[int, ...], slope: float,
-                 r_squared: float, theoretical: float | None = None):
-        super().__init__(scales, counts, slope, r_squared, theoretical)
+                 r_squared: float):
+        super().__init__(scales, counts, slope, r_squared)
 
     def to_json_dict(self) -> dict:
         return {
@@ -73,7 +72,6 @@ class BoxCountReport(Frozen):
             "counts": list(self.counts),
             "slope": self.slope,
             "r_squared": self.r_squared,
-            "theoretical": self.theoretical,
         }
 
 
@@ -169,7 +167,6 @@ def estimate_dimension(
     s: SegmentSet,
     scale_count: int = 10,
     min_scale: float | None = None,
-    theoretical: float | None = None,
     budget: int = DEFAULT_SEGMENT_BUDGET,
 ) -> BoxCountReport:
     """Box-count `s` over a dyadic scale ladder and fit the scaling exponent.
@@ -210,7 +207,8 @@ def estimate_dimension(
         if eps < min_scale * (1.0 - 1e-12):
             break
         scales.append(eps)
-        eps *= _LADDER_RATIO
+        # dyadic: the coarser rungs below halve cell indices (i >> 1)
+        eps *= 0.5
     if len(scales) < 4:
         raise ScaleLadderInvalid(
             f"ladder from {eps_top:g} down to {min_scale:g} has only {len(scales)} scales"
@@ -241,5 +239,4 @@ def estimate_dimension(
         counts=tuple(counts),
         slope=float(slope),
         r_squared=r_squared,
-        theoretical=theoretical,
     )

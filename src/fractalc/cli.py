@@ -210,12 +210,11 @@ def validate(expression: str, stage: int, scales: int, min_scale: float | None,
     alpha = moran.dimension(sched.spectrum()).alpha
     budget = _segment_budget()
     segments = geometry.iterate(sched, stage, L0=l0, budget=budget)
-    report = boxcount.estimate_dimension(
-        segments, scales, min_scale, theoretical=alpha, budget=budget
-    )
+    report = boxcount.estimate_dimension(segments, scales, min_scale, budget=budget)
     within = abs(report.slope - alpha) <= tolerance
     payload = {
         **report.to_json_dict(),
+        "theoretical": alpha,
         "tolerance": tolerance,
         "within_tolerance": within,
         "verdict": "PASS" if within else "FAIL",

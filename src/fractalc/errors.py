@@ -46,10 +46,7 @@ class SegmentBudgetExceeded(FractalcError):
     `what` words the message around `{count}`, the count `predicted` (None when
     too large to build; a power of ten past 30 digits), and `{limit}`, `budget`."""
 
-    def __init__(
-        self, predicted: int | None, budget: int,
-        what: str = "stage would produce {count} segments, over the budget of {limit}",
-    ):
+    def __init__(self, predicted: int | None, budget: int, what: str):
         self.predicted = predicted
         self.budget = budget
         if predicted is not None and predicted >= 10**30:

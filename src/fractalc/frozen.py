@@ -13,26 +13,20 @@ class Frozen:
     A subclass lists its fields, and any attribute derived from them, in
     `__slots__`, and its `__init__` passes the field values, in order, to
     `Frozen.__init__`. repr is dataclass-style, `Name(field=value, ...)`; ==
-    and hash compare the tuple of the fields in `_compared` (by default all of
-    them), and == only between instances of one class. Assigning or deleting
-    any attribute raises AttributeError.
+    and hash compare the tuple of all the fields, and == only between
+    instances of one class. Assigning or deleting any attribute raises
+    AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _compared: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        if "_fields" in cls.__dict__ and "_compared" not in cls.__dict__:
-            cls._compared = cls._fields
 
     def __init__(self, *values) -> None:
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

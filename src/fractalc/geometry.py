@@ -240,17 +240,11 @@ def _fixed6(values: np.ndarray, seps: np.ndarray) -> bytes:
     "%.6f" and their separator, so the text is itself the template that
     formats those values with one %: no other byte of it is a "%". Of their
     texts, those that round to -0 are then written 0.000000; a "-" only ever
-    starts a value, so no other value contains the pattern. When fewer than
-    one value in eight is in range, every value falls back, since % costs
-    about ten times the kernel per value.
+    starts a value, so no other value contains the pattern.
     """
     import numpy as np
     ok = np.abs(values) < 1e8
-    if 8 * np.count_nonzero(ok) >= len(values):
-        rows = _fixed6_rows(values, ok)
-    else:
-        ok[:] = False
-        rows = np.empty((len(values), 5), dtype=np.uint8)
+    rows = _fixed6_rows(values, ok)
     # a value that falls back reads "%.6f", then its separator
     rows[~ok, :-1] = np.frombuffer(b"%.6f".ljust(rows.shape[1] - 1, b"\0"), dtype=np.uint8)
     text = _render(rows, seps, -1, values[~ok])
@@ -363,7 +357,8 @@ def export_svg(s: SegmentSet, path) -> None:
     """
     n = len(s)
     if n > RENDER_SEGMENT_LIMIT:
-        raise SegmentBudgetExceeded(n, RENDER_SEGMENT_LIMIT)
+        raise SegmentBudgetExceeded(n, RENDER_SEGMENT_LIMIT, "the figure has {count} "
+                                    "segments, over the SVG export cap of {limit}")
     import numpy as np
     coords = s.coords
     pts = coords.reshape(-1, 2)
@@ -523,7 +518,8 @@ def detect_overlap(s: SegmentSet) -> bool:
     """
     n = len(s)
     if n > RENDER_SEGMENT_LIMIT:
-        raise SegmentBudgetExceeded(n, RENDER_SEGMENT_LIMIT)
+        raise SegmentBudgetExceeded(n, RENDER_SEGMENT_LIMIT, "the figure has {count} "
+                                    "segments, over the overlap check's cap of {limit}")
     if n < 2:
         return False
     import numpy as np

@@ -10,9 +10,12 @@ census, never from materialized geometry, so large stages stay cheap.
 the factorization at stage k.
 
 The factorization check crosses per-part censuses with the census's own
-cross-product routine (`schedule.census_product`), so it checks that merging
-per part and then crossing agrees with crossing and then merging: a
-merge-consistency check, not an independent oracle for the census.
+cross-product routine (`schedule.census_product`) and compares the result
+with the joint census exactly, value and count. It checks that merging per
+part and then crossing agrees with crossing and then merging: a
+merge-consistency check, not an independent oracle for the census. Making
+the census exact, so that the factorization is an identity, is ROADMAP
+item 2.
 
 The incompleteness exponent is taken to be the box dimension itself; for sets
 embedded with a nontrivial ambient dimension d one would divide by d first,
@@ -23,13 +26,11 @@ unit initiator.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from . import work
 from .moran import dimension
 from .schedule import CompositionSchedule, build_census, census_product
-
-_VALUE_RTOL = 1e-12
 
 
 def normalization_residual(buckets: Iterable[tuple[float, int]], alpha: float) -> float:
@@ -47,26 +48,6 @@ def normalization_residual(buckets: Iterable[tuple[float, int]], alpha: float) -
     return abs(acc - 1.0)
 
 
-def multisets_match(
-    a: Sequence[tuple[float, int]],
-    b: Sequence[tuple[float, int]],
-    rtol: float = _VALUE_RTOL,
-) -> tuple[bool, float]:
-    """Compare (value, count) multisets: values within rtol, counts exact."""
-    if len(a) != len(b):
-        return False, float("inf")
-    worst = 0.0
-    for (va, ca), (vb, cb) in zip(a, b):
-        if ca != cb:
-            return False, float("inf")
-        # equal values, 0.0 included, match exactly; 0.0 against a length does not
-        err = 0.0 if va == vb else abs(va - vb) / max(va, vb)
-        worst = max(worst, err)
-        if err > rtol:
-            return False, worst
-    return True, worst
-
-
 def stats_report(
     schedule: CompositionSchedule, k: int, budget: int = work.DEFAULT_SEGMENT_BUDGET
 ) -> dict:
@@ -74,8 +55,9 @@ def stats_report(
 
     The normalization residual is the worst over stages 0..k (stage 0 is
     exact). Factorization compares the product of the items' stage-k censuses
-    against the joint census; with a single item the product is the census
-    itself, so the check is trivially true. Charges `budget` first (`work`).
+    with the joint census for exact equality; with a single item the product
+    is the census itself, so the check is trivially true. Charges `budget`
+    first (`work`).
     """
     work.charge_census(schedule, k, budget, stages=k + 1)
     alpha = dimension(schedule.spectrum()).alpha
@@ -85,7 +67,7 @@ def stats_report(
         max_resid = max(max_resid, normalization_residual(census, alpha))
     # the parts' censuses are factors of the joint's, charged with it
     parts = (build_census(CompositionSchedule((item,)), k) for item in schedule.items)
-    ok = len(schedule.items) == 1 or multisets_match(census, census_product(parts))[0]
+    ok = len(schedule.items) == 1 or census == census_product(parts)
     return {
         "alpha": alpha,
         "max_normalization_residual": max_resid,

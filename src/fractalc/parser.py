@@ -65,8 +65,7 @@ class PieceExpr(Frozen):
 class ScheduleItem(Frozen):
     """One substage term: a generator primitive with a repeat count."""
 
-    __slots__ = _fields = ("kind", "repeat", "angle", "ratios", "pieces", "span")
-    _compared = _fields[:-1]  # the span, byte offsets in the text, is not the value
+    __slots__ = _fields = ("kind", "repeat", "angle", "ratios", "pieces")
 
     def __init__(
         self,
@@ -75,9 +74,8 @@ class ScheduleItem(Frozen):
         angle: Angle | None = None,
         ratios: tuple[Ratio, ...] | None = None,
         pieces: tuple[PieceExpr, ...] | None = None,
-        span: tuple[int, int] = (0, 0),
     ):
-        super().__init__(kind, repeat, angle, ratios, pieces, span)
+        super().__init__(kind, repeat, angle, ratios, pieces)
 
     def __str__(self) -> str:
         if self.kind in ("K", "Q"):
@@ -204,7 +202,6 @@ class _Parser:
     def parse_item(self) -> ScheduleItem:
         if self.tok.kind != "NAME" or self.tok.text not in ("K", "Q", "C", "G"):
             self.fail({"K", "Q", "C", "G"}, "expected a generator")
-        start = self.tok.pos
         name = self.advance().text
         self.expect("[")
         if name in ("K", "Q"):
@@ -231,9 +228,7 @@ class _Parser:
             repeat = self.integer()
             if repeat < 1:
                 self.semantic("repeat count must be >= 1")
-        end = self.tokens[self.i - 1].pos + len(self.tokens[self.i - 1].text)
-        span = (_byte_offset(self.text, start), _byte_offset(self.text, end))
-        return ScheduleItem(kind=name, repeat=repeat, span=span, **item_args)
+        return ScheduleItem(kind=name, repeat=repeat, **item_args)
 
     def parse_piece(self) -> PieceExpr:
         self.expect("(")

@@ -30,9 +30,8 @@ def test_straight_line_has_dimension_one():
 
 def test_koch_slope_near_theory():
     s = fc.iterate(fc.schedule_from_text("K[pi/3]"), 6)
-    report = fc.estimate_dimension(s, theoretical=KOCH_DIM)
+    report = fc.estimate_dimension(s)
     assert abs(report.slope - KOCH_DIM) <= 0.05
-    assert report.theoretical == KOCH_DIM
 
 
 def test_cantor_dust_slope_near_theory():
@@ -106,8 +105,7 @@ def test_diagonal_beyond_float_range_rejected():
 def test_report_serialization_schema():
     report = fc.estimate_dimension(line_set(), scale_count=6, min_scale=1 / 128)
     payload = report.to_json_dict()
-    assert set(payload) == {"scales", "counts", "slope", "r_squared", "theoretical"}
-    assert payload["theoretical"] is None
+    assert list(payload) == ["scales", "counts", "slope", "r_squared"]
 
 
 def test_vertical_and_diagonal_lines():

@@ -1,6 +1,5 @@
-"""Each frozen value type against a dataclass twin with its fields, defaults and
-compare flags: the same repr, ==, hash, construction, defaults and refused
-assignment."""
+"""Each frozen value type against a dataclass twin with its fields and defaults:
+the same repr, ==, hash, construction, defaults and refused assignment."""
 
 import copy
 import dataclasses
@@ -15,12 +14,12 @@ from fractalc import boxcount, geometry, moran, parser, schedule
 
 _MISSING = dataclasses.MISSING
 
-# each type's fields as a frozen dataclass declares them: (name, default, compare)
+# each type's fields as a frozen dataclass declares them: (name, default)
 _FIELDS = {
     parser.Angle: [("value",), ("pi_k", None)],
     parser.PieceExpr: [("ratio",), ("angle",), ("draw",)],
     parser.ScheduleItem: [("kind",), ("repeat", 1), ("angle", None), ("ratios", None),
-                          ("pieces", None), ("span", (0, 0), False)],
+                          ("pieces", None)],
     parser.ScheduleExpr: [("items",)],
     moran.UniformFractal: [("copies",), ("ratio",)],
     moran.ScaleSpectrum: [("components",)],
@@ -31,12 +30,11 @@ _FIELDS = {
     schedule.CompositionSchedule: [("items",)],
     geometry.SegmentSet: [("coords",), ("stage",), ("initiator_length",),
                           ("piece_lengths", None)],
-    boxcount.BoxCountReport: [("scales",), ("counts",), ("slope",), ("r_squared",),
-                              ("theoretical", None)],
+    boxcount.BoxCountReport: [("scales",), ("counts",), ("slope",), ("r_squared",)],
 }
 
 _ANGLE = parser.Angle(math.pi / 3, 3)
-_ITEM = parser.ScheduleItem("K", 2, _ANGLE, span=(0, 9))
+_ITEM = parser.ScheduleItem("K", 2, _ANGLE)
 _PIECE = schedule.Piece(0.5, 0.0, True)
 _GEN_ARGS = ("C", (_PIECE, schedule.Piece(0.25, 0.0, False)), False)
 _GEN = schedule.Generator(*_GEN_ARGS)
@@ -48,7 +46,7 @@ _COORDS = np.array([1.0])
 _ARGS = {
     parser.Angle: [(math.pi / 3, 3), (0.5,)],
     parser.PieceExpr: [(Fraction(1, 3), _ANGLE, True), (0.25, parser.Angle(-0.5), False)],
-    parser.ScheduleItem: [("K", 2, _ANGLE, None, None, (0, 9)),
+    parser.ScheduleItem: [("K", 2, _ANGLE, None, None),
                           ("C", 1, None, (Fraction(1, 2), 0.25))],
     parser.ScheduleExpr: [((_ITEM,),), ((_ITEM, parser.ScheduleItem("Q", angle=_ANGLE)),)],
     moran.UniformFractal: [(4, 1 / 3), (2, 0.5)],
@@ -60,7 +58,7 @@ _ARGS = {
     schedule.Generator: [("C", (_PIECE,), False), _GEN_ARGS],
     schedule.CompositionSchedule: [(((_GEN, 1),),), (((_GEN, 2), (_GEN, 1)),)],
     geometry.SegmentSet: [(_COORDS, 0, 1.0, np.array([1.0])), (_COORDS, 1, 2.0)],
-    boxcount.BoxCountReport: [((0.5, 0.25), (2, 4), 1.0, 0.99), ((0.5,), (1,), 0.0, 1.0, 1.26)],
+    boxcount.BoxCountReport: [((0.5, 0.25), (2, 4), 1.0, 0.99), ((0.5,), (1,), 0.0, 1.0)],
 }
 
 
@@ -69,8 +67,7 @@ def _twin(cls):
     fields = []
     for name, *rest in _FIELDS[cls]:
         default = rest[0] if rest else _MISSING
-        compare = rest[1] if len(rest) > 1 else True
-        fields.append((name, object, dataclasses.field(default=default, compare=compare)))
+        fields.append((name, object, dataclasses.field(default=default)))
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
 
 
@@ -122,10 +119,8 @@ def test_value_type_matches_its_dataclass_twin(cls):
     assert first.__eq__(object()) is NotImplemented
 
 
-def test_uncompared_span_and_derived_attributes():
-    # the span is shown but not compared; derived attributes are neither
-    moved = parser.ScheduleItem("K", 2, _ANGLE, span=(4, 13))
-    assert moved == _ITEM and hash(moved) == hash(_ITEM) and repr(moved) != repr(_ITEM)
+def test_derived_attributes_are_not_fields():
+    # derived attributes, outside _fields, are not shown
     assert (_GEN.draw_ratios, _GEN.copies) == ((0.5,), 1)
     assert "draw_ratios" not in repr(_GEN)
     spectrum = moran.ScaleSpectrum([([0.5, 0.25], 1), ([0.25, 0.5], 1)])

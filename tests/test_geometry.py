@@ -152,7 +152,8 @@ def test_one_piece_substages_count_against_the_budget():
 
 
 def test_budget_message_gives_power_of_ten_for_long_counts():
-    err = SegmentBudgetExceeded(4**10_000, 10)
+    err = SegmentBudgetExceeded(4**10_000, 10, "stage would produce {count} segments, over the "
+                                "budget of {limit}")
     assert str(err) == "stage would produce about 10^6020.6 segments, over the budget of 10"
     assert err.predicted == 4**10_000
 
@@ -377,11 +378,17 @@ def test_figure_beyond_float_range_rejected(tmp_path):
     assert not out.exists()
 
 
-def test_svg_respects_render_limit(tmp_path):
+def over_render_limit() -> fc.SegmentSet:
+    """Koch stage 3 (64 segments) tiled to 1,024,000 segments, over the 10^6 cap."""
     s = fc.iterate(koch(), 3)
-    big = fc.SegmentSet(np.tile(s.coords, (300000, 1)), stage=3, initiator_length=1.0)
-    with pytest.raises(SegmentBudgetExceeded):
-        fc.export_svg(big, tmp_path / "too_big.svg")
+    return fc.SegmentSet(np.tile(s.coords, (16_000, 1)), stage=3, initiator_length=1.0)
+
+
+def test_svg_respects_render_limit(tmp_path):
+    with pytest.raises(SegmentBudgetExceeded) as err:
+        fc.export_svg(over_render_limit(), tmp_path / "too_big.svg")
+    assert str(err.value) == "the figure has 1024000 segments, over the SVG export cap of 1000000"
+    assert not (tmp_path / "too_big.svg").exists()
 
 
 def test_csv_dump(tmp_path):
@@ -403,6 +410,13 @@ def seg_set(rows):
 
 def test_koch_does_not_overlap():
     assert fc.detect_overlap(fc.iterate(koch(), 4)) is False
+
+
+def test_overlap_check_respects_render_limit():
+    with pytest.raises(SegmentBudgetExceeded) as err:
+        fc.detect_overlap(over_render_limit())
+    assert str(err.value) == (
+        "the figure has 1024000 segments, over the overlap check's cap of 1000000")
 
 
 def test_superposed_segments_overlap():

@@ -5,7 +5,7 @@ import pytest
 
 import fractalc as fc
 from fractalc.errors import SegmentBudgetExceeded
-from fractalc.incstats import multisets_match, normalization_residual
+from fractalc.incstats import normalization_residual
 from helpers import (
     census_feasible_stage,
     census_size,
@@ -13,6 +13,7 @@ from helpers import (
     reference_multisets_match,
     reference_outer_product,
     reference_probabilities,
+    reference_stats_report,
 )
 
 
@@ -96,13 +97,22 @@ def test_single_item_factorization_is_trivially_true():
     assert summary["factorization_ok"] is True
 
 
-def test_multisets_match_with_underflowed_buckets():
-    assert multisets_match([(0.5, 2), (0.0, 3)], [(0.5, 2), (0.0, 3)]) == (True, 0.0)
-    ok, _ = multisets_match([(0.5, 2), (0.0, 3)], [(0.5, 2), (1e-300, 3)])
-    assert not ok
-    # a multi-item stats report whose stage-k lengths underflow to 0.0
-    summary = fc.stats_report(fc.schedule_from_text("C[1/1000] C[1/2,1/4]"), 110)
+@pytest.mark.parametrize("text, k", [
+    # stage-k lengths that underflow to 0.0 buckets
+    ("C[1/1000] C[1/2,1/4]", 110),
+    # dependent ratios, whose products are equal or within a few ulps
+    ("C[1/2,1/4,1/8] C[1/3,1/9]", 6),
+])
+def test_exact_factorization_on_multi_item_schedules(text, k):
+    sched = fc.schedule_from_text(text)
+    summary = fc.stats_report(sched, k)
     assert summary["factorization_ok"] is True
+    # the reference crosses the parts in its own loops, compared within 1e-12
+    want = reference_stats_report(sched, k)
+    assert want["factorization_ok"] is True
+    assert summary["alpha"] == want["alpha"]
+    assert summary["max_normalization_residual"] == pytest.approx(
+        want["max_normalization_residual"], abs=1e-12)
 
 
 def test_factorization_fuzz():

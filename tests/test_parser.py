@@ -128,17 +128,6 @@ def test_empty_ratio_list_is_rejected():
         fc.parse("C[]")
 
 
-def test_item_spans_cover_source():
-    text = "C[1/3,1/3] K[pi/3]^2"
-    expr = fc.parse(text)
-    raw = text.encode()
-    for item in expr.items:
-        start, end = item.span
-        assert 0 <= start < end <= len(raw)
-        assert raw[start : start + 1].decode() == item.kind
-    assert raw[expr.items[1].span[0] :].decode() == "K[pi/3]^2"
-
-
 # --- semantic errors --------------------------------------------------------------
 
 

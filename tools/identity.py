@@ -13,7 +13,8 @@ time. The list is fixed:
 - every `fractalc` line of README.md;
 - BUDGET_EDGES below: each command with FRACTALC_SEGMENT_BUDGET set just below
   and at the limit of each kind of work it is charged for;
-- LIMIT_BASES below: `limit` on five bases the corpus does not use.
+- LIMIT_BASES below: `limit` on five bases the corpus does not use;
+- PATH_EDGES below: code paths the corpus does not reach.
 
 Exit code, stdout, stderr and the bytes of every file the run writes are
 compared, with the run directory written as <tmp>. Differences are printed
@@ -90,6 +91,16 @@ LIMIT_BASES = [
     )
 ]
 
+# the exact factorization compare on 0.0 buckets and on dependent ratios;
+# validate's human output; SVG points of 1e8 and more, which `_fixed6` formats
+# with %
+PATH_EDGES = [
+    (None, ["stats", "C[1/1000] C[1/2,1/4]", "--stage", "110"]),
+    (None, ["stats", "C[1/2,1/4,1/8] C[1/3,1/9]", "--stage", "6"]),
+    (None, ["validate", "K[pi/3]", "--stage", "6", "--human"]),
+    (None, ["render", "K[pi/3]", "--stage", "4", "--l0", "1e12", "-o", "out.svg"]),
+]
+
 
 def invocations() -> list[tuple[str | None, tuple[str, ...]]]:
     """The fixed list, without repeats, in first-seen order."""
@@ -101,7 +112,7 @@ def invocations() -> list[tuple[str | None, tuple[str, ...]]]:
     for line in (ROOT / "README.md").read_text().splitlines():
         if line.startswith("fractalc "):
             found.append((None, shlex.split(line, comments=True)[1:]))
-    found += BUDGET_EDGES + LIMIT_BASES
+    found += BUDGET_EDGES + LIMIT_BASES + PATH_EDGES
     return list(dict.fromkeys((budget, tuple(args)) for budget, args in found))
 
 
