@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "BoxCountReport": "boxcount",
     "estimate_dimension": "boxcount",
+    "segment_census": "census",
     "SegmentSet": "geometry",
     "detect_overlap": "geometry",
     "export_csv": "geometry",
@@ -49,7 +50,6 @@ _EXPORTS = {
     "content": "schedule",
     "koch_scale": "schedule",
     "schedule_from_text": "schedule",
-    "segment_census": "schedule",
 }
 
 _SUBMODULES = {*_EXPORTS.values(), "cli", "errors", "work"}

@@ -98,7 +98,8 @@ def _file_path(text: str) -> str:
 
 
 def _warn_underflow(sched: schedule.CompositionSchedule, stage: int, l0: float = 1.0) -> None:
-    if work.census_log_floor(sched, stage, l0) < _LOG_TINIEST:
+    from . import census
+    if census.census_log_floor(sched, stage, l0) < _LOG_TINIEST:
         print(_UNDERFLOW_WARNING.format(stage), file=sys.stderr)
 
 
@@ -183,9 +184,10 @@ def render(expression: str, stage: int, out_path: str, csv_path: str | None,
 
 def census(expression: str, stage: int, l0: float, human: bool):
     """Exact (length, count) table at a stage, via multinomial expansion."""
+    from . import census
     sched = _load_schedule(expression)
     work.charge_census(sched, stage, _segment_budget(), printed=True)
-    buckets = schedule.build_census(sched, stage, l0)
+    buckets = census.build_census(sched, stage, l0)
     _warn_underflow(sched, stage, l0)
     total = sum(count for _, count in buckets)
     if human:

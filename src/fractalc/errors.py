@@ -15,12 +15,16 @@ class ScheduleSyntaxError(FractalcError):
     """
 
     def __init__(self, message: str, offset: int, expected: frozenset[str]):
+        self._message = message
         self.offset = offset
         self.expected = expected
         detail = f"{message} at byte {offset}"
         if expected:
             detail += f" (expected {', '.join(sorted(expected))})"
         super().__init__(detail)
+
+    def __reduce__(self):  # pickle and copy rebuild from these, not from the message
+        return type(self), (self._message, self.offset, self.expected)
 
 
 class ScheduleSemanticError(FractalcError):
@@ -49,9 +53,13 @@ class SegmentBudgetExceeded(FractalcError):
     def __init__(self, predicted: int | None, budget: int, what: str):
         self.predicted = predicted
         self.budget = budget
+        self._what = what
         if predicted is not None and predicted >= 10**30:
             predicted = f"about 10^{math.log10(predicted):.6g}"
         super().__init__(what.format(count=predicted, limit=budget))
+
+    def __reduce__(self):  # pickle and copy rebuild from these, not from the message
+        return type(self), (self.predicted, self.budget, self._what)
 
 
 class ScaleLadderInvalid(FractalcError):

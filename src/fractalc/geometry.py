@@ -4,8 +4,8 @@ Generators replace each segment by scaled/rotated pieces laid tip-to-tail in
 the parent segment's local frame; gap pieces advance position without
 emitting, removing that portion for all subsequent substages. The module also
 provides total length, SVG/CSV export, and an overlap detector backing the
-upper-bound caveat for self-intersecting compositions. The schedule, the
-segment census and the content closed form live in `schedule`.
+upper-bound caveat for self-intersecting compositions. The schedule and the
+content closed form live in `schedule`, the segment census in `census`.
 
 numpy is imported only inside the functions that use arrays, so `render`
 loads it only once `work` has charged the stage.
@@ -23,7 +23,8 @@ from .schedule import _check_initiator
 from .work import DEFAULT_SEGMENT_BUDGET, RENDER_SEGMENT_LIMIT, charge_geometry
 
 # bench/jobs.py calls these three through `geometry.`
-from .schedule import build_schedule, content, segment_census
+from .census import segment_census
+from .schedule import build_schedule, content
 
 if TYPE_CHECKING:
     import numpy as np

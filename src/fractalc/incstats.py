@@ -10,7 +10,7 @@ census, never from materialized geometry, so large stages stay cheap.
 the factorization at stage k.
 
 The factorization check crosses per-part censuses with the census's own
-cross-product routine (`schedule.census_product`) and compares the result
+cross-product routine (`census.census_product`) and compares the result
 with the joint census exactly, value and count. It checks that merging per
 part and then crossing agrees with crossing and then merging: a
 merge-consistency check, not an independent oracle for the census. Making
@@ -30,7 +30,8 @@ from collections.abc import Iterable
 
 from . import work
 from .moran import dimension
-from .schedule import CompositionSchedule, build_census, census_product
+from .census import build_census, census_product
+from .schedule import CompositionSchedule
 
 
 def normalization_residual(buckets: Iterable[tuple[float, int]], alpha: float) -> float:

@@ -1,9 +1,7 @@
-"""Composition schedules and their exact analytic census.
-
-Generators and the schedule of (generator, repeat count) items built from a
-parsed expression, and what follows from the schedule alone, without
-geometry: the exact segment census (multinomial expansion, big-integer
-counts), whose cost `work` charges, and the content closed form.
+"""Composition schedules: generators and the schedule of (generator, repeat
+count) items built from a parsed expression, and the content closed form,
+which follows from the schedule alone, without geometry. The segment census
+lives in `census`.
 
 Nothing here imports numpy or `geometry`, so `dim`, `census`, `stats` and
 `limit` run without loading either; a test in `tests/test_cli.py` enforces
@@ -12,12 +10,9 @@ this.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from collections.abc import Iterable, Sequence
 
-from . import work
 from .errors import (
     InputOutOfRange,
     InvalidAngle,
@@ -27,16 +22,6 @@ from .errors import (
 from .frozen import Frozen
 from .moran import ScaleSpectrum
 from .parser import ScheduleExpr, parse
-
-# relative tolerance for merging census buckets of nearly equal length
-_LENGTH_MERGE_RTOL = 1e-12
-_VALUE = operator.itemgetter(0)
-
-# census binomials: math.comb's cost grows with its result, and past rows of about
-# this length building each row once, by C(r, g + 1) = C(r, g) (r - g) / (g + 1)
-# in exact ints, is cheaper (the crossover is near 115 with two distinct ratios,
-# 180 with three)
-_SHORT_ROW = 128
 
 
 class Piece(Frozen):
@@ -92,13 +77,6 @@ class CompositionSchedule(Frozen):
         for gen, n in self.items:
             count *= gen.copies ** (n * k)
         return count
-
-    def census_size(self, k: int) -> int:
-        """Census buckets before merging at stage k: prod_i C(n_i*k + l_i - 1, l_i - 1)."""
-        size = 1
-        for gen, n in self.items:
-            size *= math.comb(n * k + gen.copies - 1, gen.copies - 1)
-        return size
 
 
 def koch_scale(theta: float) -> float:
@@ -194,140 +172,6 @@ def schedule_from_text(text: str) -> CompositionSchedule:
 def _check_initiator(L0: float) -> None:
     if not (math.isfinite(L0) and L0 > 0.0):
         raise ValueError(f"initiator length must be positive and finite, got {L0!r}")
-
-
-# --- analytic census ---------------------------------------------------------
-
-
-class _BinomialRows(dict):
-    """Binomials C(r, g), called like math.comb; each row [C(r, 0), ..., C(r, r)]
-    is built on first use."""
-
-    def __missing__(self, r: int) -> list[int]:
-        row = self[r] = list(
-            itertools.accumulate(range(r), lambda c, g: c * (r - g) // (g + 1), initial=1)
-        )
-        return row
-
-    def __call__(self, r: int, g: int) -> int:
-        return self[r][g]
-
-
-def _component_buckets(ratios: Sequence[float], t: int) -> list[tuple[float, int]]:
-    """Lengths and exact counts for one component applied t times.
-
-    Equal ratios fold into one: with distinct ratios rho_1..rho_d (in order of
-    first appearance) of multiplicities m_1..m_d, each composition
-    (h_1, ..., h_d) of t is one bucket of length
-    ((1.0 * rho_1**h_1) * rho_2**h_2) * ..., built left to right, and count
-    multinomial(t; h) * prod_j m_j**h_j. Compositions come out in
-    lexicographic order. A single distinct ratio gives [(rho**t, m**t)]; with
-    no repeated ratio this is the plain multinomial expansion over the pieces.
-    """
-    distinct = list(dict.fromkeys(ratios))
-    if len(distinct) == 1:
-        try:
-            return [(distinct[0] ** t, len(ratios) ** t)]
-        except OverflowError:  # t beyond the float range: rho**t underflows to 0.0
-            return [(0.0, len(ratios) ** t)]
-    powers = [[rho**g for g in range(t + 1)] for rho in distinct]
-    mults = [ratios.count(rho) for rho in distinct]
-    weights = [[m**g for g in range(t + 1)] for m in mults]
-    comb = math.comb if t <= _SHORT_ROW else _BinomialRows()
-    # (applications left, length so far, count so far) per partial composition
-    partial = [(t, 1.0, 1)]
-    for pw, wt in zip(powers[:-2], weights):
-        partial = [
-            (rem - g, value * pw[g], count * wt[g] * comb(rem, g))
-            for rem, value, count in partial
-            for g in range(rem + 1)
-        ]
-    # the last two exponents are chosen together, so each leaf is built once
-    pa, pb = powers[-2:]
-    wa, wb = weights[-2:]
-    if mults[-2:] == [1, 1]:
-        return [
-            (value * pa[g] * pb[rem - g], count * comb(rem, g))
-            for rem, value, count in partial
-            for g in range(rem + 1)
-        ]
-    return [
-        (value * pa[g] * pb[rem - g], count * wa[g] * wb[rem - g] * comb(rem, g))
-        for rem, value, count in partial
-        for g in range(rem + 1)
-    ]
-
-
-def _merge_buckets(buckets: Iterable[tuple[float, int]]) -> list[tuple[float, int]]:
-    """Sort by decreasing value, stably, and fold each bucket within 1e-12 relative
-    below its group's leader into it. Every bucket before the first neighbour pair
-    within the tolerance leads its own group, so a scan in C finds where to start."""
-    ordered = sorted(buckets, key=_VALUE, reverse=True)
-    values = list(map(_VALUE, ordered))
-    near = map(
-        operator.le,
-        map(operator.sub, values, values[1:]),
-        map(operator.mul, itertools.repeat(_LENGTH_MERGE_RTOL), values),
-    )
-    try:
-        start = operator.indexOf(near, True)
-    except ValueError:
-        return ordered
-    merged = ordered[:start]
-    for value, count in ordered[start:]:
-        if merged and merged[-1][0] - value <= _LENGTH_MERGE_RTOL * merged[-1][0]:
-            merged[-1] = (merged[-1][0], merged[-1][1] + count)
-        else:
-            merged.append((value, count))
-    return merged
-
-
-def census_product(
-    factors: Iterable[Sequence[tuple[float, int]]], scale: float = 1.0
-) -> list[tuple[float, int]]:
-    """Merged product of (value, count) multisets, each value times `scale`.
-
-    Values multiply left to right over the factors, then by `scale`; counts
-    multiply exactly. The result is sorted by decreasing value, with values
-    within 1e-12 relative merged into the larger one.
-    """
-    factors = iter(factors)
-    cross = next(factors)
-    for factor in factors:
-        cross = [(v * w, c * d) for v, c in cross for w, d in factor]
-    # v * 1.0 is v bit for bit
-    return _merge_buckets(cross if scale == 1.0 else ((v * scale, c) for v, c in cross))
-
-
-def segment_census(
-    schedule: CompositionSchedule,
-    k: int,
-    L0: float = 1.0,
-    budget: int = work.DEFAULT_SEGMENT_BUDGET,
-) -> list[tuple[float, int]]:
-    """Exact (length, count) multiset at stage k, without materializing geometry.
-
-    Per component, t = n_i * k applications contribute multinomially many
-    segments of length prod_j rho_ij^h_j over the component's distinct ratios
-    rho_ij (equal pieces fold into one ratio, their multiplicity joining the
-    count), so each distinct-ratio exponent vector is computed once; the
-    composite census is the product across components, times L0, merged by
-    length (1e-12 relative). Counts are exact integers; their total is
-    prod_i l_i^(n_i * k). Charges the stage against `budget` first, and
-    raises ValueError unless L0 is positive and finite.
-    """
-    if k < 0:
-        raise ValueError("stage must be >= 0")
-    _check_initiator(L0)
-    work.charge_census(schedule, k, budget)
-    return build_census(schedule, k, L0)
-
-
-def build_census(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> list[tuple[float, int]]:
-    """segment_census without its checks, for callers that charged the work."""
-    return census_product(
-        (_component_buckets(gen.draw_ratios, repeat * k) for gen, repeat in schedule.items), L0
-    )
 
 
 def content(schedule: CompositionSchedule, k: int, beta: float, L0: float = 1.0) -> float:

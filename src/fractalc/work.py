@@ -3,7 +3,7 @@ charged against the budget (default 10^7 units, each about one segment or
 census composition) before any of it is done. Each kind is checked on its own:
 segments (and render's export cap), substage applications, census compositions
 before equal ratios fold, census stages, and the digits of a printed census
-total. `census_log_floor` predicts where census lengths underflow. No numpy.
+total. No numpy.
 """
 
 import math
@@ -53,6 +53,14 @@ def charge_export(schedule, k: int, budget: int) -> None:
         _charge_segments(schedule, k, RENDER_SEGMENT_LIMIT, ", over the SVG export cap of {limit}")
 
 
+def _census_size(schedule, k: int) -> int:
+    """Census buckets before merging at stage k: prod_i C(n_i*k + l_i - 1, l_i - 1)."""
+    size = 1
+    for gen, n in schedule.items:
+        size *= math.comb(n * k + gen.copies - 1, gen.copies - 1)
+    return size
+
+
 def charge_census(schedule, k: int, budget: int, stages: int = 1, printed: bool = False) -> None:
     """Charge a census of `stages` stages, then their compositions from k down
     (largest first, so a long range stops early; the stage charge bounds the
@@ -60,12 +68,12 @@ def charge_census(schedule, k: int, budget: int, stages: int = 1, printed: bool 
     if stages * STAGE_UNITS > budget:
         raise SegmentBudgetExceeded(stages * STAGE_UNITS, budget, "census would build stages worth "
                                     f"{{count}} units, {STAGE_UNITS} per stage" + _OVER_BUDGET)
-    # census_size never falls as the stage grows, so `stages` times the
+    # _census_size never falls as the stage grows, so `stages` times the
     # stage-k size bounds the sum: the loop runs only when that bound is over
-    if stages * schedule.census_size(k) > budget:
+    if stages * _census_size(schedule, k) > budget:
         compositions = 0
         for stage in range(k, k - stages, -1):
-            compositions += schedule.census_size(stage)
+            compositions += _census_size(schedule, stage)
             if compositions > budget:
                 raise SegmentBudgetExceeded(compositions, budget, "census would enumerate "
                                             "{count} buckets or more" + _OVER_BUDGET)
@@ -78,18 +86,3 @@ def charge_census(schedule, k: int, budget: int, stages: int = 1, printed: bool 
             raise SegmentBudgetExceeded(math.floor(log10) + 1, limit, "the total count has "
                                         "{count} decimal digits, over the {limit}-digit limit "
                                         "for printing an int (sys.set_int_max_str_digits)")
-
-
-def census_log_floor(schedule, k: int, L0: float = 1.0) -> float:
-    """ln of the smallest value segment_census forms at stage k.
-
-    That is min(ln L0, 0) + k * sum_i n_i ln min_j r_ij, computed in the log
-    domain so it stays finite where the value underflows to 0.0. The census
-    crosses the unscaled lengths (all ratios are below 1) and scales by L0
-    last, so an L0 above 1 cannot lift a product that has already underflowed.
-    """
-    try:
-        floor = k * math.fsum(n * math.log(min(gen.draw_ratios)) for gen, n in schedule.items)
-    except OverflowError:  # k or a repeat count beyond the float range
-        floor = -math.inf if k else 0.0
-    return min(math.log(L0), 0.0) + floor

@@ -489,6 +489,13 @@ def reference_merge_buckets(buckets) -> list[tuple[float, int]]:
     return merged
 
 
+def assert_merged_close(got, want) -> None:
+    """Same counts, bucket count and order; values within the 1e-12 merge tolerance."""
+    assert [c for _, c in got] == [c for _, c in want]
+    for (v, _), (w, _) in zip(got, want):
+        assert abs(v - w) <= 1e-12 * w
+
+
 def reference_multisets_match(a, b) -> bool:
     """(value, count) lists of one length, counts exact and values within 1e-12
     relative in order; so 0.0 matches only 0.0."""

@@ -14,7 +14,14 @@ import pytest
 
 import fractalc as fc
 from fractalc.parser import format as format_expr
-from helpers import STATS_CORPUS, fuzz_cases, random_schedule_expr, run_cli
+from helpers import (
+    STATS_CORPUS,
+    assert_merged_close,
+    fuzz_cases,
+    random_schedule_expr,
+    reference_segment_census,
+    run_cli,
+)
 
 
 def invoke_json(args):
@@ -475,7 +482,7 @@ def _work_started(*args):
 @pytest.fixture
 def no_work(monkeypatch):
     """Fail any census or geometry work: the charge must come first."""
-    monkeypatch.setattr(fc.schedule, "_component_buckets", _work_started)
+    monkeypatch.setattr(fc.census, "_component_buckets", _work_started)
     monkeypatch.setattr(fc.geometry, "_apply_substage", _work_started)
 
 
@@ -816,8 +823,8 @@ def _imported_modules(importtime_stderr: str) -> set[str]:
     }
 
 
-_NUMPY, _GEOMETRY, _BOXCOUNT, _INCSTATS = (
-    "numpy", "fractalc.geometry", "fractalc.boxcount", "fractalc.incstats"
+_NUMPY, _GEOMETRY, _BOXCOUNT, _INCSTATS, _CENSUS = (
+    "numpy", "fractalc.geometry", "fractalc.boxcount", "fractalc.incstats", "fractalc.census"
 )
 _ANALYTIC = (_NUMPY, _GEOMETRY, _BOXCOUNT, _INCSTATS)
 # no command starts with click or dataclasses; inspect is checked only where
@@ -829,14 +836,14 @@ _INSPECT = "inspect"
 @pytest.mark.parametrize(
     "args,code,unloaded",
     [
-        (["dim", "C[1/2,1/3] K[pi/3]"], 0, (*_ANALYTIC, *_FRONT_END, _INSPECT)),
+        (["dim", "C[1/2,1/3] K[pi/3]"], 0, (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT)),
         (["census", "C[1/2,1/3] K[pi/3]", "--stage", "6"], 0,
          (*_ANALYTIC, *_FRONT_END, _INSPECT)),
         (["stats", "C[1/2,1/3] K[pi/3]", "--stage", "4"], 0,
          (_NUMPY, _GEOMETRY, _BOXCOUNT, *_FRONT_END, _INSPECT)),
         (["limit", "--base", "K[pi/3]", "--target", "3/2", "--n", "1000"], 0,
-         (*_ANALYTIC, *_FRONT_END, _INSPECT)),
-        (["dim", "C[1/2,1/3] K[pi/3"], 2, (*_ANALYTIC, *_FRONT_END, _INSPECT)),
+         (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT)),
+        (["dim", "C[1/2,1/3] K[pi/3"], 2, (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT)),
         (["render", "K[pi/3]", "--stage", "12", "-o", "big.svg"], 4,
          (_NUMPY, _BOXCOUNT, _INCSTATS, *_FRONT_END, _INSPECT)),
         (["render", "K[pi/3]", "--stage", "2", "-o", "k.svg"], 0,
@@ -851,6 +858,8 @@ def test_analytic_commands_do_not_import_numpy(tmp_path, args, code, unloaded):
     assert result.returncode == code, result.stderr
     modules = _imported_modules(result.stderr)
     assert "fractalc.schedule" in modules
+    # the commands that build a census load it, so a renamed module fails here
+    assert (_CENSUS in modules) == (_CENSUS not in unloaded)
     assert not [m for m in modules for u in unloaded if m == u or m.startswith(u + ".")]
 
 
@@ -863,6 +872,7 @@ def test_package_import_leaves_numpy_unloaded(tmp_path):
         "    getattr(fc, name)\n"
         "assert set(fc.__all__) <= set(dir(fc))\n"
         "assert fc.geometry.build_schedule is fc.build_schedule\n"
+        "assert fc.geometry.segment_census is fc.segment_census\n"
         "assert not hasattr(fc, 'no_such_name')\n"
         "assert 'numpy' not in sys.modules\n"
         "s = fc.iterate(fc.schedule_from_text('K[pi/3]'), 4)\n"
@@ -902,6 +912,9 @@ _EDGE_EXPRESSIONS = [
     "C[1/²]",
 ]
 
+# the initiator lengths of the stage-3 census calls, drawn by the fuzz's rng
+_CENSUS_L0 = ("1e-3", "0.4", "1.0", "2.5", "1e3")
+
 _LIMIT_EDGES = [
     ["--base", "K[pi/3]", "--target", "1e400", "--n", "10"],
     ["--base", "K[pi/3]", "--target", "1e-400", "--n", "10"],
@@ -923,7 +936,7 @@ def _fuzz_invocations():
     expressions = [format_expr(random_schedule_expr(rng)) for _ in range(120)] + _EDGE_EXPRESSIONS
     for text in expressions:
         yield ["dim", text]
-        yield ["census", text, "--stage", "3"]
+        yield ["census", text, "--stage", "3", "--l0", rng.choice(_CENSUS_L0)]
         yield ["stats", text, "--stage", "3"]
         yield ["validate", text, "--stage", "4"]
         yield ["render", text, "--stage", "3", "-o", "fuzz.svg", "--csv", "fuzz.csv"]
@@ -940,6 +953,17 @@ def _fuzz_invocations():
     yield ["dim", f"C[1/2,1/3]^{_BIG} C[1/2,1/4]"]
     yield ["census", "C[1/2]", "--stage", _BIG]
     yield ["stats", "C[1/2]", "--stage", _BIG]
+
+
+def _check_census_payload(args, stdout):
+    """A stage-3 `census` payload against the count law and the loop reference."""
+    _, text, _, stage, _, l0 = args
+    sched = fc.schedule_from_text(text)
+    payload = json.loads(stdout)
+    buckets = [(b["length"], b["count"]) for b in payload["buckets"]]
+    count = sched.predicted_count(int(stage))
+    assert payload["total_count"] == sum(c for _, c in buckets) == count, args
+    assert_merged_close(buckets, reference_segment_census(sched, int(stage), float(l0)))
 
 
 class _CapExceeded(Exception):
@@ -964,5 +988,7 @@ def test_cli_fuzz_exits_only_with_documented_codes(tmp_path, monkeypatch):
             assert result.exit_code in (0, 2, 4), (args, result.output, result.exception)
             assert result.exception is None or isinstance(result.exception, SystemExit), args
             assert "Traceback" not in result.output, args
+            if args[0] == "census" and args[3] == "3" and result.exit_code == 0:
+                _check_census_payload(args, result.stdout)
     finally:
         signal.signal(signal.SIGALRM, previous)

@@ -163,7 +163,7 @@ def test_census_budget_checked_before_enumerating():
         fc.segment_census(koch(), 2000)
     assert err.value.predicted == math.comb(2003, 3)
     sched = binary_koch()
-    size = sched.census_size(5)
+    size = fc.work._census_size(sched, 5)
     assert size == 6 * math.comb(8, 3)
     assert sum(c for _, c in fc.segment_census(sched, 5, budget=size)) == 8**5
     with pytest.raises(SegmentBudgetExceeded):
@@ -238,13 +238,13 @@ def test_census_rejects_bad_initiator_length():
 def test_census_log_floor():
     sched = fc.schedule_from_text("C[1/1000] C[1/2,1/4]^2")
     unscaled = 7 * (math.log(1e-3) + 2 * math.log(0.25))
-    assert fc.work.census_log_floor(sched, 7, 0.4) == pytest.approx(
+    assert fc.census.census_log_floor(sched, 7, 0.4) == pytest.approx(
         math.log(0.4) + unscaled, rel=1e-15
     )
     # an L0 above 1 scales the crossed lengths only after they are formed
-    assert fc.work.census_log_floor(sched, 7, 2.5) == pytest.approx(unscaled, rel=1e-15)
+    assert fc.census.census_log_floor(sched, 7, 2.5) == pytest.approx(unscaled, rel=1e-15)
     # finite where the length itself underflows
-    assert fc.work.census_log_floor(sched, 110) < math.log(5e-324)
+    assert fc.census.census_log_floor(sched, 110) < math.log(5e-324)
 
 
 @pytest.mark.parametrize(
@@ -255,7 +255,7 @@ def test_census_log_floor_predicts_zero_lengths(stage, L0):
     sched = fc.schedule_from_text("C[1/1000] C[1/2,1/4]")
     buckets = fc.segment_census(sched, stage, L0)
     assert (buckets[-1][0] == 0.0) == (
-        fc.work.census_log_floor(sched, stage, L0) < math.log(5e-324)
+        fc.census.census_log_floor(sched, stage, L0) < math.log(5e-324)
     )
 
 

@@ -155,12 +155,12 @@ def test_stats_report_budget_covers_every_stage():
 
 
 def test_census_charge_within_its_bound_sizes_one_stage(monkeypatch):
-    # census_size never falls as the stage grows, so when stages * the stage-k
+    # _census_size never falls as the stage grows, so when stages * the stage-k
     # size is within the budget the charge accepts without a per-stage loop
     calls = []
-    size = fc.CompositionSchedule.census_size
-    monkeypatch.setattr(fc.CompositionSchedule, "census_size",
-                        lambda self, k: calls.append(k) or size(self, k))
+    size = fc.work._census_size
+    monkeypatch.setattr(fc.work, "_census_size",
+                        lambda sched, k: calls.append(k) or size(sched, k))
     fc.work.charge_census(fc.schedule_from_text("C[1/2]"), 999_999, 10**7, stages=10**6)
     assert len(calls) <= 2
     # over the bound, the loop still charges the exact sum: 210 over stages 0..6

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import fractalc as fc
-from fractalc import boxcount, geometry, schedule
+from fractalc import boxcount, census, geometry
 from fractalc.errors import ScaleLadderInvalid
 from helpers import (
     STATS_CORPUS,
+    assert_merged_close,
     brute_force_overlap,
     census_feasible_stage,
     census_size,
@@ -392,13 +393,6 @@ def test_exports_stream_in_bounded_memory(tmp_path):
         assert peak < 10 * 2**20 // 4, (export.__name__, peak)
 
 
-def _assert_merged_close(got, want):
-    """Same counts, bucket count and order; values within the 1e-12 merge tolerance."""
-    assert [c for _, c in got] == [c for _, c in want]
-    for (v, _), (w, _) in zip(got, want):
-        assert abs(v - w) <= 1e-12 * w
-
-
 def _repeats_a_ratio(sched) -> bool:
     return any(len(set(gen.draw_ratios)) < gen.copies for gen, _ in sched.items)
 
@@ -413,15 +407,15 @@ def test_component_buckets_match_recursive_reference(ratios):
     # the reference's compositions agree once merged; with no repeated ratio
     # the buckets are bit-identical
     for t in (0, 1, 2, 7, 19):
-        got = schedule._component_buckets(ratios, t)
+        got = census._component_buckets(ratios, t)
         want = reference_component_buckets(ratios, t)
         if len(set(ratios)) == len(ratios):
             assert got == want
-        _assert_merged_close(reference_merge_buckets(got), reference_merge_buckets(want))
+        assert_merged_close(reference_merge_buckets(got), reference_merge_buckets(want))
 
 
 def test_binomial_rows_match_math_comb():
-    rows = schedule._BinomialRows()
+    rows = census._BinomialRows()
     for r in [*range(200), 1000, 2000]:
         assert rows[r] == [math.comb(r, g) for g in range(r + 1)]
     assert rows(2000, 700) == math.comb(2000, 700)
@@ -429,9 +423,9 @@ def test_binomial_rows_match_math_comb():
 
 @pytest.mark.parametrize("ratios,t", [((1 / 3, 0.25), 300), ((0.2, 0.3, 0.25), 150)])
 def test_long_rows_match_recursive_reference(ratios, t):
-    # beyond schedule._SHORT_ROW the counts come from rows built by recurrence
-    assert t > schedule._SHORT_ROW
-    assert schedule._component_buckets(ratios, t) == reference_component_buckets(ratios, t)
+    # beyond census._SHORT_ROW the counts come from rows built by recurrence
+    assert t > census._SHORT_ROW
+    assert census._component_buckets(ratios, t) == reference_component_buckets(ratios, t)
 
 
 def _boundary_neighbour(v: float) -> float:
@@ -485,15 +479,15 @@ def test_merge_buckets_matches_reference_bit_for_bit():
     # leader loop; values, counts and order must equal the plain loop's
     merging = 0
     for buckets in _adversarial_bucket_lists():
-        got = schedule._merge_buckets(iter(buckets))
+        got = census._merge_buckets(iter(buckets))
         want = reference_merge_buckets(buckets)
         assert _hexed(got) == _hexed(want), buckets
         merging += len(want) < len(buckets)
     assert merging > 300
     # C[1/2,1/4,1/8] at stage 100: 5,151 compositions fold into 201 lengths
-    raw = schedule._component_buckets((0.5, 0.25, 0.125), 100)
+    raw = census._component_buckets((0.5, 0.25, 0.125), 100)
     assert len(raw) == 5151
-    got = schedule._merge_buckets(raw)
+    got = census._merge_buckets(raw)
     assert len(got) == 201
     assert _hexed(got) == _hexed(reference_merge_buckets(raw))
 
@@ -562,7 +556,7 @@ def test_segment_census_matches_reference():
                 folded += 1
             else:
                 assert got == want
-            _assert_merged_close(got, want)
+            assert_merged_close(got, want)
     assert folded > 0
 
 
