@@ -3,9 +3,10 @@
 Generators replace each segment by scaled/rotated pieces laid tip-to-tail in
 the parent segment's local frame; gap pieces advance position without
 emitting, removing that portion for all subsequent substages. The module also
-provides total length, SVG/CSV export, and an overlap detector backing the
-upper-bound caveat for self-intersecting compositions. The schedule and the
-content closed form live in `schedule`, the segment census in `census`.
+provides total length, SVG/CSV export (one digit kernel, `_digit_rows`, writes
+the coordinates of both), and an overlap detector backing the upper-bound
+caveat for self-intersecting compositions. The schedule and the content
+closed form live in `schedule`, the segment census in `census`.
 
 numpy is imported only inside the functions that use arrays, so `render`
 loads it only once `work` has charged the stage.
@@ -152,184 +153,162 @@ _EXPORT_CHUNK = 1 << 10
 # of its chain (replaced by the polyline boundary), or nothing (the last point)
 _SVG_SEPS = b" \n\0"
 
+# the two coordinate formats, as `_digit_rows` takes them: the % spec of a
+# value that falls back; its fraction digits (None: 11 - floor(log10 |v|), as
+# %.12g keeps); whether trailing zeros and a bare "." are dropped; the
+# near-tie tolerance; the lowest nonzero |v| written exactly; whether a value
+# that rounds to zero keeps its "-"
+_FIXED6 = (b"%.6f", 6, False, 1e-6, 0.0, False)
+_G12 = (b"%.12g", None, True, 2.0**-12, 1e-4, True)
+
 
 @functools.cache
 def _digit_tables() -> tuple[np.ndarray, ...]:
-    """Little-endian uint32 words whose four bytes, in memory order, are ASCII:
-    for i in 0..9999, `digits` zero-padded ("0042") and `leading` with leading
-    zeros as NUL, the units digit kept ("\\0\\042"); for i in 0..999, `dotted`
-    (".042") and `tail` ("042\\0"). `digits[10000 + i]` and `dotted[1000 + i]`
-    write trailing zeros as NUL ("042\\0", ".04\\0"; all NUL for 0), which
-    strips them as %g does. `signed[i]` for i in 0..100 is `leading[i]`, and
-    `signed[101 + i]` the same with "-" in its second byte. `powers[k]` is
-    10^k for k in 0..15, exact. Read-only, since every caller shares them.
+    """Little-endian uint32 words whose four bytes, in memory order, are ASCII.
+    `digits[10000 * b + i]` writes i in 0..9999 as four digits: zero-padded
+    ("0042") for b = 0, with trailing zeros as NUL for b = 1 ("42\\0\\0" for
+    4200, all NUL for 0), and with leading zeros as NUL for b = 2 and 3
+    ("\\0\\042"), 0 being all NUL for b = 2 and "\\0\\0\\00" for b = 3.
+    `dotted[i]` for i in 0..999 is "." and three digits (".042"), and
+    `dotted[1000 + i]` the same with trailing zeros as NUL (".04\\0", all NUL
+    for 0). `powers[k]` is 10^k for k in 0..15, exact. Read-only: shared.
     """
     import numpy as np
-    i = np.arange(10_000)
-    text = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
-    leading = text * (i[:, None] >= [1000, 100, 10, 0])
+    i = np.arange(10_000)[:, None]
+    text = np.concatenate([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
+    # a digit is a trailing zero when it and every digit after it are 0, and a
+    # leading zero when it and every digit before it are
+    digits = np.concatenate([text, text * (i % [10_000, 1000, 100, 10] != 0),
+                             text * (i >= [1000, 100, 10, 1]), text * (i >= [1000, 100, 10, 0])])
     dotted = text[:1000].copy()
     dotted[:, 0] = ord(".")
-    tail = np.zeros_like(dotted)
-    tail[:, :3] = text[:1000, 1:]
-    # a digit is a trailing zero when it and every digit after it are 0
-    digits = np.concatenate((text, text * (i[:, None] % [10_000, 1000, 100, 10] != 0)))
-    dotted = np.concatenate((dotted, dotted * (i[:1000, None] % [1000, 1000, 100, 10] != 0)))
-    signed = np.concatenate((leading[:101], leading[:101]))
-    signed[101:, 1] = ord("-")
-    tables = tuple(
-        t.astype(np.uint8).view("<u4").ravel() for t in (digits, leading, dotted, tail, signed)
-    ) + (np.array([float(10**k) for k in range(16)]),)
+    dotted = np.concatenate((dotted, dotted * (i[:1000] % [1000, 1000, 100, 10] != 0)))
+    powers = np.array([float(10**k) for k in range(16)])
+    tables = (*(t.astype(np.uint8).view("<u4").ravel() for t in (digits, dotted)), powers)
     for t in tables:
         t.flags.writeable = False
     return tables
 
 
-def _fixed6_rows(values: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """The (n, 20) uint8 text rows of `_fixed6`, separators left out; clears
-    ok where a value falls back."""
+def _digit_rows(values: np.ndarray, spec: bytes, places: int | None, strip: bool, tie: float,
+                lowest: float, signed_zero: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`spec % v` of every value as (n, w) uint8 text rows whose first byte is
+    NUL, left for a separator, and a mask of the values formatted exactly; the
+    other arguments describe the format, as `_FIXED6` and `_G12` give them.
+
+    A row is words from `_digit_tables`: the separator slot, the sign and the
+    integer part's two leading digits; as many 4-digit integer words as the
+    largest integer part needs; "." and three fraction digits; and as many
+    4-digit fraction words as the most fraction digits need. Leading zeros,
+    fraction digits past the format's, and trailing zeros where `strip` says
+    so (a bare "." with them) are NUL, which `_render` drops. The other rows
+    (|v| >= 1e12, a carry to 1e12, 0 < |v| < `lowest`, a near tie, nan, inf)
+    read `spec`.
+
+    Exact: a = |v| splits into ip = floor(a) and a - ip without rounding,
+    and m = (a - ip) * 10^q for q fraction digits, exact 10^q, is one
+    correctly rounded product, below 10^6 < 2^20 for %.6f and below
+    10^12 < 2^40 for %.12g (a < 10^(X + 1) for X = floor(log10 a), and
+    q = 11 - X), so within 2^-34 or 2^-14 of the exact value. Rounding m
+    therefore rounds the exact value unless that lies within the bound of a
+    half, and `tie` is above the bound: a value whose m lies within `tie` of
+    a half (a tie, or too close to call) falls back. A rounded 10^q carries
+    into ip. An X off by one, which log10 can give only within a few ulps of
+    a power of ten, gives the same text (and m stays below 2^40): such a
+    value rounds to that power at 11, 12 or 13 digits, and the digits that
+    differ are trailing zeros. ip and the rounded fraction, scaled to
+    3 + 4j digits, are below 10^15, so their digits are exact too.
+    """
     import numpy as np
-    digits, leading, dotted, tail, _, _ = _digit_tables()
-    # in place where it can be: a is |v|, then xf, then m, then the fraction
-    # of m, then its distance from a half; xi and r stay floats until whole
+    digits, dotted, powers = _digit_tables()
+    # in place where it can be: a is |v|, then its fraction, then m, then its
+    # distance from the nearest integer r; ip and r stay floats
     a = np.abs(values)
+    ok = a < 1e12
+    if lowest:
+        ok &= (a >= lowest) | (a == 0.0)
     np.copyto(a, 0.0, where=~ok)
-    xi = np.floor(a)
-    a -= xi
-    a *= 1e6
-    r = np.floor(a)
+    fraction = places
+    if places is None:
+        # clamped so that no rounding of log10 takes X out of its range;
+        # zeros need no fraction digits
+        x = np.minimum(np.maximum(a, 1.001 * lowest), 9.99e11)
+        places = 11 - np.floor(np.log10(x, out=x), out=x).astype(np.intp)
+        places[a == 0.0] = 0
+        fraction = int(places.max())
+    scale = powers[places]
+    ip = np.floor(a)
+    a -= ip
+    a *= scale
+    r = np.rint(a)
     a -= r
-    r += a > 0.5
-    a -= 0.5
-    ok &= np.abs(a, out=a) >= 1e-6
-    carry = r == 1e6
-    xi += carry
+    ok &= np.abs(a, out=a) <= 0.5 - tie
+    carry = r == scale
+    ip += carry
     r[carry] = 0.0
-    # a carry to 1e8 needs a ninth digit: it falls back, its digits clamped
-    ok &= xi < 1e8
-    # only a nonzero result is signed: -0.0 rounds to zero, and nan falls back
-    negative = (values < 0.0) & (xi + r > 0.0)
-    ip = np.minimum(xi, 99_999_999.0).astype(np.int32)
-    r = r.astype(np.int32)
-    hi = ip // 10_000
-    lo = ip - 10_000 * hi
-    f = r // 1000
-    rows = np.zeros((len(values), 20), dtype=np.uint8)
-    words = rows.view("<u4")
-    rows[:, 0] = negative * ord("-")
-    words[:, 1] = np.where(hi > 0, leading[hi], 0)
-    words[:, 2] = np.where(hi > 0, digits[lo], leading[lo])
-    words[:, 3] = dotted[f]
-    words[:, 4] = tail[r - 1000 * f]
-    return rows
+    ok &= ip < 1e12
+    negative = np.signbit(values)
+    if not signed_zero:
+        negative &= ip + r > 0.0
+    # k more integer words and m more fraction words (a carry to 1e12 fits)
+    top = float(ip.max())
+    k = (top >= 100.0) + (top >= 1e6) + (top >= 1e10)
+    m = fraction // 4
+    words = np.empty((len(values), k + m + 2), dtype="<u4")
+    # from the last fraction word: one writes its trailing zeros as NUL when
+    # every later word is zero
+    f = (r * (powers[3 + 4 * m] / scale)).astype(np.int64)
+    bare = strip
+    for col in range(k + m + 1, k + 1, -1):
+        q = f // 10_000
+        f -= 10_000 * q
+        words[:, col] = digits[f + 10_000 * bare]
+        bare = bare & (f == 0)
+        f = q
+    words[:, k + 1] = dotted[f + 1000 * bare]
+    # from the units word: zero-padded below a nonzero word, else with its
+    # leading zeros as NUL, the units digit kept
+    i = ip.astype(np.int64)
+    lead = 30_000
+    for col in range(k, 0, -1):
+        q = i // 10_000
+        i -= 10_000 * q
+        words[:, col] = digits[i + lead * (q == 0)]
+        lead = 20_000
+        i = q
+    words[:, 0] = digits[i + lead]
+    # the fraction digits past the format's, all zero, are NUL in the last word
+    words[:, -1] &= 0xFFFF_FFFF >> 8 * (3 + 4 * m - fraction)
+    rows = words.view(np.uint8)
+    rows[negative, 1] = ord("-")
+    if not ok.all():
+        words[~ok] = np.frombuffer((b"\0" + spec).ljust(rows.shape[1], b"\0"), dtype="<u4")
+    return rows, ok
 
 
 def _fixed6(values: np.ndarray, seps: np.ndarray) -> bytes:
     """'%.6f' % v of every value, each followed by its separator byte from
     `seps` (0 for none), with values that round to zero written unsigned.
-
-    Exact for |v| < 1e8: a = |v| splits into xi = floor(a) and xf = a - xi
-    without rounding (Sterbenz), and m = xf * 1e6 is one correctly rounded
-    product below 2^20, so within 2^-33 of the exact xf * 10^6. Rounding m
-    therefore rounds the exact value unless that lies within 2^-33 of a half;
-    a value whose m lies within 1e-6 of a half (a tie, or too close to call)
-    falls back. A rounded fraction of 10^6 carries into xi. Each value is one
-    row of 20 bytes: the sign, then four-digit words from `_digit_tables` (8
-    integer digits with leading zeros as NUL, "." and 3 fraction digits, the
-    other 3), then the separator; the NULs are dropped at the end. The rows of
-    the other values (|v| >= 1e8, a carry to 1e8, a near tie, nan, inf) read
-    "%.6f" and their separator, so the text is itself the template that
-    formats those values with one %: no other byte of it is a "%". Of their
-    texts, those that round to -0 are then written 0.000000; a "-" only ever
-    starts a value, so no other value contains the pattern.
+    Of the values that `_digit_rows` hands to %, those that round to -0 are
+    then written 0.000000: a "-" only ever starts a value, so no other value
+    contains the pattern.
     """
     import numpy as np
-    ok = np.abs(values) < 1e8
-    rows = _fixed6_rows(values, ok)
-    # a value that falls back reads "%.6f", then its separator
-    rows[~ok, :-1] = np.frombuffer(b"%.6f".ljust(rows.shape[1] - 1, b"\0"), dtype=np.uint8)
-    text = _render(rows, seps, -1, values[~ok])
+    rows, ok = _digit_rows(values, *_FIXED6)
+    # each separator goes into the slot that starts the next value's row
+    text = _render(rows, np.append(np.uint8(0), seps), values[~ok])
     return text if ok.all() else text.replace(b"-0.000000", b"0.000000")
 
 
-def _g12_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """'%.12g' % v of every value as (n, 20) uint8 text rows whose first byte
-    is NUL, left for a separator, and a mask of the values formatted exactly.
-
-    Exact for |v| < 100 that %.12g writes without an exponent, from 1e-4 up:
-    a = |v| splits into ip = floor(a) and a - ip without rounding. With
-    X = floor(log10 a), %.12g keeps q = 11 - X fraction digits (10 to 15),
-    and m = (a - ip) * 10^q, exact 10^q, is one correctly rounded product
-    below 10^12 < 2^40, so within 2^-14 of the exact value. Rounding m
-    therefore rounds the exact value; a value whose m lies within 2^-12 of a
-    half (a tie, or too close to call) falls back. An X off by one, which
-    log10 can give only within a few ulps of a power of ten, gives the same
-    text (and m stays below 2^40): such a value rounds to that power at
-    11, 12 or 13 digits, and the digits that differ are trailing zeros. A
-    rounded 10^q carries into ip. The fraction, m * 10^(15 - q), is below
-    10^15 and so still exact; its digits go into four words from
-    `_digit_tables` (".ddd" and three of 4 digits), each word after the last
-    nonzero one all NUL, and that one with its trailing zeros as NUL, so
-    nothing is left of a zero fraction, its "." included. Zeros come out as
-    "0" and "-0". The sign and the integer part share the first word. Every
-    other row (|v| >= 100, a carry to 100, 0 < |v| < 1e-4, a near tie, nan,
-    inf) reads "%.12g", for `_render`.
-    """
-    import numpy as np
-    digits, _, dotted, _, signed, powers = _digit_tables()
-    # in place where it can be: a is |v|, then its fraction, then m, then the
-    # fraction of m, then its distance from a half; ip and r stay floats
-    a = np.abs(values)
-    ok = (a < 100.0) & ((a >= 1e-4) | (a == 0.0))
-    np.copyto(a, 0.0, where=~ok)
-    # clamped so that no rounding of log10 takes X below -4; zeros get X = -4
-    scale = powers[11 - np.floor(np.log10(np.maximum(a, 1.001e-4))).astype(np.intp)]
-    ip = np.floor(a)
-    a -= ip
-    a *= scale
-    r = np.floor(a)
-    a -= r
-    r += a > 0.5
-    a -= 0.5
-    ok &= np.abs(a, out=a) >= 2.0**-12
-    carry = r == scale
-    ip += carry
-    r[carry] = 0.0
-    ok &= ip < 100.0
-    # the fraction as 15 digits: d0 (3), d1, d2 and f (4 each)
-    r *= 1e15 / scale
-    f = r.astype(np.int64)
-    d0 = f // 10**12
-    f -= d0 * 10**12
-    d1 = f // 10**8
-    f -= d1 * 10**8
-    d2 = f // 10**4
-    f -= d2 * 10**4
-    # a word writes its trailing zeros as NUL when every later word is zero
-    s2 = f == 0
-    s1 = s2 & (d2 == 0)
-    s0 = s1 & (d1 == 0)
-    # a carry to 100 falls back, but its index stays in the table
-    ip += 101.0 * np.signbit(values)
-    words = np.empty((len(values), 5), dtype="<u4")
-    words[:, 0] = signed[ip.astype(np.intp)]
-    words[:, 1] = dotted[d0 + 1000 * s0]
-    words[:, 2] = digits[d1 + 10_000 * s1]
-    words[:, 3] = digits[d2 + 10_000 * s2]
-    words[:, 4] = digits[f + 10_000]
-    words[~ok] = np.frombuffer(b"\0%.12g".ljust(20, b"\0"), dtype="<u4")
-    return words.view(np.uint8), ok
-
-
-def _render(rows: np.ndarray, seps: np.ndarray, sep_at: int, fallbacks: np.ndarray) -> bytes:
-    """The text of (n, w) uint8 rows, one per value, with each value's
-    separator byte from `seps` (0 for none) written at column `sep_at` and the
+def _render(rows: np.ndarray, seps: np.ndarray, fallbacks: np.ndarray) -> bytes:
+    """The text of (n, w) uint8 rows from `_digit_rows`, with seps[i] (0 for
+    none) in row i's first byte, the seps past n after the last row, and the
     NULs dropped. The rows of the values that fall back hold a % specifier,
     so the text is itself the template that formats those values, given in
     text order as `fallbacks`, with one %: no other byte of it is a "%".
     """
-    rows[:, sep_at] = seps
-    text = rows.tobytes().translate(None, b"\0")
+    rows[:, 0] = seps[: len(rows)]
+    text = (rows.tobytes() + seps[len(rows) :].tobytes()).translate(None, b"\0")
     return text % tuple(fallbacks.tolist()) if len(fallbacks) else text
 
 
@@ -352,9 +331,9 @@ def export_svg(s: SegmentSet, path) -> None:
     before it when its start lies within 1e-9 of the figure's size of that
     one's end, per coordinate. The points are formatted and written in chunks
     of a fixed number of segments, so the text is never built whole. Each
-    chunk's coordinates go through `_fixed6`, an array kernel whose bytes
-    equal '%.6f' for |v| < 1e8 and which hands larger values, near ties and
-    non-finite values to one % format per chunk.
+    chunk's coordinates go through `_fixed6`, whose digit kernel
+    `_digit_rows` writes '%.6f' for |v| < 1e12 and hands larger values, near
+    ties and non-finite values to one % format per chunk.
     """
     n = len(s)
     if n > RENDER_SEGMENT_LIMIT:
@@ -412,13 +391,11 @@ def export_csv(s: SegmentSet, path) -> None:
 
     The rows are formatted and written in chunks of a fixed number of
     segments, so the text is never built whole. Each point is formatted once,
-    by `_g12_rows`, an array kernel whose bytes equal '%.12g' for zeros and
-    for 1e-4 <= |v| < 100 and which hands near ties and the other values to
-    one % format per chunk. A row whose start equals the end of the row
-    before it, bit for bit (so 0.0 and -0.0 stay apart), reuses that end's
-    text. The points' text rows are gathered into the CSV's rows, each
-    value's separator goes into the NUL byte its text row starts with, and
-    one `bytes.translate` drops the other NULs.
+    by the digit kernel `_digit_rows`, which writes '%.12g' for zeros and for
+    1e-4 <= |v| < 1e12 and hands near ties and the other values to one %
+    format per chunk. A row whose start equals the end of the row before it,
+    bit for bit (so 0.0 and -0.0 stay apart), reuses that end's text row;
+    `_render` writes each value's separator into its row and joins the rows.
     """
     import numpy as np
     coords = s.coords
@@ -432,15 +409,16 @@ def export_csv(s: SegmentSet, path) -> None:
         fresh = np.ones(stop - start, dtype=bool)
         fresh[1:] = (bits[1:, 0] != bits[:-1, 2]) | (bits[1:, 1] != bits[:-1, 3])
         points = np.concatenate((c[fresh, :2], c[:, 2:]))
-        rows, ok = _g12_rows(points.ravel())
+        rows, ok = _digit_rows(points.ravel(), *_G12)
+        width = rows.shape[1]
         # row i: its start point (its own, or the end point of row i - 1), then its end point
         order = np.empty((stop - start, 2), dtype=np.intp)
         order[:, 1] = np.arange(len(points) - (stop - start), len(points))
         order[:, 0] = np.where(fresh, np.cumsum(fresh) - 1, order[:, 1] - 1)
         order = order.ravel()
-        rows = np.take(rows.reshape(len(points), 40), order, axis=0).reshape(-1, 20)
+        rows = np.take(rows.reshape(len(points), 2 * width), order, axis=0).reshape(-1, width)
         fallbacks = np.take(points, order, axis=0)[~np.take(ok.reshape(-1, 2), order, axis=0)]
-        return _render(rows, seps[: 4 * (stop - start)], 0, fallbacks) + b"\n"
+        return _render(rows, seps[: 4 * (stop - start)], fallbacks) + b"\n"
 
     _write_chunked(path, b"", len(s), chunk_text, b"")
 

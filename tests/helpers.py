@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 import fractalc as fc
@@ -78,6 +79,28 @@ def random_spectrum(rng: random.Random, max_components: int = 4, max_ratios: int
             ([rng.uniform(0.05, 0.95) for _ in range(count)], rng.randint(1, 3))
         )
     return fc.ScaleSpectrum(components)
+
+
+def mpmath_root(components):
+    """50-digit root of sum_i n_i ln sum_j r_ij^a, by bisection on a doubled bracket."""
+    with mpmath.workdps(50):
+        comps = [([mpmath.mpf(r) for r in ratios], n) for ratios, n in components]
+
+        def g(a):
+            return mpmath.fsum(n * mpmath.log(mpmath.fsum(r**a for r in rs)) for rs, n in comps)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        if g(lo) == 0:  # every component keeps one piece
+            return lo
+        while g(hi) > 0:
+            lo, hi = hi, 2 * hi
+        while hi - lo > hi * mpmath.mpf(10) ** -40:
+            mid = (lo + hi) / 2
+            if g(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
 
 def random_cantor_ratios(rng: random.Random) -> list[Fraction]:

@@ -18,7 +18,10 @@ from helpers import (
     STATS_CORPUS,
     assert_merged_close,
     fuzz_cases,
+    mpmath_root,
     random_schedule_expr,
+    reference_export_csv,
+    reference_export_svg,
     reference_segment_census,
     run_cli,
 )
@@ -912,8 +915,11 @@ _EDGE_EXPRESSIONS = [
     "C[1/²]",
 ]
 
-# the initiator lengths of the stage-3 census calls, drawn by the fuzz's rng
+# the initiator lengths of the stage-3 census calls, drawn by the fuzz's rng,
+# and of the stage-3 render calls, drawn by their own so that the census draws
+# stay as they were
 _CENSUS_L0 = ("1e-3", "0.4", "1.0", "2.5", "1e3")
+_RENDER_L0 = ("1e-3", "1.0", "1e3", "1e9", "1e11")
 
 _LIMIT_EDGES = [
     ["--base", "K[pi/3]", "--target", "1e400", "--n", "10"],
@@ -933,13 +939,15 @@ _LIMIT_EDGES = [
 
 def _fuzz_invocations():
     rng = random.Random(2024)
+    render_rng = random.Random(2025)
     expressions = [format_expr(random_schedule_expr(rng)) for _ in range(120)] + _EDGE_EXPRESSIONS
     for text in expressions:
         yield ["dim", text]
         yield ["census", text, "--stage", "3", "--l0", rng.choice(_CENSUS_L0)]
         yield ["stats", text, "--stage", "3"]
         yield ["validate", text, "--stage", "4"]
-        yield ["render", text, "--stage", "3", "-o", "fuzz.svg", "--csv", "fuzz.csv"]
+        yield ["render", text, "--stage", "3", "--l0", render_rng.choice(_RENDER_L0),
+               "-o", "fuzz.svg", "--csv", "fuzz.csv"]
     for text in _EDGE_EXPRESSIONS:
         yield ["census", text, "--stage", "110"]
         yield ["stats", text, "--stage", "110"]
@@ -966,6 +974,35 @@ def _check_census_payload(args, stdout):
     assert_merged_close(buckets, reference_segment_census(sched, int(stage), float(l0)))
 
 
+def _check_dim_payload(args, stdout):
+    """A `dim` payload's alpha against the 50-digit root of the Moran equation."""
+    payload = json.loads(stdout)
+    alpha = payload["alpha"]
+    want = mpmath_root(fc.schedule_from_text(args[1]).spectrum().components)
+    if payload["method"] == "binary-analytic":
+        assert abs(mpmath.mpf(alpha) - want) <= 1e-9 * want, (args, alpha)
+    elif want == 0:
+        assert alpha == 0.0, args
+    else:
+        assert abs(mpmath.mpf(alpha) - want) <= 4 * math.ulp(float(want)), (args, alpha)
+
+
+def _check_render_payload(args, stdout):
+    """A stage-3 `render` payload against the count law and the loop census,
+    and its SVG and CSV files against the loop exports of the same figure."""
+    _, text, _, stage, _, l0, *_ = args
+    sched, k, L0 = fc.schedule_from_text(text), int(stage), float(l0)
+    payload = json.loads(stdout)
+    assert payload["segments"] == sched.predicted_count(k), args
+    want = math.fsum(v * c for v, c in reference_segment_census(sched, k, L0))
+    assert payload["total_length"] == pytest.approx(want, rel=1e-12, abs=0.0), args
+    s = fc.iterate(sched, k, L0)
+    reference_export_svg(s, "want.svg")
+    reference_export_csv(s, "want.csv")
+    assert Path("fuzz.svg").read_bytes() == Path("want.svg").read_bytes(), args
+    assert Path("fuzz.csv").read_bytes() == Path("want.csv").read_bytes(), args
+
+
 class _CapExceeded(Exception):
     """Not an OSError (as TimeoutError is), which `render` reports as exit 2."""
 
@@ -988,7 +1025,13 @@ def test_cli_fuzz_exits_only_with_documented_codes(tmp_path, monkeypatch):
             assert result.exit_code in (0, 2, 4), (args, result.output, result.exception)
             assert result.exception is None or isinstance(result.exception, SystemExit), args
             assert "Traceback" not in result.output, args
-            if args[0] == "census" and args[3] == "3" and result.exit_code == 0:
+            if result.exit_code != 0:
+                continue
+            if args[0] == "census" and args[3] == "3":
                 _check_census_payload(args, result.stdout)
+            elif args[0] == "render" and args[3] == "3" and args[4] == "--l0":
+                _check_render_payload(args, result.stdout)
+            elif args[0] == "dim":
+                _check_dim_payload(args, result.stdout)
     finally:
         signal.signal(signal.SIGALRM, previous)

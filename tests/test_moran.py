@@ -5,7 +5,13 @@ import mpmath
 import pytest
 
 import fractalc as fc
-from helpers import random_spectrum, random_uniform_parts, spectrum_of_uniform, uniform_dimension
+from helpers import (
+    mpmath_root,
+    random_spectrum,
+    random_uniform_parts,
+    spectrum_of_uniform,
+    uniform_dimension,
+)
 
 LN = math.log
 
@@ -253,7 +259,7 @@ def test_dimension_picks_the_exact_method():
                              (binary, [([1 / 2, 1 / 12], 1), (koch, 1)]),
                              (numeric, [([1 / 2, 1 / 3], 1), (koch, 1)])]:
         lo, hi = report.bracket
-        assert lo <= _mpmath_root(spectrum) <= hi, report
+        assert lo <= mpmath_root(spectrum) <= hi, report
         assert lo < hi and hi - lo <= 1e-12 * report.alpha, report
 
 
@@ -266,28 +272,6 @@ def test_dimension_divides_repeats_by_their_gcd():
     pair = fc.dimension(fc.ScaleSpectrum([([1 / 2, 1 / 12], 2), ([1 / 3] * 4, 2)]))
     assert pair.method == "binary-analytic"
     assert pair.alpha == fc.binary_special_dimension(1 / 2, fc.UniformFractal(4, 1 / 3))
-
-
-def _mpmath_root(components):
-    """50-digit root of sum_i n_i ln sum_j r_ij^a, by bisection on a doubled bracket."""
-    with mpmath.workdps(50):
-        comps = [([mpmath.mpf(r) for r in ratios], n) for ratios, n in components]
-
-        def g(a):
-            return mpmath.fsum(n * mpmath.log(mpmath.fsum(r**a for r in rs)) for rs, n in comps)
-
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        if g(lo) == 0:  # every component keeps one piece
-            return lo
-        while g(hi) > 0:
-            lo, hi = hi, 2 * hi
-        while hi - lo > hi * mpmath.mpf(10) ** -40:
-            mid = (lo + hi) / 2
-            if g(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
 
 
 def _stress_ratio(rng):
@@ -310,7 +294,7 @@ def test_dimension_matches_mpmath_on_stress_spectra():
             components.append((ratios, rng.choice([1, 2, 7, 1000, 10**5, 10**6])))
         spectrum = fc.ScaleSpectrum(components)
         report = fc.dimension(spectrum)
-        want = _mpmath_root(spectrum.components)
+        want = mpmath_root(spectrum.components)
         lo, hi = report.bracket
         if want == 0:
             assert report.alpha == lo == hi == 0.0

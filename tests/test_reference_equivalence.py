@@ -238,10 +238,11 @@ def _rows_meeting_at_signed_zeros() -> fc.SegmentSet:
 
 def _export_figures() -> list[fc.SegmentSet]:
     figures = [fc.iterate(fc.schedule_from_text(t), k) for t, k in EXPORT_CORPUS]
-    # tiny values, 8-digit integer parts, and values that leave the exact
-    # range of the SVG kernel in part (1e9) or almost all (1e20)
+    # tiny values, 8- to 12-digit integer parts, and values that leave the
+    # kernel's exact range in part (1e11 and 1e13: it ends at 1e12) or almost
+    # all (1e20)
     koch = fc.schedule_from_text("K[pi/3]")
-    figures += [fc.iterate(koch, 3, L0) for L0 in (1e-7, 3e7, 1e9, 1e20)]
+    figures += [fc.iterate(koch, 3, L0) for L0 in (1e-7, 3e7, 1e9, 1e11, 1e13, 1e20)]
     figures.append(_signed_zero_figure())
     figures.append(_rows_meeting_at_signed_zeros())
     for sched, k in fuzz_cases(103, 40):
@@ -265,7 +266,7 @@ def test_exports_match_loop_reference(tmp_path, monkeypatch, chunk):
 
 
 def _fixed6_families(rng: np.random.Generator) -> list[np.ndarray]:
-    """About 1.2M values for the %.6f kernel: families of 2^17, and of 2^14
+    """About 2.0M values for the %.6f kernel: families of 2^17, and of 2^14
     where most values have hundreds of digits."""
     n, few = 1 << 17, 1 << 14
     sign = rng.choice([-1.0, 1.0], n)
@@ -277,7 +278,7 @@ def _fixed6_families(rng: np.random.Generator) -> list[np.ndarray]:
         rng.integers(0, 2**64, few, dtype=np.uint64).view(np.float64),
         sign * rng.uniform(0.0, 1e8, n),
         sign * 10.0 ** rng.uniform(-12.0, 8.0, n),
-        # beyond the exact range: every value falls back
+        # from 1e8 up: exact below 1e12, and every larger value falls back
         sign[:few] * 10.0 ** rng.uniform(8.0, 300.0, few),
         sign * near_ties,
         sign * np.nextafter(near_ties, np.inf),
@@ -290,6 +291,26 @@ def _fixed6_families(rng: np.random.Generator) -> list[np.ndarray]:
         sign * (1e8 + np.ldexp(rng.integers(-(1 << 20), 1 << 20, n).astype(float), -26)),
         # signed zeros and subnormals
         np.copysign(rng.integers(0, 2**52, n, dtype=np.uint64).view(np.float64) * (rng.random(n) < 0.5), sign),
+        *_fixed6_wide_families(rng, sign),
+    ]
+
+
+def _fixed6_wide_families(rng: np.random.Generator, sign: np.ndarray) -> list[np.ndarray]:
+    """The %.6f kernel's range from 1e8 to 1e12, its edge, and past it."""
+    n, few = len(sign), 1 << 14
+    ints = np.floor(10.0 ** rng.uniform(8.0, 12.0, n))
+    near_ties = ints + (rng.integers(0, 10**6, n) + 0.5) / 1e6
+    return [
+        sign * 10.0 ** rng.uniform(8.0, 12.0, n),
+        sign * near_ties,
+        sign * np.nextafter(near_ties, np.inf),
+        sign * np.nextafter(near_ties, 0.0),
+        # carries into the units digit, up to 1e12
+        sign * (ints + 0.9999995 + rng.uniform(-1e-5, 1e-5, n)),
+        # within 2^20 ulps (2^-13 each) of 1e12, on both sides
+        sign * (1e12 + np.ldexp(rng.integers(-(1 << 20), 1 << 20, n).astype(float), -13)),
+        # from 1e12 up: every value falls back
+        sign[:few] * 10.0 ** rng.uniform(12.0, 300.0, few),
     ]
 
 
@@ -313,8 +334,8 @@ def test_fixed6_kernel_matches_python_format():
 
 
 def _g12_families(rng: np.random.Generator) -> list[np.ndarray]:
-    """About 840k values for the %.12g kernel: families of 2^16 and 2^14,
-    within its exact range (zeros, 1e-4 <= |v| < 100) and past it."""
+    """About 1.4M values for the %.12g kernel: families of 2^16 and 2^14,
+    within its exact range (zeros, 1e-4 <= |v| < 1e12) and past it."""
     n, few = 1 << 16, 1 << 14
     sign = rng.choice([-1.0, 1.0], n)
     # decades 1e-5 to 1e3: X = floor(log10 |v|) of the value's leading digit
@@ -334,7 +355,8 @@ def _g12_families(rng: np.random.Generator) -> list[np.ndarray]:
         sign * rng.uniform(0.0, 100.0, n),
         sign * rng.uniform(0.0, 1.0, n),
         sign * 10.0 ** rng.uniform(-4.0, 2.0, n),
-        # past the exact range: below 1e-4 (exponent form) and from 100 up
+        # below 1e-4 (exponent form), where every nonzero value falls back,
+        # and from 100 up, exact below 1e12
         sign[:few] * 10.0 ** rng.uniform(-12.0, -4.0, few),
         sign[:few] * 10.0 ** rng.uniform(2.0, 20.0, few),
         sign * near_ties,
@@ -355,6 +377,34 @@ def _g12_families(rng: np.random.Generator) -> list[np.ndarray]:
         sign * 1e-4 * (1.0 - rng.uniform(0.0, 1e-11, n)),
         # signed zeros and subnormals
         np.copysign(rng.integers(0, 2**52, n, dtype=np.uint64).view(np.float64) * (rng.random(n) < 0.5), sign),
+        *_g12_wide_families(rng, sign),
+    ]
+
+
+def _g12_wide_families(rng: np.random.Generator, sign: np.ndarray) -> list[np.ndarray]:
+    """The %.12g kernel's range from 100 to 1e12, its edge, and past it."""
+    n, few = len(sign), 1 << 14
+    # decades 1e2 to 1e11, as in _g12_families
+    x = rng.integers(2, 12, n)
+    exact = np.array([float(10**k) for k in range(17)])
+    near_ties = (2 * rng.integers(10**11, 10**12, n) + 1) / (2 * exact[11 - x])
+    # odd / 2^(12 - x) in the decade of x: 13 significant digits, the last a 5
+    lo, hi = 10.0**x * 2.0 ** (12 - x), 10.0 ** (x + 1) * 2.0 ** (12 - x)
+    odd = 2 * np.floor(rng.uniform(lo, hi) / 2) + 1
+    return [
+        sign * 10.0 ** rng.uniform(2.0, 12.0, n),
+        sign * near_ties,
+        sign * np.nextafter(near_ties, np.inf),
+        sign * np.nextafter(near_ties, 0.0),
+        sign * np.ldexp(odd, x - 12),
+        # carries onto the next power of ten, and up from a fraction of nines
+        sign * 10.0 ** (x + 1) * (1.0 - rng.uniform(0.0, 1e-12, n)),
+        sign * (np.floor(10.0 ** rng.uniform(x, x + 1)) + 1.0
+                - 10.0 ** (x - 12.0) * rng.uniform(0.0, 10.0, n)),
+        # within 2^20 ulps (2^-13 each) of 1e12, on both sides
+        sign * (1e12 + np.ldexp(rng.integers(-(1 << 20), 1 << 20, n).astype(float), -13)),
+        # from 1e12 up: every value falls back
+        sign[:few] * 10.0 ** rng.uniform(12.0, 300.0, few),
     ]
 
 
@@ -374,8 +424,8 @@ def test_g12_kernel_matches_python_format():
             (chr(sep) if sep else "") + text
             for text, sep in zip(map("%.12g".__mod__, values.tolist()), seps.tolist())
         )
-        rows, ok = geometry._g12_rows(values)
-        assert geometry._render(rows, seps, 0, values[~ok]) == want.encode()
+        rows, ok = geometry._digit_rows(values, *geometry._G12)
+        assert geometry._render(rows, seps, values[~ok]) == want.encode()
 
 
 def test_exports_stream_in_bounded_memory(tmp_path):

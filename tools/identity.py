@@ -92,14 +92,18 @@ LIMIT_BASES = [
 ]
 
 # the exact factorization compare on 0.0 buckets and on dependent ratios;
-# validate's human output; SVG points of 1e8 and more, which `_fixed6` formats
-# with %; census's L0 scaling and its underflow warning, past (stage 110) and
-# short of (stage 100) the float range under an L0 of 1e300
+# validate's human output; SVG and CSV points that the digit kernel writes
+# itself up to 1e12 and hands to % from there (L0 from 1e3 to 1e13), and CSV
+# points in exponent form (L0 1e-7); census's L0 scaling and its underflow
+# warning, past (stage 110) and short of (stage 100) the float range under an
+# L0 of 1e300
 PATH_EDGES = [
     (None, ["stats", "C[1/1000] C[1/2,1/4]", "--stage", "110"]),
     (None, ["stats", "C[1/2,1/4,1/8] C[1/3,1/9]", "--stage", "6"]),
     (None, ["validate", "K[pi/3]", "--stage", "6", "--human"]),
     (None, ["render", "K[pi/3]", "--stage", "4", "--l0", "1e12", "-o", "out.svg"]),
+    *((None, ["render", "K[pi/3]", "--stage", "4", "--l0", l0, "-o", "out.svg", "--csv", "out.csv"])
+      for l0 in ("1e3", "1e9", "1e11", "1e13", "1e-7")),
     *((None, ["census", "C[1/1000]", "--stage", s, "--l0", "1e300"]) for s in ("110", "100")),
     (None, ["census", "C[1/2,1/3] K[pi/3]", "--stage", "4", "--l0", "0.001", "--human"]),
 ]
