@@ -14,7 +14,10 @@ the rows between its ends. Both ragged expansions (strips per segment, rows
 per strip) allow a segment to cross any number of gridlines, as segments
 longer than the box size do. Occupied cells are distinct int64 keys
 `i * ny + j`. Before the walk, the cells it visits, sum(|di| + |dj| + 1), are
-checked against the segment budget; no coarser rung would visit more.
+checked against the segment budget; no coarser rung would visit more. The
+walk takes batches of whole segments of about _CELL_BATCH cells, so beside
+one batch's temporaries it holds only each segment's endpoint cells (four
+floats, built in place) and running cell count, and the occupied keys.
 
 Each coarser rung is derived from the keys of the rung below: cell (i, j) at
 eps lies in cell (min(i >> 1, nx' - 1), min(j >> 1, ny' - 1)) at 2 eps, where
@@ -48,7 +51,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 _KEY_LIMIT = 2**63 - 1  # the largest int64
-_CELL_BATCH = 1 << 14  # grid cells walked per batch of segments: bounds peak memory
+# grid cells walked per batch of segments: bounds the batch's clipped pieces,
+# row ranges and cell keys, about 130 bytes per cell
+_CELL_BATCH = 1 << 13
 
 
 class BoxCountReport(Frozen):
@@ -76,9 +81,10 @@ class BoxCountReport(Frozen):
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of `keys`, which it sorts in place."""
     import numpy as np
     # sort-based: np.unique on int64 keys is ~20x slower with numpy 2.4
-    keys = np.sort(keys)
+    keys.sort()
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
@@ -88,7 +94,7 @@ def _cell_keys(
     """Distinct keys i * ny + j of the cells the segments pass through."""
     import numpy as np
     inv = 1.0 / eps
-    i1, j1, i2, j2 = cells.T
+    i1, j1, i2, j2 = cells.astype(np.int64).T
     # single column: rows between the endpoint rows, all touched
     one = i1 == i2
     cols = [i1[one]]
@@ -129,13 +135,12 @@ def _occupied_cells(
 ) -> np.ndarray:
     """Sorted distinct keys i * ny + j of the occupied cells at one rung."""
     import numpy as np
-    # endpoint cells (i1, j1, i2, j2) per segment, clamped to the grid; floats
-    # until the checks below rule out int64 overflow
-    cells = np.clip(
-        np.floor((coords - [x0, y0, x0, y0]) * (1.0 / eps)),
-        0.0,
-        [float(nx - 1), float(ny - 1), float(nx - 1), float(ny - 1)],
-    )
+    # endpoint cells (i1, j1, i2, j2) per segment, clamped to the grid and
+    # built in place; floats until the checks below rule out int64 overflow
+    cells = coords - [x0, y0, x0, y0]
+    cells *= 1.0 / eps
+    np.floor(cells, out=cells)
+    np.clip(cells, 0.0, [float(nx - 1), float(ny - 1), float(nx - 1), float(ny - 1)], out=cells)
     ends = np.cumsum(np.abs(cells[:, 2] - cells[:, 0]) + np.abs(cells[:, 3] - cells[:, 1]) + 1.0)
     if ends[-1] > budget:
         raise SegmentBudgetExceeded(
@@ -146,7 +151,6 @@ def _occupied_cells(
         raise ScaleLadderInvalid(
             f"box grid at scale {eps:.6g} has {nx} x {ny} cells, more than 64-bit keys can number"
         )
-    cells = cells.astype(np.int64)
     # batches of whole segments walking about _CELL_BATCH cells each
     starts = np.searchsorted(ends, np.arange(0.0, ends[-1], _CELL_BATCH), side="right")
     # non-decreasing, so the first of each run of equal starts; np.unique
@@ -186,10 +190,8 @@ def estimate_dimension(
         raise DegenerateGeometry("no segments")
     import numpy as np
     coords = s.coords
-    xs = np.concatenate([coords[:, 0], coords[:, 2]])
-    ys = np.concatenate([coords[:, 1], coords[:, 3]])
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
+    x0, x1 = float(coords[:, ::2].min()), float(coords[:, ::2].max())
+    y0, y1 = float(coords[:, 1::2].min()), float(coords[:, 1::2].max())
     diag = math.hypot(x1 - x0, y1 - y0)
     if diag == 0.0:
         raise DegenerateGeometry("all points coincident")

@@ -154,10 +154,10 @@ def dim(expression: str, human: bool, check: bool, closed_form_only: bool):
 def render(expression: str, stage: int, out_path: str, csv_path: str | None,
            l0: float, warn_overlap: bool):
     """Materialize EXPRESSION at a stage and write an SVG."""
-    from . import geometry
     sched = _load_schedule(expression)
     budget = _segment_budget()
     work.charge_export(sched, stage, budget)
+    from . import geometry
     segments = geometry.iterate(sched, stage, L0=l0, budget=budget)
     try:
         geometry.export_svg(segments, out_path)

@@ -33,8 +33,10 @@ if TYPE_CHECKING:
     from .schedule import CompositionSchedule, Generator
 
 
-# candidate pairs per vectorized overlap test: bounds detect_overlap's memory
-_PAIR_CHUNK = 1 << 14
+# candidate pairs per chunk of detect_overlap's narrow phase: bounds the
+# chunk's index gathers, coordinate copies and predicate temporaries, about
+# 200 bytes per pair
+_PAIR_CHUNK = 1 << 12
 
 
 class SegmentSet(Frozen):
@@ -435,8 +437,9 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     import numpy as np
     sizes = hi - lo + 1
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    starts = np.cumsum(sizes) - sizes
-    return owner, lo[owner] + (np.arange(len(owner)) - starts[owner])
+    value = np.arange(len(owner), dtype=np.int64)
+    value -= (np.cumsum(sizes) - sizes - lo)[owner]
+    return owner, value
 
 
 def _pairs_overlap(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
@@ -480,18 +483,23 @@ def detect_overlap(s: SegmentSet) -> bool:
     on the figure's scale.
 
     The broad phase cuts the plane into horizontal strips of height h, the
-    longest segment (at least eps and 1e-6 of the extent). Strip j holds
-    y in [(j - 1/2) h, (j + 1/2) h): anchored half a strip off the axis, so
-    figures on a lattice of step h, or on the line y = 0, do not straddle
-    strip boundaries. Each segment gets one row per strip its eps-padded
-    y-range covers, and the rows are sorted by strip, then by padded x-start.
+    largest |dy| of any segment (at least eps and 1e-6 of the extent), so
+    copies stacked closer than a segment's length fall in different strips.
+    Strip j holds y in [(j - 1/2) h, (j + 1/2) h): anchored half a strip off
+    the axis, so figures on a lattice of step h, or on the line y = 0, do
+    not straddle strip boundaries. Each segment gets one row per strip its
+    eps-padded y-range covers (at most three unless eps is near h), and the
+    rows are sorted by strip, then by padded x-start.
     Within a strip a row is paired with the later rows that start, along x,
     before it ends. Two segments whose padded boxes meet both cover the
     higher of their first strips, and there the one that starts first
     reaches the other; the pair is tested in that strip only. The narrow
     phase keeps the pairs whose padded y-ranges meet and evaluates the exact
-    predicate in chunks of a fixed number of pairs, which bounds memory
-    however crowded a strip is, and stops at the first overlapping chunk.
+    predicate in chunks of _PAIR_CHUNK candidate pairs, which bounds its
+    temporaries however crowded a strip is, and stops at the first
+    overlapping chunk. Coordinates are gathered per chunk through the
+    x-order, so the working memory beside the chunk is each segment's padded
+    box, x-order and first strip, and each row's segment, strip and offset.
     The predicate runs on coordinates scaled by a power of two that brings
     max(extent, L0) into [1, 2): exact, and no product can overflow.
     """
@@ -502,42 +510,49 @@ def detect_overlap(s: SegmentSet) -> bool:
     if n < 2:
         return False
     import numpy as np
-    extent = float(max(np.ptp(s.coords[:, ::2]), np.ptp(s.coords[:, 1::2])))
+    c = s.coords
+    extent = float(max(np.ptp(c[:, ::2]), np.ptp(c[:, 1::2])))
     eps = 1e-12 * max(extent, s.initiator_length)
-    h = max(float(s.lengths().max()), eps, extent * 1e-6)
-    # segments in order of x-start, then their eps-padded boxes and strips
-    coords = s.coords[np.argsort(np.minimum(s.coords[:, 0], s.coords[:, 2]))]
-    lo = np.minimum(coords[:, :2], coords[:, 2:]) - eps
-    hi = np.maximum(coords[:, :2], coords[:, 2:]) + eps
-    j0 = np.floor(lo[:, 1] / h + 0.5).astype(np.int64)
+    h = max(float(np.abs(c[:, 3] - c[:, 1]).max()), eps, extent * 1e-6)
+    # segment a is c[perm[a]], in order of x-start; its eps-padded box, and
+    # the offsets of its first and last strips from the lowest strip
+    perm = np.argsort(np.minimum(c[:, 0], c[:, 2])).astype(np.int32)
+    lo = np.minimum(c[:, :2], c[:, 2:])[perm] - eps
+    hi = np.maximum(c[:, :2], c[:, 2:])[perm] + eps
+    j0, j1 = np.floor(lo[:, 1] / h + 0.5), np.floor(hi[:, 1] / h + 0.5)
+    # at most 1e6 + 2 strips: int32 offsets
+    j0, j1 = (j0 - j0.min()).astype(np.int32), (j1 - j0.min()).astype(np.int32)
 
     # one row per (segment, covered strip), sorted by strip, then x-start;
-    # with at most 1e6 + 2 strips and RENDER_SEGMENT_LIMIT segments the key
-    # stays below 1.1e12
-    seg, strip = expand_ranges(j0, np.floor(hi[:, 1] / h + 0.5).astype(np.int64))
-    j_min = int(j0.min())
-    key = (strip - j_min) * n + seg
-    order = np.argsort(key)
-    seg, strip, key = seg[order], strip[order], key[order]
+    # the key (strip offset) * n + segment stays below 1.1e12
+    seg, key = expand_ranges(j0, j1)
+    key *= n
+    key += seg
+    del seg, j1
+    key.sort()
+    strip = (key // n).astype(np.int32)
+    seg = (key % n).astype(np.int32)
 
     # row r pairs with the later rows of its strip whose segment starts no
-    # later than it ends; pair p belongs to the row r with
-    # first[r] <= p < first[r] + later[r]
-    reach = np.searchsorted(lo[:, 0], hi[seg, 0], side="right")
-    later = np.searchsorted(key, (strip - j_min) * n + reach) - np.arange(len(key)) - 1
-    ends = np.cumsum(later)
-    first = ends - later
+    # later than it ends, the segments before a + reach[a] for segment a;
+    # pair p belongs to the row r with first[r] <= p < first[r + 1]
+    reach = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(n)
+    later = np.searchsorted(key, key + reach[seg])
+    del key, reach
+    later -= np.arange(1, len(later) + 1)
+    first = np.concatenate(([0], np.cumsum(later, out=later)))
+    del later
     shift = 1 - math.frexp(max(extent, s.initiator_length))[1]
-    for p0 in range(0, int(ends[-1]), _PAIR_CHUNK):
-        p = np.arange(p0, min(p0 + _PAIR_CHUNK, int(ends[-1])))
-        r = np.searchsorted(ends, p, side="right")
+    for p0 in range(0, int(first[-1]), _PAIR_CHUNK):
+        p = np.arange(p0, min(p0 + _PAIR_CHUNK, int(first[-1])))
+        r = np.searchsorted(first, p, side="right") - 1
         a, b = seg[r], seg[r + 1 + (p - first[r])]
         # the lowest strip both cover, and padded y-ranges that meet
         lowest = strip[r] == np.maximum(j0[a], j0[b])
         keep = lowest & (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
-        a, b = a[keep], b[keep]
+        a, b = perm[a[keep]], perm[b[keep]]
         if _pairs_overlap(
-            np.ldexp(coords[a], shift), np.ldexp(coords[b], shift), math.ldexp(eps, shift)
+            np.ldexp(c[a], shift), np.ldexp(c[b], shift), math.ldexp(eps, shift)
         ).any():
             return True
     return False

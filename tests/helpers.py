@@ -397,8 +397,9 @@ def segment_soup(rng: random.Random) -> tuple[str, fc.SegmentSet]:
 
     lattice: axis and diagonal steps of one or two units between the points of
     a small lattice, at one of _SOUP_SCALES; strip-edge: unit axis steps on a
-    lattice shifted half a step in y, so with the unit step the longest
-    segment, horizontal ones lie on the lines y = (j - 1/2) h; walk: a chain
+    lattice shifted half a step in y, so once one vertical step makes the
+    largest |dy| (detect_overlap's strip height h) the unit step, horizontal
+    ones lie on the strip edges y = (j - 1/2) h; walk: a chain
     tip to tail, on the lattice or with free turns; lengths: free segments of
     log-uniform lengths from 1e-4 to 3. Any soup may have some segments
     collapsed to one of their endpoints or to the midpoint of another segment.

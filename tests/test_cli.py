@@ -848,7 +848,7 @@ _INSPECT = "inspect"
          (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT)),
         (["dim", "C[1/2,1/3] K[pi/3"], 2, (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT)),
         (["render", "K[pi/3]", "--stage", "12", "-o", "big.svg"], 4,
-         (_NUMPY, _BOXCOUNT, _INCSTATS, *_FRONT_END, _INSPECT)),
+         (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT)),
         (["render", "K[pi/3]", "--stage", "2", "-o", "k.svg"], 0,
          (_BOXCOUNT, _INCSTATS, *_FRONT_END)),
         (["validate", "K[pi/3]", "--stage", "5"], 0, (_INCSTATS, *_FRONT_END)),

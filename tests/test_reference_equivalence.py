@@ -191,6 +191,63 @@ def test_overlap_verdicts_match_brute_force_on_segment_soups():
     assert len(verdicts) == 8 and min(verdicts.values()) > 100, verdicts
 
 
+# 2^k horizontal copies stacked far closer than their length: one strip as
+# tall as the longest segment held them all
+STACKED = "G[(0.4,0,draw);(0.4,3.141592,gap);(0.000001,pi/2,gap);(0.4,0,draw)]"
+
+
+def test_stacked_segments_verdict_matches_brute_force():
+    s = fc.iterate(fc.schedule_from_text(STACKED), 9)
+    assert fc.detect_overlap(s) is brute_force_overlap(s) is False
+
+
+def test_stacked_segments_enumerate_linearly_many_candidates(monkeypatch):
+    # one _pairs_overlap call per chunk of enumerated candidates: at most 4n
+    # candidates in all; strips as tall as the longest segment paired all
+    # n (n - 1) / 2
+    calls = []
+    pairs_overlap = geometry._pairs_overlap
+
+    def counted(a, b, eps):
+        calls.append(len(a))
+        return pairs_overlap(a, b, eps)
+
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 1024)
+    monkeypatch.setattr(geometry, "_pairs_overlap", counted)
+    s = fc.iterate(fc.schedule_from_text(STACKED), 16)
+    assert fc.detect_overlap(s) is False
+    assert 0 < len(calls) <= math.ceil(4 * len(s) / 1024), len(calls)
+
+
+def test_strip_edge_soups_lie_on_strip_edges():
+    # detect_overlap's strips are the largest |dy| high; with a vertical unit
+    # step among its segments, a strip-edge soup has its horizontal segments
+    # on the strip edges y = (j - 1/2) h
+    rng = random.Random(2026)
+    on_edges = 0
+    for _ in range(400):
+        family, s = segment_soup(rng)
+        x1, y1, x2, y2 = s.coords.T
+        h = np.abs(y2 - y1).max()
+        flat = y1[(y1 == y2) & (x1 != x2)]
+        if family == "strip-edge" and math.isclose(h, s.initiator_length) and len(flat):
+            offsets = flat / h + 0.5
+            assert np.allclose(offsets, np.round(offsets), rtol=0.0, atol=1e-9), s.coords
+            on_edges += 1
+    assert on_edges > 80, on_edges
+
+
+def test_overlap_verdicts_match_loop_reference_in_small_chunks(monkeypatch):
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 97)
+    for text, stage in CORPUS:
+        for s in _copies(text, stage):
+            assert fc.detect_overlap(s) == reference_detect_overlap(s), text
+    rng = random.Random(2027)
+    for _ in range(400):
+        family, s = segment_soup(rng)
+        assert fc.detect_overlap(s) == brute_force_overlap(s), (family, s.coords.tolist())
+
+
 def test_box_counts_match_loop_reference_in_small_batches(monkeypatch):
     monkeypatch.setattr(boxcount, "_CELL_BATCH", 97)
     for text, stage in CORPUS[:6]:
@@ -441,6 +498,22 @@ def test_exports_stream_in_bounded_memory(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20 // 4, (export.__name__, peak)
+
+
+def test_overlap_check_and_box_counting_run_in_bounded_memory():
+    # transient arrays per segment of the figure, whose own coordinates take
+    # 32 bytes; the candidate chunks and cell batches are fixed in size
+    s = fc.iterate(fc.schedule_from_text("K[pi/3]"), 8)
+    small = fc.iterate(fc.schedule_from_text("K[pi/3]"), 4)
+    for check, bound in ((fc.detect_overlap, 150), (fc.estimate_dimension, 90)):
+        check(small)  # lazy imports are not the check's working memory
+        tracemalloc.start()
+        try:
+            check(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(s), (check.__name__, peak / len(s))
 
 
 def _repeats_a_ratio(sched) -> bool:
