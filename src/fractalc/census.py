@@ -1,8 +1,8 @@
 """The stage-k segment census: the exact (length, count) multiset of the
 multinomial expansion. Its buckets are formed, crossed, scaled by L0 and
-merged here, and `census_log_floor` predicts where their lengths underflow;
-`work` charges its size. `dim` and `limit` never load this module: a test in
-`tests/test_cli.py` and the CI import check enforce this.
+merged here; `work` charges its size. A length below the float range reads
+0.0, and sorts last. `dim` and `limit` never load this module: a test in
+`tests/test_cli.py` enforces this.
 """
 
 from __future__ import annotations
@@ -156,17 +156,3 @@ def build_census(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> list
         (_component_buckets(gen.draw_ratios, repeat * k) for gen, repeat in schedule.items), L0
     )
 
-
-def census_log_floor(schedule, k: int, L0: float = 1.0) -> float:
-    """ln of the smallest value segment_census forms at stage k.
-
-    That is min(ln L0, 0) + k * sum_i n_i ln min_j r_ij, computed in the log
-    domain so it stays finite where the value underflows to 0.0. The census
-    crosses the unscaled lengths (all ratios are below 1) and scales by L0
-    last, so an L0 above 1 cannot lift a product that has already underflowed.
-    """
-    try:
-        floor = k * math.fsum(n * math.log(min(gen.draw_ratios)) for gen, n in schedule.items)
-    except OverflowError:  # k or a repeat count beyond the float range
-        floor = -math.inf if k else 0.0
-    return min(math.log(L0), 0.0) + floor

@@ -41,8 +41,6 @@ _UNDERFLOW_WARNING = (
     "warning: the smallest stage-{} lengths fall below the float range while "
     "the census is computed and read 0.0"
 )
-# ln of the smallest positive double, 2**-1074
-_LOG_TINIEST = math.log(5e-324)
 # the decimal exponent of a `limit --target`, as Fraction's syntax allows it
 _TARGET_EXPONENT = re.compile(r"[eE]([-+]?)([\d_]+)\s*\Z")
 
@@ -97,9 +95,9 @@ def _file_path(text: str) -> str:
     return text
 
 
-def _warn_underflow(sched: schedule.CompositionSchedule, stage: int, l0: float = 1.0) -> None:
-    from . import census
-    if census.census_log_floor(sched, stage, l0) < _LOG_TINIEST:
+def _warn_underflow(buckets: list[tuple[float, int]], stage: int) -> None:
+    """Warn when the smallest length of a stage's census, its last, reads 0.0."""
+    if buckets[-1][0] == 0.0:
         print(_UNDERFLOW_WARNING.format(stage), file=sys.stderr)
 
 
@@ -188,7 +186,7 @@ def census(expression: str, stage: int, l0: float, human: bool):
     sched = _load_schedule(expression)
     work.charge_census(sched, stage, _segment_budget(), printed=True)
     buckets = census.build_census(sched, stage, l0)
-    _warn_underflow(sched, stage, l0)
+    _warn_underflow(buckets, stage)
     total = sum(count for _, count in buckets)
     if human:
         print(f"{'length':>24} {'count':>16}")
@@ -226,10 +224,11 @@ def validate(expression: str, stage: int, scales: int, min_scale: float | None,
 
 def stats(expression: str, stage: int, human: bool):
     """Incomplete-statistics report: normalization and factorization checks."""
-    from . import incstats
+    from . import census, incstats
     sched = _load_schedule(expression)
     payload = incstats.stats_report(sched, stage, budget=_segment_budget())
-    _warn_underflow(sched, stage)
+    # stats_report returns only its payload: the stage-k census it read, again
+    _warn_underflow(census.build_census(sched, stage), stage)
     _emit(payload, human)
 
 

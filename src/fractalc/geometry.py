@@ -151,17 +151,13 @@ def total_length(s: SegmentSet) -> float:
 # 4096 segments a chunk raised the process's peak memory by about 1 MB
 _EXPORT_CHUNK = 1 << 10
 
-# the separator after an SVG point's y: the next point of its chain, the end
-# of its chain (replaced by the polyline boundary), or nothing (the last point)
-_SVG_SEPS = b" \n\0"
-
-# the two coordinate formats, as `_digit_rows` takes them: the % spec of a
-# value that falls back; its fraction digits (None: 11 - floor(log10 |v|), as
-# %.12g keeps); whether trailing zeros and a bare "." are dropped; the
-# near-tie tolerance; the lowest nonzero |v| written exactly; whether a value
-# that rounds to zero keeps its "-"
-_FIXED6 = (b"%.6f", 6, False, 1e-6, 0.0, False)
-_G12 = (b"%.12g", None, True, 2.0**-12, 1e-4, True)
+# the two coordinate formats, as `_digit_rows` takes them: the % spec, which
+# the kernel's text matches byte for byte, "-" of a negative value that
+# rounds to zero included; its fraction digits (None: 11 - floor(log10 |v|),
+# as %.12g keeps); whether trailing zeros and a bare "." are dropped; the
+# near-tie tolerance; the lowest nonzero |v| written exactly
+_FIXED6 = (b"%.6f", 6, False, 1e-6, 0.0)
+_G12 = (b"%.12g", None, True, 2.0**-12, 1e-4)
 
 
 @functools.cache
@@ -193,7 +189,7 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
 
 
 def _digit_rows(values: np.ndarray, spec: bytes, places: int | None, strip: bool, tie: float,
-                lowest: float, signed_zero: bool) -> tuple[np.ndarray, np.ndarray]:
+                lowest: float) -> tuple[np.ndarray, np.ndarray]:
     """`spec % v` of every value as (n, w) uint8 text rows whose first byte is
     NUL, left for a separator, and a mask of the values formatted exactly; the
     other arguments describe the format, as `_FIXED6` and `_G12` give them.
@@ -249,9 +245,6 @@ def _digit_rows(values: np.ndarray, spec: bytes, places: int | None, strip: bool
     ip += carry
     r[carry] = 0.0
     ok &= ip < 1e12
-    negative = np.signbit(values)
-    if not signed_zero:
-        negative &= ip + r > 0.0
     # k more integer words and m more fraction words (a carry to 1e12 fits)
     top = float(ip.max())
     k = (top >= 100.0) + (top >= 1e6) + (top >= 1e10)
@@ -282,35 +275,30 @@ def _digit_rows(values: np.ndarray, spec: bytes, places: int | None, strip: bool
     # the fraction digits past the format's, all zero, are NUL in the last word
     words[:, -1] &= 0xFFFF_FFFF >> 8 * (3 + 4 * m - fraction)
     rows = words.view(np.uint8)
-    rows[negative, 1] = ord("-")
+    rows[np.signbit(values), 1] = ord("-")
     if not ok.all():
         words[~ok] = np.frombuffer((b"\0" + spec).ljust(rows.shape[1], b"\0"), dtype="<u4")
     return rows, ok
 
 
 def _fixed6(values: np.ndarray, seps: np.ndarray) -> bytes:
-    """'%.6f' % v of every value, each followed by its separator byte from
-    `seps` (0 for none), with values that round to zero written unsigned.
-    Of the values that `_digit_rows` hands to %, those that round to -0 are
-    then written 0.000000: a "-" only ever starts a value, so no other value
-    contains the pattern.
+    """'%.6f' % v of every value, each after its separator byte from `seps`
+    (0 for none), with -0.000000 written 0.000000: a "-" only ever starts a
+    value, so no other value contains the pattern.
     """
-    import numpy as np
     rows, ok = _digit_rows(values, *_FIXED6)
-    # each separator goes into the slot that starts the next value's row
-    text = _render(rows, np.append(np.uint8(0), seps), values[~ok])
-    return text if ok.all() else text.replace(b"-0.000000", b"0.000000")
+    return _render(rows, seps, values[~ok]).replace(b"-0.000000", b"0.000000")
 
 
 def _render(rows: np.ndarray, seps: np.ndarray, fallbacks: np.ndarray) -> bytes:
     """The text of (n, w) uint8 rows from `_digit_rows`, with seps[i] (0 for
-    none) in row i's first byte, the seps past n after the last row, and the
-    NULs dropped. The rows of the values that fall back hold a % specifier,
-    so the text is itself the template that formats those values, given in
-    text order as `fallbacks`, with one %: no other byte of it is a "%".
+    none) in row i's first byte and the NULs dropped. The rows of the values
+    that fall back hold a % specifier, so the text is itself the template that
+    formats those values, given in text order as `fallbacks`, with one %: no
+    other byte of it is a "%".
     """
-    rows[:, 0] = seps[: len(rows)]
-    text = (rows.tobytes() + seps[len(rows) :].tobytes()).translate(None, b"\0")
+    rows[:, 0] = seps
+    text = rows.tobytes().translate(None, b"\0")
     return text % tuple(fallbacks.tolist()) if len(fallbacks) else text
 
 
@@ -353,10 +341,9 @@ def export_svg(s: SegmentSet, path) -> None:
         raise GeometryOutOfRange(f"the SVG view box {vb} is beyond the float range")
     join_tol = 1e-9 * max(xmax - xmin, ymax - ymin, s.initiator_length)
     flip_y = np.array([1.0, -1.0])
-    y_seps = np.frombuffer(_SVG_SEPS, dtype=np.uint8)
-    # breaks[i]: a chain boundary lies before segment i (always at 0 and n)
-    breaks = np.ones(n + 1, dtype=bool)
-    breaks[1:-1] = (np.abs(coords[:-1, 2] - coords[1:, 0]) > join_tol) | (
+    # breaks[i]: a chain boundary lies before segment i (always at 0)
+    breaks = np.ones(n, dtype=bool)
+    breaks[1:] = (np.abs(coords[:-1, 2] - coords[1:, 0]) > join_tol) | (
         np.abs(coords[:-1, 3] - coords[1:, 1]) > join_tol
     )
     close = (
@@ -366,17 +353,17 @@ def export_svg(s: SegmentSet, path) -> None:
     polyline = b'<polyline points="'
 
     def chunk_text(start: int, stop: int) -> bytes:
-        # per segment: its start point, kept only where a chain begins, then
-        # its end point, whose separator says whether the chain goes on
+        # per segment: its start point, kept only where a chain begins, whose
+        # x follows the polyline boundary (none for the first), then its end
+        # point, whose x follows a space
         keep = np.ones((stop - start, 2), dtype=bool)
         keep[:, 0] = breaks[start:stop]
-        kind = np.zeros((stop - start, 2), dtype=np.int8)
-        kind[:, 1] = breaks[start + 1 : stop + 1]
-        if stop == n:
-            kind[-1, 1] = 2
         points = coords[start:stop].reshape(-1, 2)[keep.ravel()] * flip_y
-        seps = np.full(points.shape, ord(","), dtype=np.uint8)
-        seps[:, 1] = y_seps[kind[keep]]
+        seps = np.full((stop - start, 2, 2), ord(","), dtype=np.uint8)
+        seps[:, :, 0] = (ord("\n"), ord(" "))
+        seps = seps[keep]
+        if start == 0:
+            seps[0, 0] = 0
         return _fixed6(points.ravel(), seps.ravel()).replace(b"\n", close + polyline)
 
     x, y, w, h = _fixed6(np.array(vb), np.full(4, ord(" "), dtype=np.uint8)).decode().split()

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 import fractalc as fc
@@ -20,10 +22,17 @@ from helpers import (
     fuzz_cases,
     mpmath_root,
     random_schedule_expr,
+    reference_counts,
     reference_export_csv,
     reference_export_svg,
     reference_segment_census,
     run_cli,
+)
+
+
+_UNDERFLOW = (
+    "warning: the smallest stage-{} lengths fall below the float range while "
+    "the census is computed and read 0.0"
 )
 
 
@@ -611,6 +620,36 @@ def test_census_warns_when_lengths_underflow_before_scaling():
     assert json.loads(quiet.stdout)["buckets"][-1]["length"] > 0.0
 
 
+@pytest.mark.parametrize(
+    "expression, stage, l0, underflows",
+    [
+        # lengths of 4000^-k, scaled after they are formed
+        ("C[1/1000] C[1/2,1/4]", 60, "1.0", False),
+        ("C[1/1000] C[1/2,1/4]", 110, "1.0", True),
+        ("C[1/1000] C[1/2,1/4]", 60, "1e+300", False),
+        ("C[1/1000] C[1/2,1/4]", 110, "1e+300", True),
+        ("C[1/1000] C[1/2,1/4]", 80, "1e-30", False),  # 1e-318, subnormal
+        ("C[1/1000] C[1/2,1/4]", 100, "1e-30", True),
+        # 3^-678 rounds to the smallest double, 5e-324; 3^-679 to 0.0
+        ("C[1/3]", 678, "1.0", False),
+        ("C[1/3]", 679, "1.0", True),
+    ],
+    ids=["60-1.0", "110-1.0", "60-1e+300", "110-1e+300", "80-1e-30", "100-1e-30", "678", "679"],
+)
+def test_census_warns_iff_its_last_length_reads_zero(expression, stage, l0, underflows):
+    result = run_cli(["census", expression, "--stage", str(stage), "--l0", l0])
+    assert result.exit_code == 0, result.output
+    lengths = [b["length"] for b in json.loads(result.stdout)["buckets"]]
+    assert (lengths[-1] == 0.0) == underflows
+    assert 0.0 not in lengths[:-1]
+    lines = result.stderr.splitlines()
+    assert lines == ([_UNDERFLOW.format(stage)] if underflows else []), result.stderr
+    if expression == "C[1/3]":
+        assert lengths == [0.0 if underflows else 5e-324]
+        stats = run_cli(["stats", expression, "--stage", str(stage)])
+        assert stats.exit_code == 0 and stats.stderr.splitlines() == lines
+
+
 # --- validate -----------------------------------------------------------------
 
 
@@ -818,12 +857,13 @@ def _run_python(args, cwd, timeout=60):
     )
 
 
-def _imported_modules(importtime_stderr: str) -> set[str]:
-    return {
+def _imported_modules(importtime_stderr: str) -> list[str]:
+    """The modules of `-X importtime` lines, in the order their imports ended."""
+    return [
         line.rsplit("|", 1)[1].strip()
         for line in importtime_stderr.splitlines()
         if line.startswith("import time:")
-    }
+    ]
 
 
 _NUMPY, _GEOMETRY, _BOXCOUNT, _INCSTATS, _CENSUS = (
@@ -834,24 +874,32 @@ _ANALYTIC = (_NUMPY, _GEOMETRY, _BOXCOUNT, _INCSTATS)
 # numpy, which imports it, stays unloaded
 _FRONT_END = ("click", "dataclasses")
 _INSPECT = "inspect"
+# a site hook may load typing before fractalc, so only the imports from
+# fractalc's own line on count for it
+_TYPING = "typing"
+# np.unique would load numpy.ma for its masked-array check; numpy 1.x imports
+# it with numpy itself, so there it is not checked
+_NUMPY_MA = ("numpy.ma",) if int(np.__version__.split(".")[0]) >= 2 else ()
 
 
 @pytest.mark.parametrize(
     "args,code,unloaded",
     [
-        (["dim", "C[1/2,1/3] K[pi/3]"], 0, (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT)),
+        (["dim", "C[1/2,1/3] K[pi/3]"], 0,
+         (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT, _TYPING)),
         (["census", "C[1/2,1/3] K[pi/3]", "--stage", "6"], 0,
-         (*_ANALYTIC, *_FRONT_END, _INSPECT)),
+         (*_ANALYTIC, *_FRONT_END, _INSPECT, _TYPING)),
         (["stats", "C[1/2,1/3] K[pi/3]", "--stage", "4"], 0,
-         (_NUMPY, _GEOMETRY, _BOXCOUNT, *_FRONT_END, _INSPECT)),
+         (_NUMPY, _GEOMETRY, _BOXCOUNT, *_FRONT_END, _INSPECT, _TYPING)),
         (["limit", "--base", "K[pi/3]", "--target", "3/2", "--n", "1000"], 0,
-         (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT)),
-        (["dim", "C[1/2,1/3] K[pi/3"], 2, (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT)),
+         (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT, _TYPING)),
+        (["dim", "C[1/2,1/3] K[pi/3"], 2,
+         (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT, _TYPING)),
         (["render", "K[pi/3]", "--stage", "12", "-o", "big.svg"], 4,
-         (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT)),
-        (["render", "K[pi/3]", "--stage", "2", "-o", "k.svg"], 0,
-         (_BOXCOUNT, _INCSTATS, *_FRONT_END)),
-        (["validate", "K[pi/3]", "--stage", "5"], 0, (_INCSTATS, *_FRONT_END)),
+         (*_ANALYTIC, _CENSUS, *_FRONT_END, _INSPECT, _TYPING)),
+        (["render", "K[pi/3]", "--stage", "2", "-o", "k.svg", "--csv", "k.csv"], 0,
+         (_BOXCOUNT, _INCSTATS, *_FRONT_END, *_NUMPY_MA)),
+        (["validate", "K[pi/3]", "--stage", "5"], 0, (_INCSTATS, *_FRONT_END, *_NUMPY_MA)),
     ],
     ids=["dim", "census", "stats", "limit", "dim-parse-error", "render-over-budget", "render",
          "validate"],
@@ -863,7 +911,9 @@ def test_analytic_commands_do_not_import_numpy(tmp_path, args, code, unloaded):
     assert "fractalc.schedule" in modules
     # the commands that build a census load it, so a renamed module fails here
     assert (_CENSUS in modules) == (_CENSUS not in unloaded)
-    assert not [m for m in modules for u in unloaded if m == u or m.startswith(u + ".")]
+    late = modules[modules.index("fractalc"):]
+    assert not [m for u in unloaded for m in (late if u == _TYPING else modules)
+                if m == u or m.startswith(u + ".")]
 
 
 def test_package_import_leaves_numpy_unloaded(tmp_path):
@@ -891,6 +941,11 @@ def test_package_import_leaves_numpy_unloaded(tmp_path):
 # --- CLI fuzz: every accepted input answers or exits 2 or 4 ------------------------
 
 _FUZZ_CAP_S = 5.0
+# absolute: the stats residual against its 50-digit sum, and the validate
+# slope against its least-squares fit; the largest gaps over the fuzz's 52
+# stats and 17 validate answers were 5.1e-16 and 8.9e-16
+_RESIDUAL_TOLERANCE = 1e-13
+_SLOPE_TOLERANCE = 1e-12
 _TINY = "1/" + str(10**322)
 
 # huge repeats, one-piece components, tiny ratios
@@ -974,17 +1029,75 @@ def _check_census_payload(args, stdout):
     assert_merged_close(buckets, reference_segment_census(sched, int(stage), float(l0)))
 
 
-def _check_dim_payload(args, stdout):
-    """A `dim` payload's alpha against the 50-digit root of the Moran equation."""
-    payload = json.loads(stdout)
-    alpha = payload["alpha"]
-    want = mpmath_root(fc.schedule_from_text(args[1]).spectrum().components)
-    if payload["method"] == "binary-analytic":
+@functools.cache
+def _moran_root(text):
+    return mpmath_root(fc.schedule_from_text(text).spectrum().components)
+
+
+def _check_alpha(args, alpha, method):
+    """An alpha against the 50-digit root of the Moran equation: within 4 ulps,
+    or 1e-9 relative where `dim` names the binary closed form its method."""
+    want = _moran_root(args[1])
+    if method == "binary-analytic":
         assert abs(mpmath.mpf(alpha) - want) <= 1e-9 * want, (args, alpha)
     elif want == 0:
         assert alpha == 0.0, args
     else:
         assert abs(mpmath.mpf(alpha) - want) <= 4 * math.ulp(float(want)), (args, alpha)
+
+
+def _check_dim_payload(args, stdout):
+    """A `dim` payload's alpha against the 50-digit root; returns its method."""
+    payload = json.loads(stdout)
+    _check_alpha(args, payload["alpha"], payload["method"])
+    return payload["method"]
+
+
+def _check_warning(args, stderr, lengths):
+    """One underflow `warning:` line on stderr iff a length reads 0.0, else nothing."""
+    want = [_UNDERFLOW.format(args[3])] if 0.0 in lengths else []
+    assert stderr.splitlines() == want, (args, stderr)
+
+
+def _check_stats_payload(args, result, method):
+    """A `stats` payload: alpha as for `dim`; the residual against the largest
+    |sum m p^alpha - 1| over the reference census at stages 1..k, summed in 50
+    digits at the printed alpha; the warning against the stage-k reference
+    census's lengths."""
+    _, text, _, stage = args
+    sched, k = fc.schedule_from_text(text), int(stage)
+    payload = json.loads(result.stdout)
+    alpha = payload["alpha"]
+    _check_alpha(args, alpha, method)
+    want = 0
+    with mpmath.workdps(50):
+        for s in range(1, k + 1):
+            census = reference_segment_census(sched, s)
+            total = mpmath.fsum(c * mpmath.mpf(v) ** alpha for v, c in census)
+            want = max(want, abs(total - 1))
+    got = payload["max_normalization_residual"]
+    assert abs(got - want) <= _RESIDUAL_TOLERANCE, (args, got, want)
+    _check_warning(args, result.stderr, [v for v, _ in census])
+
+
+def _check_validate_payload(args, stdout, method):
+    """A `validate` payload: `theoretical` as for `dim`; the counts against the
+    loop box counts over the payload's scales, and the slope against a least-
+    squares fit of them, the two coarsest left out from six scales up."""
+    _, text, _, stage = args
+    payload = json.loads(stdout)
+    _check_alpha(args, payload["theoretical"], method)
+    scales = payload["scales"]
+    counts = reference_counts(fc.iterate(fc.schedule_from_text(text), int(stage)), scales)
+    assert payload["counts"] == list(counts), args
+    skip = 2 if len(scales) >= 6 else 0
+    x = [-math.log(eps) for eps in scales[skip:]]
+    y = [math.log(count) for count in counts[skip:]]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    slope = math.fsum((a - x_mean) * (b - y_mean) for a, b in zip(x, y)) / math.fsum(
+        (a - x_mean) ** 2 for a in x
+    )
+    assert abs(payload["slope"] - slope) <= _SLOPE_TOLERANCE, (args, payload["slope"], slope)
 
 
 def _check_render_payload(args, stdout):
@@ -1015,6 +1128,8 @@ def test_cli_fuzz_exits_only_with_documented_codes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("FRACTALC_SEGMENT_BUDGET", "200000")
     previous = signal.signal(signal.SIGALRM, _cap_exceeded)
+    # each expression's `dim` method, from its `dim` run, which comes first
+    methods = {}
     try:
         for args in _fuzz_invocations():
             signal.setitimer(signal.ITIMER_REAL, _FUZZ_CAP_S)
@@ -1027,11 +1142,18 @@ def test_cli_fuzz_exits_only_with_documented_codes(tmp_path, monkeypatch):
             assert "Traceback" not in result.output, args
             if result.exit_code != 0:
                 continue
-            if args[0] == "census" and args[3] == "3":
-                _check_census_payload(args, result.stdout)
+            if args[0] == "census":
+                lengths = [b["length"] for b in json.loads(result.stdout)["buckets"]]
+                _check_warning(args, result.stderr, lengths)
+                if args[3] == "3":
+                    _check_census_payload(args, result.stdout)
+            elif args[0] == "stats":
+                _check_stats_payload(args, result, methods[args[1]])
+            elif args[0] == "validate":
+                _check_validate_payload(args, result.stdout, methods[args[1]])
             elif args[0] == "render" and args[3] == "3" and args[4] == "--l0":
                 _check_render_payload(args, result.stdout)
             elif args[0] == "dim":
-                _check_dim_payload(args, result.stdout)
+                methods[args[1]] = _check_dim_payload(args, result.stdout)
     finally:
         signal.signal(signal.SIGALRM, previous)

@@ -374,7 +374,7 @@ def _fixed6_wide_families(rng: np.random.Generator, sign: np.ndarray) -> list[np
 @pytest.mark.filterwarnings("error")
 def test_fixed6_kernel_matches_python_format():
     # oracle: CPython's '%.6f' % v one value at a time, -0.000000 written as
-    # 0.000000, then the separator byte (0 for none)
+    # 0.000000, each after its separator byte (0 for none)
     rng = np.random.default_rng(2031)
     special = np.array(
         [99999999.9999995, -99999999.9999995, 99999999.9999994, 9.9999995, 0.9999995,
@@ -384,7 +384,7 @@ def test_fixed6_kernel_matches_python_format():
     for values in [special, *_fixed6_families(rng)]:
         seps = rng.choice(np.frombuffer(b", \n\0", dtype=np.uint8), len(values))
         want = "".join(
-            ("0.000000" if text == "-0.000000" else text) + (chr(sep) if sep else "")
+            (chr(sep) if sep else "") + ("0.000000" if text == "-0.000000" else text)
             for text, sep in zip(map("%.6f".__mod__, values.tolist()), seps.tolist())
         )
         assert geometry._fixed6(values, seps) == want.encode()
@@ -490,7 +490,9 @@ def test_exports_stream_in_bounded_memory(tmp_path):
     # stage-9 figure's, for which 10 MiB was the bound, so 2.5 MiB is here.
     # Built whole, the text takes about 11 MB (SVG) and 13.5 MB (CSV).
     s = fc.iterate(fc.schedule_from_text("K[pi/3]"), 8)
+    small = fc.iterate(fc.schedule_from_text("K[pi/3]"), 4)
     for export in (fc.export_svg, fc.export_csv):
+        export(small, tmp_path / "out")  # the cached digit tables are not the export's memory
         tracemalloc.start()
         try:
             export(s, tmp_path / "out")

@@ -96,7 +96,8 @@ LIMIT_BASES = [
 # itself up to 1e12 and hands to % from there (L0 from 1e3 to 1e13), and CSV
 # points in exponent form (L0 1e-7); census's L0 scaling and its underflow
 # warning, past (stage 110) and short of (stage 100) the float range under an
-# L0 of 1e300
+# L0 of 1e300; the warning's boundary, where 3^-678 reads 5e-324 and 3^-679
+# reads 0.0
 PATH_EDGES = [
     (None, ["stats", "C[1/1000] C[1/2,1/4]", "--stage", "110"]),
     (None, ["stats", "C[1/2,1/4,1/8] C[1/3,1/9]", "--stage", "6"]),
@@ -105,6 +106,8 @@ PATH_EDGES = [
     *((None, ["render", "K[pi/3]", "--stage", "4", "--l0", l0, "-o", "out.svg", "--csv", "out.csv"])
       for l0 in ("1e3", "1e9", "1e11", "1e13", "1e-7")),
     *((None, ["census", "C[1/1000]", "--stage", s, "--l0", "1e300"]) for s in ("110", "100")),
+    *((None, ["census", "C[1/3]", "--stage", s]) for s in ("678", "679")),
+    (None, ["stats", "C[1/3]", "--stage", "678"]),
     (None, ["census", "C[1/2,1/3] K[pi/3]", "--stage", "4", "--l0", "0.001", "--human"]),
 ]
 
