@@ -198,7 +198,7 @@ def estimate_dimension(
     if not math.isfinite(diag):
         raise GeometryOutOfRange(f"the bounding-box diagonal {diag} is beyond the float range")
     if min_scale is None:
-        min_scale = float(s.lengths().min())
+        min_scale = float(s.lengths.min())
     if not (math.isfinite(min_scale) and min_scale > 0.0):
         raise ScaleLadderInvalid(f"min_scale must be a finite number > 0, got {min_scale!r}")
 

@@ -40,37 +40,24 @@ _PAIR_CHUNK = 1 << 12
 
 
 class SegmentSet(Frozen):
-    """Stage-k geometry: oriented segments as an (n, 4) array of x1,y1,x2,y2.
+    """Stage-k geometry: oriented segments as an (n, 4) array of x1,y1,x2,y2,
+    the initiator's length, and each segment's length.
 
-    `iterate` also carries each segment's length as a running product of the
-    applied scale factors: endpoint differences lose relative precision once
-    segments get much smaller than their coordinates, while the products stay
-    accurate at any depth (they are what the census predicts).
+    `iterate` builds the lengths as running products of the applied scale
+    factors: endpoint differences lose relative precision once segments get
+    much smaller than their coordinates, while the products stay accurate at
+    any depth (they are what the census predicts).
     """
 
-    __slots__ = _fields = ("coords", "stage", "initiator_length", "piece_lengths")
+    __slots__ = _fields = ("coords", "initiator_length", "lengths")
 
-    def __init__(
-        self,
-        coords: np.ndarray,
-        stage: int,
-        initiator_length: float,
-        piece_lengths: np.ndarray | None = None,
-    ):
+    def __init__(self, coords: np.ndarray, initiator_length: float, lengths: np.ndarray):
         coords.flags.writeable = False
-        if piece_lengths is not None:
-            piece_lengths.flags.writeable = False
-        super().__init__(coords, stage, initiator_length, piece_lengths)
+        lengths.flags.writeable = False
+        super().__init__(coords, initiator_length, lengths)
 
     def __len__(self) -> int:
         return len(self.coords)
-
-    def lengths(self) -> np.ndarray:
-        if self.piece_lengths is not None:
-            return self.piece_lengths
-        import numpy as np
-        c = self.coords
-        return np.hypot(c[:, 2] - c[:, 0], c[:, 3] - c[:, 1])
 
 
 # --- iteration ---------------------------------------------------------------
@@ -137,11 +124,11 @@ def iterate(
         raise GeometryOutOfRange(
             f"the stage-{k} figure of initiator length {L0:g} leaves the float range"
         )
-    return SegmentSet(coords=coords, stage=k, initiator_length=L0, piece_lengths=lengths)
+    return SegmentSet(coords, L0, lengths)
 
 
 def total_length(s: SegmentSet) -> float:
-    return float(s.lengths().sum())
+    return float(s.lengths.sum())
 
 
 # --- export ------------------------------------------------------------------
@@ -283,11 +270,14 @@ def _digit_rows(values: np.ndarray, spec: bytes, places: int | None, strip: bool
 
 def _fixed6(values: np.ndarray, seps: np.ndarray) -> bytes:
     """'%.6f' % v of every value, each after its separator byte from `seps`
-    (0 for none), with -0.000000 written 0.000000: a "-" only ever starts a
-    value, so no other value contains the pattern.
+    (0 for none), with -0.000000 written 0.000000: every |v| <= 5e-7 is
+    formatted as 0.0. Those are exactly the values that '%.6f' rounds to
+    zero, since the double nearest 5e-7 lies below the decimal 5e-7.
     """
+    import numpy as np
+    values = np.where(np.abs(values) <= 5e-7, 0.0, values)
     rows, ok = _digit_rows(values, *_FIXED6)
-    return _render(rows, seps, values[~ok]).replace(b"-0.000000", b"0.000000")
+    return _render(rows, seps, values[~ok])
 
 
 def _render(rows: np.ndarray, seps: np.ndarray, fallbacks: np.ndarray) -> bytes:
@@ -316,14 +306,14 @@ def export_svg(s: SegmentSet, path) -> None:
     """Write a standalone SVG: one polyline per maximal connected chain.
 
     Output is deterministic (byte-identical across runs for identical input):
-    viewBox fitted with a 5% margin, coordinates at 6 decimal places, with
-    -0.000000 written as 0.000000. A segment continues the chain of the one
-    before it when its start lies within 1e-9 of the figure's size of that
-    one's end, per coordinate. The points are formatted and written in chunks
-    of a fixed number of segments, so the text is never built whole. Each
-    chunk's coordinates go through `_fixed6`, whose digit kernel
-    `_digit_rows` writes '%.6f' for |v| < 1e12 and hands larger values, near
-    ties and non-finite values to one % format per chunk.
+    viewBox fitted with a 5% margin, coordinates at 6 decimal places, every
+    |v| <= 5e-7 written as 0.000000, with no "-". A segment continues the
+    chain of the one before it when its start lies within 1e-9 of the
+    figure's size of that one's end, per coordinate. The points are
+    formatted and written in chunks of a fixed number of segments, so the
+    text is never built whole. Each chunk's coordinates go through `_fixed6`,
+    whose digit kernel `_digit_rows` writes '%.6f' for |v| < 1e12 and hands
+    larger values, near ties and non-finite values to one % format per chunk.
     """
     n = len(s)
     if n > RENDER_SEGMENT_LIMIT:
@@ -379,12 +369,14 @@ def export_csv(s: SegmentSet, path) -> None:
     """Dump segments as `x1,y1,x2,y2` lines with 12 significant digits.
 
     The rows are formatted and written in chunks of a fixed number of
-    segments, so the text is never built whole. Each point is formatted once,
-    by the digit kernel `_digit_rows`, which writes '%.12g' for zeros and for
-    1e-4 <= |v| < 1e12 and hands near ties and the other values to one %
+    segments, so the text is never built whole. The digit kernel `_digit_rows`
+    runs once per point, and writes '%.12g' for zeros and for
+    1e-4 <= |v| < 1e12; it hands near ties and the other values to one %
     format per chunk. A row whose start equals the end of the row before it,
     bit for bit (so 0.0 and -0.0 stay apart), reuses that end's text row;
     `_render` writes each value's separator into its row and joins the rows.
+    A reused row that holds a % specifier is formatted again: a point that
+    falls back is formatted once for each row it appears in.
     """
     import numpy as np
     coords = s.coords

@@ -40,16 +40,15 @@ class Generator(Frozen):
     are built once: the census and the spectrum read them many times.
     """
 
-    _fields = ("kind", "pieces", "connected")
+    _fields = ("pieces", "connected")
     __slots__ = (*_fields, "draw_ratios", "copies")
 
     def __init__(
         self,
-        kind: str,  # "K" | "Q" | "C" | "G"
         pieces: tuple[Piece, ...],
         connected: bool,  # all-draw chain ending exactly at the parent endpoint
     ):
-        super().__init__(kind, pieces, connected)
+        super().__init__(pieces, connected)
         draw_ratios = tuple(p.ratio for p in pieces if p.draw)
         object.__setattr__(self, "draw_ratios", draw_ratios)
         object.__setattr__(self, "copies", len(draw_ratios))
@@ -89,7 +88,7 @@ def _koch_generator(theta: float) -> Generator:
         raise InvalidAngle(f"Koch angle must lie in (0, pi/2), got {theta!r}")
     rho = koch_scale(theta)
     pieces = tuple(Piece(rho, a, True) for a in (0.0, theta, -theta, 0.0))
-    return Generator("K", pieces, connected=True)
+    return Generator(pieces, connected=True)
 
 
 def _quadratic_generator(theta: float) -> Generator:
@@ -97,7 +96,7 @@ def _quadratic_generator(theta: float) -> Generator:
         raise InvalidAngle(f"quadratic generator supports only pi/2, got {theta!r}")
     headings = (0.0, math.pi / 2, 0.0, -math.pi / 2, 0.0)
     pieces = tuple(Piece(1.0 / 3.0, a, True) for a in headings)
-    return Generator("Q", pieces, connected=True)
+    return Generator(pieces, connected=True)
 
 
 def _cantor_generator(ratios: Sequence[float]) -> Generator:
@@ -118,7 +117,7 @@ def _cantor_generator(ratios: Sequence[float]) -> Generator:
         if idx > 0 and gap > 0.0:
             pieces.append(Piece(gap, 0.0, False))
         pieces.append(Piece(r, 0.0, True))
-    return Generator("C", tuple(pieces), connected=False)
+    return Generator(tuple(pieces), connected=False)
 
 
 def _custom_generator(pieces: Iterable[tuple[float, float, bool]]) -> Generator:
@@ -134,7 +133,7 @@ def _custom_generator(pieces: Iterable[tuple[float, float, bool]]) -> Generator:
         x += p.ratio * math.cos(p.angle)
         y += p.ratio * math.sin(p.angle)
     closes = math.hypot(x - 1.0, y) <= 1e-9
-    return Generator("G", built, connected=closes and all(p.draw for p in built))
+    return Generator(built, connected=closes and all(p.draw for p in built))
 
 
 def builtin_generator(kind: str, params) -> Generator:

@@ -353,7 +353,7 @@ def reference_detect_overlap(s: fc.SegmentSet) -> bool:
     pts = coords.reshape(-1, 2)
     extent = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
     eps = 1e-12 * max(extent, s.initiator_length)
-    cell = max(float(s.lengths().max()), eps, extent * 1e-6)
+    cell = max(float(s.lengths.max()), eps, extent * 1e-6)
     grid: dict[tuple[int, int], list[int]] = {}
     inv = 1.0 / cell
     for idx in range(n):
@@ -384,6 +384,15 @@ def brute_force_overlap(s: fc.SegmentSet) -> bool:
     eps = 1e-12 * max(extent, s.initiator_length)
     pairs = itertools.combinations(s.coords.tolist(), 2)
     return any(_reference_pair_overlaps(a, b, eps) for a, b in pairs)
+
+
+def segment_set(rows, initiator_length: float = 1.0) -> fc.SegmentSet:
+    """The segments of (n, 4) rows x1,y1,x2,y2, each length measured as the
+    hypot of its endpoint differences (inf where that overflows)."""
+    coords = np.asarray(rows, dtype=float)
+    with np.errstate(over="ignore"):
+        lengths = np.hypot(coords[:, 2] - coords[:, 0], coords[:, 3] - coords[:, 1])
+    return fc.SegmentSet(coords, initiator_length, lengths)
 
 
 # lattice steps of the soups: the four axis directions, then the four diagonals
@@ -445,8 +454,7 @@ def segment_soup(rng: random.Random) -> tuple[str, fc.SegmentSet]:
                 [rows[idx][:2], other[2:], [(other[0] + other[2]) / 2, (other[1] + other[3]) / 2]]
             )
             rows[idx] = point + point
-    coords = np.asarray(rows, dtype=float)
-    return family, fc.SegmentSet(coords, stage=0, initiator_length=scale)
+    return family, segment_set(rows, scale)
 
 
 def reference_export_svg(s: fc.SegmentSet, path) -> None:

@@ -23,6 +23,7 @@ from helpers import (
     random_spectrum,
     random_uniform_parts,
     run_cli,
+    segment_set,
     spectrum_of_uniform,
     uniform_dimension,
 )
@@ -193,7 +194,7 @@ def test_criterion_4_geometry_laws():
         checked += 1
         census = fc.segment_census(sched, k)
         segs = fc.iterate(sched, k)
-        measured = histogram_of_lengths(segs.lengths())
+        measured = histogram_of_lengths(segs.lengths)
         if [c for _, c in measured] != [c for _, c in census]:
             failures.append(f"census counts mismatch (case {checked})")
             break
@@ -234,9 +235,7 @@ def test_criterion_5_empirical_validation():
     if abs(cantor_slope - CANTOR_DIM) > 0.05:
         failures.append(f"Cantor stage 10 slope {cantor_slope:.4f}")
 
-    import numpy as np
-
-    line = fc.SegmentSet(np.array([[0.0, 0.0, 1.0, 0.0]]), stage=0, initiator_length=1.0)
+    line = segment_set([[0.0, 0.0, 1.0, 0.0]])
     line_slope = fc.estimate_dimension(line, scale_count=8, min_scale=1 / 512).slope
     if abs(line_slope - 1.0) > 0.02:
         failures.append(f"line slope {line_slope:.4f}")

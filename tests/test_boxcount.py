@@ -12,14 +12,14 @@ from fractalc.errors import (
     ScaleLadderInvalid,
     SegmentBudgetExceeded,
 )
-from helpers import reference_occupied_boxes
+from helpers import reference_occupied_boxes, segment_set
 
 KOCH_DIM = math.log(4) / math.log(3)
 CANTOR_DIM = math.log(2) / math.log(3)
 
 
 def line_set(x2=1.0, y2=0.0):
-    return fc.SegmentSet(np.array([[0.0, 0.0, x2, y2]]), stage=0, initiator_length=1.0)
+    return segment_set([[0.0, 0.0, x2, y2]])
 
 
 def test_straight_line_has_dimension_one():
@@ -56,9 +56,8 @@ def test_translation_robustness():
         ox, oy = rng.uniform(-50, 50), rng.uniform(-50, 50)
         shifted = fc.SegmentSet(
             s.coords + np.array([ox, oy, ox, oy]),
-            stage=s.stage,
             initiator_length=s.initiator_length,
-            piece_lengths=s.lengths().copy(),
+            lengths=s.lengths,
         )
         moved = fc.estimate_dimension(shifted).slope
         assert abs(moved - base) < 0.02
@@ -92,7 +91,7 @@ def test_scale_ladder_validation():
 
 
 def test_degenerate_geometry_rejected():
-    degenerate = fc.SegmentSet(np.array([[1.0, 1.0, 1.0, 1.0]]), stage=0, initiator_length=1.0)
+    degenerate = segment_set([[1.0, 1.0, 1.0, 1.0]])
     with pytest.raises(DegenerateGeometry):
         fc.estimate_dimension(degenerate)
 

@@ -846,11 +846,13 @@ def test_render_reports_only_its_writes_as_unwritable(tmp_path, monkeypatch):
 # --- each command loads only the modules it runs ----------------------------------
 
 _SRC = str(Path(fc.__file__).resolve().parent.parent)
+# where numpy is installed: on the path of a run under -S, which skips `site`
+_NUMPY_HOME = str(Path(np.__file__).resolve().parent.parent)
 
 
 def _run_python(args, cwd, timeout=60):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, _NUMPY_HOME, env.get("PYTHONPATH")]))
     env.pop("FRACTALC_SEGMENT_BUDGET", None)
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout
@@ -874,8 +876,8 @@ _ANALYTIC = (_NUMPY, _GEOMETRY, _BOXCOUNT, _INCSTATS)
 # numpy, which imports it, stays unloaded
 _FRONT_END = ("click", "dataclasses")
 _INSPECT = "inspect"
-# a site hook may load typing before fractalc, so only the imports from
-# fractalc's own line on count for it
+# a site hook may load typing before fractalc, so the probe runs under -S,
+# and only the imports from fractalc's own line on count for it
 _TYPING = "typing"
 # np.unique would load numpy.ma for its masked-array check; numpy 1.x imports
 # it with numpy itself, so there it is not checked
@@ -905,7 +907,7 @@ _NUMPY_MA = ("numpy.ma",) if int(np.__version__.split(".")[0]) >= 2 else ()
          "validate"],
 )
 def test_analytic_commands_do_not_import_numpy(tmp_path, args, code, unloaded):
-    result = _run_python(["-X", "importtime", "-m", "fractalc.cli", *args], tmp_path)
+    result = _run_python(["-S", "-X", "importtime", "-m", "fractalc.cli", *args], tmp_path)
     assert result.returncode == code, result.stderr
     modules = _imported_modules(result.stderr)
     assert "fractalc.schedule" in modules

@@ -26,17 +26,16 @@ _FIELDS = {
     moran.DimensionReport: [("alpha",), ("method",), ("residual",), ("bracket",),
                             ("iterations",)],
     schedule.Piece: [("ratio",), ("angle",), ("draw",)],
-    schedule.Generator: [("kind",), ("pieces",), ("connected",)],
+    schedule.Generator: [("pieces",), ("connected",)],
     schedule.CompositionSchedule: [("items",)],
-    geometry.SegmentSet: [("coords",), ("stage",), ("initiator_length",),
-                          ("piece_lengths", None)],
+    geometry.SegmentSet: [("coords",), ("initiator_length",), ("lengths",)],
     boxcount.BoxCountReport: [("scales",), ("counts",), ("slope",), ("r_squared",)],
 }
 
 _ANGLE = parser.Angle(math.pi / 3, 3)
 _ITEM = parser.ScheduleItem("K", 2, _ANGLE)
 _PIECE = schedule.Piece(0.5, 0.0, True)
-_GEN_ARGS = ("C", (_PIECE, schedule.Piece(0.25, 0.0, False)), False)
+_GEN_ARGS = ((_PIECE, schedule.Piece(0.25, 0.0, False)), False)
 _GEN = schedule.Generator(*_GEN_ARGS)
 # one-element arrays, whose == reads as a bool, so that == of the values is
 # defined the same way for every Python's dataclass __eq__
@@ -55,9 +54,9 @@ _ARGS = {
     moran.DimensionReport: [(1.26, "closed-form", -2.2e-16, (1.25, 1.27), 0),
                             (0.88, "moran-numeric", math.inf, (0.87, 0.89), 61)],
     schedule.Piece: [(0.5, 0.0, True), (1 / 3, -1.0, False)],
-    schedule.Generator: [("C", (_PIECE,), False), _GEN_ARGS],
+    schedule.Generator: [((_PIECE,), False), _GEN_ARGS],
     schedule.CompositionSchedule: [(((_GEN, 1),),), (((_GEN, 2), (_GEN, 1)),)],
-    geometry.SegmentSet: [(_COORDS, 0, 1.0, np.array([1.0])), (_COORDS, 1, 2.0)],
+    geometry.SegmentSet: [(_COORDS, 1.0, np.array([1.0])), (_COORDS, 2.0, np.array([2.0]))],
     boxcount.BoxCountReport: [((0.5, 0.25), (2, 4), 1.0, 0.99), ((0.5,), (1,), 0.0, 1.0)],
 }
 

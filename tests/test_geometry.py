@@ -14,7 +14,7 @@ from fractalc.errors import (
     ScheduleSemanticError,
     SegmentBudgetExceeded,
 )
-from helpers import feasible_stage, histogram_of_lengths, random_schedule
+from helpers import feasible_stage, histogram_of_lengths, random_schedule, segment_set
 
 
 def koch():
@@ -103,13 +103,13 @@ def test_custom_generator_connectivity():
 def test_koch_stage_one():
     s = fc.iterate(koch(), 1, L0=2.5)
     assert len(s) == 4
-    assert s.lengths() == pytest.approx(np.full(4, 2.5 / 3), rel=1e-14)
+    assert s.lengths == pytest.approx(np.full(4, 2.5 / 3), rel=1e-14)
 
 
 def test_binary_koch_stage_one():
     s = fc.iterate(binary_koch(), 1)
     assert len(s) == 8
-    lengths = sorted(s.lengths())
+    lengths = sorted(s.lengths)
     assert lengths[:4] == pytest.approx([1 / 9] * 4, rel=1e-12)
     assert lengths[4:] == pytest.approx([1 / 6] * 4, rel=1e-12)
 
@@ -148,7 +148,7 @@ def test_one_piece_substages_count_against_the_budget():
         "stage would apply substages worth 30000 units, 300 per substage, over the budget of 29999"
     )
     s = fc.iterate(sched, 2, budget=30_000)
-    assert len(s) == 1 and s.lengths()[0] == 0.5**100
+    assert len(s) == 1 and s.lengths[0] == 0.5**100
 
 
 def test_budget_message_gives_power_of_ten_for_long_counts():
@@ -198,7 +198,7 @@ def test_census_against_enumeration_oracle():
     for (value, _), want in zip(census, expected_lengths):
         assert value == pytest.approx(want, rel=1e-12)
     # oracle: enumerate the stage-2 geometry and histogram its lengths
-    measured = histogram_of_lengths(fc.iterate(sched, 2).lengths())
+    measured = histogram_of_lengths(fc.iterate(sched, 2).lengths)
     assert [c for _, c in measured] == expected_counts
     for (value, _), (got, _) in zip(census, measured):
         assert got == pytest.approx(value, rel=1e-12)
@@ -247,7 +247,7 @@ def test_census_total_matches_geometry_fuzz():
         census = fc.segment_census(sched, k)
         segs = fc.iterate(sched, k)
         assert sum(c for _, c in census) == len(segs)
-        measured = histogram_of_lengths(segs.lengths())
+        measured = histogram_of_lengths(segs.lengths)
         assert [c for _, c in measured] == [c for _, c in census]
         for (value, _), (got, _) in zip(census, measured):
             assert got == pytest.approx(value, rel=1e-12)
@@ -357,7 +357,7 @@ def test_figure_beyond_float_range_rejected(tmp_path):
 def over_render_limit() -> fc.SegmentSet:
     """Koch stage 3 (64 segments) tiled to 1,024,000 segments, over the 10^6 cap."""
     s = fc.iterate(koch(), 3)
-    return fc.SegmentSet(np.tile(s.coords, (16_000, 1)), stage=3, initiator_length=1.0)
+    return fc.SegmentSet(np.tile(s.coords, (16_000, 1)), 1.0, lengths=np.tile(s.lengths, 16_000))
 
 
 def test_svg_respects_render_limit(tmp_path):
@@ -381,7 +381,7 @@ def test_csv_dump(tmp_path):
 
 
 def seg_set(rows):
-    return fc.SegmentSet(np.asarray(rows, dtype=float), stage=0, initiator_length=1.0)
+    return segment_set(rows)
 
 
 def test_koch_does_not_overlap():

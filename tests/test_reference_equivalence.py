@@ -32,6 +32,7 @@ from helpers import (
     reference_merge_buckets,
     reference_segment_census,
     reference_stats_report,
+    segment_set,
     segment_soup,
 )
 
@@ -53,9 +54,8 @@ CORPUS = [
 def _translated(s: fc.SegmentSet, ox: float, oy: float) -> fc.SegmentSet:
     return fc.SegmentSet(
         s.coords + np.array([ox, oy, ox, oy]),
-        stage=s.stage,
         initiator_length=s.initiator_length,
-        piece_lengths=s.lengths().copy(),
+        lengths=s.lengths,
     )
 
 
@@ -73,7 +73,7 @@ def test_box_counts_match_loop_reference(text, stage):
         report = fc.estimate_dimension(s)
         assert report.counts == reference_counts(s, report.scales)
         # a ladder below the smallest segment length: segments cross many gridlines
-        finer = fc.estimate_dimension(s, scale_count=12, min_scale=float(s.lengths().min()) / 8)
+        finer = fc.estimate_dimension(s, scale_count=12, min_scale=float(s.lengths.min()) / 8)
         assert len(finer.scales) > len(report.scales)
         assert finer.counts == reference_counts(s, finer.scales)
 
@@ -83,7 +83,7 @@ def test_box_counts_match_loop_reference_on_fuzzed_schedules():
     checked = 0
     for sched, k in fuzz_cases(107, 40):
         s = fc.iterate(sched, min(k, feasible_stage(sched, 2_000)))
-        finer = {"scale_count": 12, "min_scale": float(s.lengths().min()) / 8}
+        finer = {"scale_count": 12, "min_scale": float(s.lengths.min()) / 8}
         for c in _copies_of(s):
             for ladder in ({}, finer):
                 try:
@@ -100,7 +100,7 @@ def test_box_counts_through_grid_corners_match_loop_reference():
     # a grid corner at every column edge of every rung; which cells it reaches
     # there depends on the rounding of the strip edges
     zigzag = np.array([[0.0, 0.0, 1.0, 3.0], [1.0, 3.0, 2.0, 0.0], [2.0, 0.0, 3.0, 3.0]])
-    for c in _copies_of(fc.SegmentSet(zigzag, stage=0, initiator_length=1.0)):
+    for c in _copies_of(segment_set(zigzag)):
         for min_scale in (1e-2, 1e-3):
             report = fc.estimate_dimension(c, scale_count=14, min_scale=min_scale)
             assert report.counts == reference_counts(c, report.scales)
@@ -129,7 +129,7 @@ def _edge_height(columns: int, excess: float) -> float:
 
 
 def _edge_counts_match(legs, h: float) -> None:
-    s = fc.SegmentSet(np.array(legs), stage=0, initiator_length=1.0)
+    s = segment_set(legs)
     report = fc.estimate_dimension(s, scale_count=_EDGE_RUNGS, min_scale=1e-6)
     assert report.scales[-1] == _edge_eps(h)
     assert report.counts == reference_counts(s, report.scales)
@@ -252,7 +252,7 @@ def test_box_counts_match_loop_reference_in_small_batches(monkeypatch):
     monkeypatch.setattr(boxcount, "_CELL_BATCH", 97)
     for text, stage in CORPUS[:6]:
         s = fc.iterate(fc.schedule_from_text(text), stage)
-        report = fc.estimate_dimension(s, scale_count=12, min_scale=float(s.lengths().min()) / 4)
+        report = fc.estimate_dimension(s, scale_count=12, min_scale=float(s.lengths.min()) / 4)
         assert report.counts == reference_counts(s, report.scales), text
 
 
@@ -276,7 +276,7 @@ def _signed_zero_figure() -> fc.SegmentSet:
             [2.0, -2e-7, 2.0, 1.0],
         ]
     )
-    return fc.SegmentSet(coords, stage=1, initiator_length=1.0)
+    return segment_set(coords)
 
 
 def _rows_meeting_at_signed_zeros() -> fc.SegmentSet:
@@ -290,7 +290,7 @@ def _rows_meeting_at_signed_zeros() -> fc.SegmentSet:
             [1.0, 0.0, 2.0, 2.0],
         ]
     )
-    return fc.SegmentSet(coords, stage=1, initiator_length=1.0)
+    return segment_set(coords)
 
 
 def _export_figures() -> list[fc.SegmentSet]:
@@ -379,9 +379,11 @@ def test_fixed6_kernel_matches_python_format():
     special = np.array(
         [99999999.9999995, -99999999.9999995, 99999999.9999994, 9.9999995, 0.9999995,
          np.nextafter(1e8, 0.0), 1e8, -1e8, 0.0, -0.0, 5e-324, -5e-324, -4e-7, -5e-7,
-         -6e-7, 0.0078125, -0.0234375, 2.0**-20, np.nan, np.inf, -np.inf]
+         -6e-7, 5e-7, np.nextafter(5e-7, np.inf), np.nextafter(-5e-7, -np.inf), 0.0078125,
+         -0.0234375, 2.0**-20, np.nan, np.inf, -np.inf]
     )
-    for values in [special, *_fixed6_families(rng)]:
+    # around the values that round to zero, |v| <= 5e-7
+    for values in [special, *_fixed6_families(rng), rng.uniform(-1e-6, 1e-6, 1 << 14)]:
         seps = rng.choice(np.frombuffer(b", \n\0", dtype=np.uint8), len(values))
         want = "".join(
             (chr(sep) if sep else "") + ("0.000000" if text == "-0.000000" else text)
