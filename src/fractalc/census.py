@@ -1,8 +1,11 @@
 """The stage-k segment census: the exact (length, count) multiset of the
 multinomial expansion. Its buckets are formed, crossed, scaled by L0 and
-merged here; `work` charges its size. A length below the float range reads
-0.0, and sorts last. `dim` and `limit` never load this module: a test in
-`tests/test_cli.py` enforces this.
+merged here. Each component's equal ratios fold first, by its
+`Generator.fold`, so d distinct ratios applied t times give
+C(t + d - 1, d - 1) buckets; `work` charges that count from the same fold,
+weighted by the digits of the stage's counts. A length below the float range
+reads 0.0, and sorts last. `dim` and `limit` never load this module: a test
+in `tests/test_cli.py` enforces this.
 """
 
 from __future__ import annotations
@@ -40,25 +43,25 @@ class _BinomialRows(dict):
         return self[r][g]
 
 
-def _component_buckets(ratios: Sequence[float], t: int) -> list[tuple[float, int]]:
+def _component_buckets(fold: Sequence[tuple[float, int]], t: int) -> list[tuple[float, int]]:
     """Lengths and exact counts for one component applied t times.
 
-    Equal ratios fold into one: with distinct ratios rho_1..rho_d (in order of
-    first appearance) of multiplicities m_1..m_d, each composition
+    `fold` is the component's `Generator.fold`: its distinct ratios
+    rho_1..rho_d with multiplicities m_1..m_d. Each composition
     (h_1, ..., h_d) of t is one bucket of length
     ((1.0 * rho_1**h_1) * rho_2**h_2) * ..., built left to right, and count
     multinomial(t; h) * prod_j m_j**h_j. Compositions come out in
     lexicographic order. A single distinct ratio gives [(rho**t, m**t)]; with
     no repeated ratio this is the plain multinomial expansion over the pieces.
     """
-    distinct = list(dict.fromkeys(ratios))
-    if len(distinct) == 1:
+    if len(fold) == 1:
+        (rho, m), = fold
         try:
-            return [(distinct[0] ** t, len(ratios) ** t)]
+            return [(rho**t, m**t)]
         except OverflowError:  # t beyond the float range: rho**t underflows to 0.0
-            return [(0.0, len(ratios) ** t)]
-    powers = [[rho**g for g in range(t + 1)] for rho in distinct]
-    mults = [ratios.count(rho) for rho in distinct]
+            return [(0.0, m**t)]
+    powers = [[rho**g for g in range(t + 1)] for rho, _ in fold]
+    mults = [m for _, m in fold]
     weights = [[m**g for g in range(t + 1)] for m in mults]
     comb = math.comb if t <= _SHORT_ROW else _BinomialRows()
     # (applications left, length so far, count so far) per partial composition
@@ -153,6 +156,6 @@ def segment_census(
 def build_census(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> list[tuple[float, int]]:
     """segment_census without its checks, for callers that charged the work."""
     return census_product(
-        (_component_buckets(gen.draw_ratios, repeat * k) for gen, repeat in schedule.items), L0
+        (_component_buckets(gen.fold, repeat * k) for gen, repeat in schedule.items), L0
     )
 

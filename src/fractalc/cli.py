@@ -224,11 +224,10 @@ def validate(expression: str, stage: int, scales: int, min_scale: float | None,
 
 def stats(expression: str, stage: int, human: bool):
     """Incomplete-statistics report: normalization and factorization checks."""
-    from . import census, incstats
+    from . import incstats
     sched = _load_schedule(expression)
-    payload = incstats.stats_report(sched, stage, budget=_segment_budget())
-    # stats_report returns only its payload: the stage-k census it read, again
-    _warn_underflow(census.build_census(sched, stage), stage)
+    payload, buckets = incstats.stats_and_census(sched, stage, _segment_budget())
+    _warn_underflow(buckets, stage)
     _emit(payload, human)
 
 

@@ -7,7 +7,8 @@ factors, so the joint probability multiset must factor into the outer product
 of the component multisets. Both identities are computed from the analytic
 census, never from materialized geometry, so large stages stay cheap.
 `stats_report` is the one check of both: the normalization at stages 0..k,
-the factorization at stage k.
+the factorization at stage k; `stats_and_census` also hands back the
+stage-k census it read, for the CLI's underflow warning.
 
 The factorization check crosses per-part censuses with the census's own
 cross-product routine (`census.census_product`) and compares the result
@@ -60,6 +61,13 @@ def stats_report(
     is the census itself, so the check is trivially true. Charges `budget`
     first (`work`).
     """
+    return stats_and_census(schedule, k, budget)[0]
+
+
+def stats_and_census(
+    schedule: CompositionSchedule, k: int, budget: int = work.DEFAULT_SEGMENT_BUDGET
+) -> tuple[dict, list[tuple[float, int]]]:
+    """`stats_report`'s summary, and the stage-k census it read."""
     work.charge_census(schedule, k, budget, stages=k + 1)
     alpha = dimension(schedule.spectrum()).alpha
     max_resid = 0.0
@@ -69,8 +77,9 @@ def stats_report(
     # the parts' censuses are factors of the joint's, charged with it
     parts = (build_census(CompositionSchedule((item,)), k) for item in schedule.items)
     ok = len(schedule.items) == 1 or census == census_product(parts)
-    return {
+    summary = {
         "alpha": alpha,
         "max_normalization_residual": max_resid,
         "factorization_ok": ok,
     }
+    return summary, census

@@ -163,13 +163,15 @@ def component_dimension(ratios: Sequence[float]) -> float:
 
 
 def dimension(spectrum: ScaleSpectrum) -> DimensionReport:
-    """Composite dimension of `spectrum` by the most exact method that applies.
+    """Composite dimension of `spectrum`, by a closed form where one is the root.
 
     Repeats are divided by their gcd first, which leaves the root unchanged;
     the report describes the reduced spectrum. "closed-form" when every
-    component has equal ratios; "binary-analytic" for a [r1, r1^2 rho]
-    component beside a uniform (N, rho) one, each with repeat 1; otherwise
-    `solve_moran` ("moran-numeric"). Every method reports a certified bracket.
+    component has equal ratios; "binary-analytic" for a [r1, r2] component
+    beside a uniform (N, rho) one, each with repeat 1, when r2 == r1 * r1 * rho
+    holds exactly in floats, so that the closed form solves the spectrum as
+    given and not a neighbour of it; otherwise `solve_moran`
+    ("moran-numeric"). Every method reports a certified bracket.
     Raises InputOutOfRange when a reduced repeat is beyond the float range.
     """
     gcd = math.gcd(*(n for _, n in spectrum.components))
@@ -187,7 +189,7 @@ def dimension(spectrum: ScaleSpectrum) -> DimensionReport:
                 continue
             r2, r1 = binary
             rho = other[0]
-            if abs(r2 - r1 * r1 * rho) <= 1e-12 * r2:
+            if r2 == r1 * r1 * rho:
                 alpha = binary_special_dimension(r1, UniformFractal(len(other), rho))
                 return _report(spectrum, "binary-analytic", alpha, alpha, 0)
     return solve_moran(spectrum)

@@ -11,6 +11,7 @@ this.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from .errors import (
@@ -36,12 +37,14 @@ class Piece(Frozen):
 class Generator(Frozen):
     """One IFS substage: ordered pieces applied to every current segment.
 
-    `draw_ratios`, the draw pieces' scale factors, and `copies`, their number,
-    are built once: the census and the spectrum read them many times.
+    `draw_ratios`, the draw pieces' scale factors, `copies`, their number,
+    and `fold`, the distinct ratios (by exact float equality, in order of
+    first appearance) with their multiplicities, are built once: the
+    census, its charge and the spectrum read them many times.
     """
 
     _fields = ("pieces", "connected")
-    __slots__ = (*_fields, "draw_ratios", "copies")
+    __slots__ = (*_fields, "draw_ratios", "copies", "fold")
 
     def __init__(
         self,
@@ -52,6 +55,7 @@ class Generator(Frozen):
         draw_ratios = tuple(p.ratio for p in pieces if p.draw)
         object.__setattr__(self, "draw_ratios", draw_ratios)
         object.__setattr__(self, "copies", len(draw_ratios))
+        object.__setattr__(self, "fold", tuple(Counter(draw_ratios).items()))
 
 
 class CompositionSchedule(Frozen):

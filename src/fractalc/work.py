@@ -1,9 +1,9 @@
 """The work model: each command's work, predicted from the schedule and
-charged against the budget (default 10^7 units, each about one segment or
-census composition) before any of it is done. Each kind is checked on its own:
-segments (and render's export cap), substage applications, census compositions
-before equal ratios fold, census stages, and the digits of a printed census
-total. No numpy.
+charged against the budget (default 10^7 units, each about 0.1 us of work:
+one segment) before any of it is done. Each kind is checked on its own:
+segments (and render's export cap), substage applications, census stages,
+census buckets after equal ratios fold, weighted by the digits of the
+stage's counts, and the digits of a printed census total. No numpy.
 """
 
 import math
@@ -14,12 +14,22 @@ from .errors import SegmentBudgetExceeded
 DEFAULT_SEGMENT_BUDGET = 10_000_000
 RENDER_SEGMENT_LIMIT = 1_000_000
 
-# In process, best of 3 (2-vCPU VM, Python 3.11.7, numpy 2.4.6), a one-bucket
-# `stats_report` stage takes 4.5-5.2 us, against 0.47-1.9 us per census
-# composition of distinct ratios, and an `iterate` application of a one-piece
-# generator 27-28 us, against 0.089-0.126 us per segment: about the ratios.
-STAGE_UNITS = 10
+# In process, best of 3 (2-vCPU VM, Python 3.11.7, numpy 2.4.6), at about
+# 0.1 us a unit: an `iterate` segment takes 0.089-0.126 us, an application
+# of a one-piece generator 27-28 us, and a one-bucket `stats_report` stage
+# 4.5-5.2 us. A census bucket takes 0.4-1.5 us (the most with five
+# components and 1.5M buckets), and `census` prints it in JSON in about 8 us.
+# Each decimal digit of the stage's total count adds 7-24 ns per bucket: 7 ns
+# for the sparse 4^t of `K[pi/3]`, 14 ns for 3^t and 5^t, 24 ns for 31^t and
+# 100^t at 15,000-24,000 digits, since Python's powers of dense ints grow
+# faster than their digits.
+STAGE_UNITS = 50
+BUCKET_UNITS = 15
+PRINTED_BUCKET_UNITS = 80
+DIGITS_PER_UNIT = 8
 APPLICATION_UNITS = 300
+# fixed-point scale of a log10 in _count_digits
+_LOG_ONE = 1 << 32
 _OVER_BUDGET = ", over the budget of {limit}"
 
 
@@ -54,35 +64,53 @@ def charge_export(schedule, k: int, budget: int) -> None:
 
 
 def _census_size(schedule, k: int) -> int:
-    """Census buckets before merging at stage k: prod_i C(n_i*k + l_i - 1, l_i - 1)."""
+    """Census buckets at stage k before merging: prod_i C(n_i*k + d_i - 1, d_i - 1),
+    d_i the distinct ratios of `Generator.fold`."""
     size = 1
     for gen, n in schedule.items:
-        size *= math.comb(n * k + gen.copies - 1, gen.copies - 1)
+        d = len(gen.fold)
+        size *= math.comb(n * k + d - 1, d - 1)
     return size
 
 
+def _count_digits(schedule, k: int) -> int:
+    """Decimal digits of the stage-k total count prod_i l_i^(n_i*k), or one more:
+    each log10 l_i is taken in exact fixed point rounded up, so any k and
+    repeat give an int."""
+    scaled = sum(k * n * (math.floor(math.log10(g.copies) * _LOG_ONE) + 1)
+                 for g, n in schedule.items if g.copies > 1)
+    return scaled // _LOG_ONE + 1
+
+
+def _stage_units(schedule, k: int, per_bucket: int) -> int:
+    """A stage-k census's units: `per_bucket` for each bucket, plus one per
+    DIGITS_PER_UNIT digits of the stage's total count."""
+    return _census_size(schedule, k) * (per_bucket + _count_digits(schedule, k) // DIGITS_PER_UNIT)
+
+
 def charge_census(schedule, k: int, budget: int, stages: int = 1, printed: bool = False) -> None:
-    """Charge a census of `stages` stages, then their compositions from k down
+    """Charge a census of `stages` stages, then their buckets from k down
     (largest first, so a long range stops early; the stage charge bounds the
-    loop); with `printed`, the digits of the stage-k total too."""
+    loop); with `printed`, each bucket's printing and the digits of the
+    stage-k total too."""
     if stages * STAGE_UNITS > budget:
         raise SegmentBudgetExceeded(stages * STAGE_UNITS, budget, "census would build stages worth "
                                     f"{{count}} units, {STAGE_UNITS} per stage" + _OVER_BUDGET)
-    # _census_size never falls as the stage grows, so `stages` times the
-    # stage-k size bounds the sum: the loop runs only when that bound is over
-    if stages * _census_size(schedule, k) > budget:
-        compositions = 0
+    per_bucket = BUCKET_UNITS + PRINTED_BUCKET_UNITS * printed
+    # _stage_units never falls as the stage grows, so `stages` times the
+    # stage-k units bound the sum: the loop runs only when that bound is over
+    if stages * _stage_units(schedule, k, per_bucket) > budget:
+        units = 0
         for stage in range(k, k - stages, -1):
-            compositions += _census_size(schedule, stage)
-            if compositions > budget:
-                raise SegmentBudgetExceeded(compositions, budget, "census would enumerate "
-                                            "{count} buckets or more" + _OVER_BUDGET)
-    # 0, or a Python without the function, means no limit; past the checks
-    # above every n_i k with l_i > 1 is within the budget, so a float
+            units += _stage_units(schedule, stage, per_bucket)
+            if units > budget:
+                raise SegmentBudgetExceeded(units, budget, "census would enumerate buckets "
+                                            "worth {count} units or more" + _OVER_BUDGET)
+    # 0, or a Python without the function, means no limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() if printed else 0
     if limit:
-        log10 = math.fsum(k * n * math.log10(g.copies) for g, n in schedule.items if g.copies > 1)
-        if math.floor(log10) >= limit:
-            raise SegmentBudgetExceeded(math.floor(log10) + 1, limit, "the total count has "
+        digits = _count_digits(schedule, k)
+        if digits > limit:
+            raise SegmentBudgetExceeded(digits, limit, "the total count has "
                                         "{count} decimal digits, over the {limit}-digit limit "
                                         "for printing an int (sys.set_int_max_str_digits)")

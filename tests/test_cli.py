@@ -19,7 +19,9 @@ from fractalc.parser import format as format_expr
 from helpers import (
     STATS_CORPUS,
     assert_merged_close,
+    census_size,
     fuzz_cases,
+    histogram_of_lengths,
     mpmath_root,
     random_schedule_expr,
     reference_counts,
@@ -284,17 +286,17 @@ def test_census_human():
 @pytest.mark.parametrize("stage", ["2000", "9" * 1500])
 @pytest.mark.parametrize("command", ["census", "stats"])
 def test_census_over_budget_exits_4_at_once(command, stage):
-    # C(2003, 3) ~ 1.3e9 compositions, over the default budget of 1e7 buckets;
-    # a 1500-digit stage gives a count too long to print in digits, and stats
-    # charges its 10^1500 stages, 10 units each, before their compositions
+    # C(2002, 2) ~ 2e6 buckets of three distinct ratios at stage 2000, over
+    # 100 units each, over the default budget of 1e7 units; stats charges its
+    # 10^1500 stages, 50 units each, before their buckets
     start = time.perf_counter()
-    result = run_cli([command, "K[pi/3]", "--stage", stage])
+    result = run_cli([command, "C[1/2,1/4,1/8]", "--stage", stage])
     assert time.perf_counter() - start < 1.0
     assert result.exit_code == 4
     assert result.stdout == ""
     lines = result.stderr.strip().splitlines()
-    charged = "build stages worth" if command == "stats" and stage != "2000" else "enumerate"
-    assert len(lines) == 1 and lines[0].startswith(f"error: census would {charged}")
+    charged = "build stages" if command == "stats" and stage != "2000" else "enumerate buckets"
+    assert len(lines) == 1 and lines[0].startswith(f"error: census would {charged} worth")
 
 
 _BIG = "9" * 400
@@ -313,10 +315,11 @@ def test_integers_beyond_the_float_range_answer_or_exit_at_once(tmp_path):
         (["stats", unreduced, "--stage", "0"], 2, repeat_error),
         # past stage 0 the census budget check of stats comes first
         (["stats", unreduced], 4,
-         "census would enumerate about 10^401.301 buckets or more, over the budget of 10000000"),
+         "census would enumerate buckets worth about 10^800.479 units or more, "
+         "over the budget of 10000000"),
         (["census", "C[1/2]", "--stage", _BIG], 0, None),
         (["stats", "C[1/2]", "--stage", _BIG], 4,
-         "census would build stages worth about 10^401 units, 10 per stage, "
+         "census would build stages worth about 10^401.699 units, 50 per stage, "
          "over the budget of 10000000"),
     ]
     for args, code, message in cases:
@@ -340,12 +343,12 @@ def test_integers_beyond_the_float_range_answer_or_exit_at_once(tmp_path):
 
 def test_one_bucket_stages_over_the_budget_exit_as_the_loop_would(monkeypatch):
     # each stage of a one-piece schedule is one bucket, but costs a census and
-    # a residual: stages 0..k are charged 10 units each
-    monkeypatch.setenv("FRACTALC_SEGMENT_BUDGET", "20")
+    # a residual: stages 0..k are charged 50 units each
+    monkeypatch.setenv("FRACTALC_SEGMENT_BUDGET", "100")
     result = run_cli(["stats", "C[1/2]", "--stage", "2"])
     assert result.exit_code == 4
     assert result.stderr.strip() == (
-        "error: census would build stages worth 30 units, 10 per stage, over the budget of 20"
+        "error: census would build stages worth 150 units, 50 per stage, over the budget of 100"
     )
     result = run_cli(["stats", "C[1/2]", "--stage", "1"])
     assert result.exit_code == 0
@@ -385,8 +388,9 @@ def test_census_total_beyond_the_int_digit_limit_exits_4_at_once(
 
 
 def test_census_budget_from_environment(monkeypatch):
+    # 9 buckets of 95 units each
     monkeypatch.setenv("FRACTALC_SEGMENT_BUDGET", "100")
-    result = run_cli(["census", "K[pi/3]", "--stage", "8"])
+    result = run_cli(["census", "C[1/2,1/3] K[pi/3]", "--stage", "8"])
     assert result.exit_code == 4
 
 
@@ -468,7 +472,7 @@ def test_render_names_the_limit_that_binds(tmp_path, monkeypatch, budget, limit)
     [
         # 10^7 one-bucket stages, about a minute of work
         (["stats", "C[1/2]", "--stage", "9999999"],
-         "census would build stages worth 100000000 units, 10 per stage"),
+         "census would build stages worth 500000000 units, 50 per stage"),
         # 10^6 - 1 and 10^7 - 1 one-piece substages, about 30 s and 5 min of work
         (["render", "C[1/2]^999999", "--stage", "1", "-o", "x.svg"],
          "stage would apply substages worth 299999700 units, 300 per substage"),
@@ -501,10 +505,12 @@ def no_work(monkeypatch):
 @pytest.mark.parametrize(
     "budget,args,message",
     [
-        (None, ["census", "K[pi/3]", "--stage", "2000"], "census would enumerate 1337337001 "),
-        ("9", ["census", "K[pi/3]", "--stage", "1"], "census would build stages worth 10 units"),
-        (None, ["stats", "K[pi/3]", "--stage", "2000"], "census would enumerate 1337337001 "),
-        ("20", ["stats", "C[1/2]", "--stage", "2"], "census would build stages worth 30 units"),
+        (None, ["census", "C[1/2,1/4,1/8]", "--stage", "2000"],
+         "census would enumerate buckets worth 428642214 units"),
+        ("9", ["census", "K[pi/3]", "--stage", "1"], "census would build stages worth 50 units"),
+        (None, ["stats", "C[1/2,1/4,1/8]", "--stage", "2000"],
+         "census would enumerate buckets worth 268402134 units"),
+        ("20", ["stats", "C[1/2]", "--stage", "2"], "census would build stages worth 150 units"),
         ("1000", ["render", "K[pi/3]", "--stage", "8", "-o", "x.svg"],
          "stage would produce 65536 segments, over the budget of 1000"),
         (None, ["render", "K[pi/3]", "--stage", "11", "-o", "x.svg"],
@@ -943,6 +949,10 @@ def test_package_import_leaves_numpy_unloaded(tmp_path):
 # --- CLI fuzz: every accepted input answers or exits 2 or 4 ------------------------
 
 _FUZZ_CAP_S = 5.0
+_FUZZ_BUDGET = 200_000
+# the largest stage-3 figure whose lengths the census check builds
+_FUZZ_FIGURE_CAP = 50_000
+_FUZZ_FIGURE_SUBSTAGES = 100
 # absolute: the stats residual against its 50-digit sum, and the validate
 # slope against its least-squares fit; the largest gaps over the fuzz's 52
 # stats and 17 validate answers were 5.1e-16 and 8.9e-16
@@ -1020,15 +1030,28 @@ def _fuzz_invocations():
     yield ["stats", "C[1/2]", "--stage", _BIG]
 
 
-def _check_census_payload(args, stdout):
-    """A stage-3 `census` payload against the count law and the loop reference."""
+def _check_census_payload(args, stdout) -> bool:
+    """A stage-3 `census` payload against the count law; against the lengths of
+    `iterate` where the figure has at most _FUZZ_FIGURE_CAP segments and
+    _FUZZ_FIGURE_SUBSTAGES substage applications, the one oracle that does not
+    share the multinomial law; and against the loop reference where its
+    compositions before equal ratios fold are within the fuzz's budget. True
+    when the `iterate` check ran."""
     _, text, _, stage, _, l0 = args
+    k = int(stage)
     sched = fc.schedule_from_text(text)
     payload = json.loads(stdout)
     buckets = [(b["length"], b["count"]) for b in payload["buckets"]]
-    count = sched.predicted_count(int(stage))
+    count = sched.predicted_count(k)
     assert payload["total_count"] == sum(c for _, c in buckets) == count, args
-    assert_merged_close(buckets, reference_segment_census(sched, int(stage), float(l0)))
+    applications = k * sum(n for _, n in sched.items)
+    built = count <= _FUZZ_FIGURE_CAP and applications <= _FUZZ_FIGURE_SUBSTAGES
+    if built:
+        lengths = fc.iterate(sched, k, L0=float(l0)).lengths
+        assert_merged_close(buckets, histogram_of_lengths(lengths))
+    if census_size(sched, k) <= _FUZZ_BUDGET:
+        assert_merged_close(buckets, reference_segment_census(sched, k, float(l0)))
+    return built
 
 
 @functools.cache
@@ -1062,15 +1085,19 @@ def _check_warning(args, stderr, lengths):
 
 
 def _check_stats_payload(args, result, method):
-    """A `stats` payload: alpha as for `dim`; the residual against the largest
+    """A `stats` payload: alpha as for `dim`; where the loop reference's
+    compositions before equal ratios fold, summed over stages 0..k, are
+    within the fuzz's budget, the residual against the largest
     |sum m p^alpha - 1| over the reference census at stages 1..k, summed in 50
-    digits at the printed alpha; the warning against the stage-k reference
+    digits at the printed alpha, and the warning against the stage-k reference
     census's lengths."""
     _, text, _, stage = args
     sched, k = fc.schedule_from_text(text), int(stage)
     payload = json.loads(result.stdout)
     alpha = payload["alpha"]
     _check_alpha(args, alpha, method)
+    if sum(census_size(sched, s) for s in range(k + 1)) > _FUZZ_BUDGET:
+        return
     want = 0
     with mpmath.workdps(50):
         for s in range(1, k + 1):
@@ -1128,10 +1155,11 @@ def _cap_exceeded(signum, frame):
 
 def test_cli_fuzz_exits_only_with_documented_codes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("FRACTALC_SEGMENT_BUDGET", "200000")
+    monkeypatch.setenv("FRACTALC_SEGMENT_BUDGET", str(_FUZZ_BUDGET))
     previous = signal.signal(signal.SIGALRM, _cap_exceeded)
     # each expression's `dim` method, from its `dim` run, which comes first
     methods = {}
+    built = 0
     try:
         for args in _fuzz_invocations():
             signal.setitimer(signal.ITIMER_REAL, _FUZZ_CAP_S)
@@ -1148,7 +1176,7 @@ def test_cli_fuzz_exits_only_with_documented_codes(tmp_path, monkeypatch):
                 lengths = [b["length"] for b in json.loads(result.stdout)["buckets"]]
                 _check_warning(args, result.stderr, lengths)
                 if args[3] == "3":
-                    _check_census_payload(args, result.stdout)
+                    built += _check_census_payload(args, result.stdout)
             elif args[0] == "stats":
                 _check_stats_payload(args, result, methods[args[1]])
             elif args[0] == "validate":
@@ -1159,3 +1187,5 @@ def test_cli_fuzz_exits_only_with_documented_codes(tmp_path, monkeypatch):
                 methods[args[1]] = _check_dim_payload(args, result.stdout)
     finally:
         signal.signal(signal.SIGALRM, previous)
+    # the census payloads checked against `iterate`'s lengths
+    assert built >= 25

@@ -159,15 +159,20 @@ def test_budget_message_gives_power_of_ten_for_long_counts():
 
 
 def test_census_budget_checked_before_enumerating():
+    # C(2002, 2) buckets of 2^-h1 4^-h2 8^-h3, each 15 units plus one per 8
+    # of the 955 digits of the total count 3^2000
     with pytest.raises(SegmentBudgetExceeded) as err:
-        fc.segment_census(koch(), 2000)
-    assert err.value.predicted == math.comb(2003, 3)
+        fc.segment_census(fc.schedule_from_text("C[1/2,1/4,1/8]"), 2000)
+    assert err.value.predicted == math.comb(2002, 2) * (15 + 955 // 8)
+    # equal ratios fold: the Koch item is one bucket at any stage
     sched = binary_koch()
     size = fc.work._census_size(sched, 5)
-    assert size == 6 * math.comb(8, 3)
-    assert sum(c for _, c in fc.segment_census(sched, 5, budget=size)) == 8**5
+    assert size == 6
+    units = fc.work._stage_units(sched, 5, fc.work.BUCKET_UNITS)
+    assert units == 6 * 15
+    assert sum(c for _, c in fc.segment_census(sched, 5, budget=units)) == 8**5
     with pytest.raises(SegmentBudgetExceeded):
-        fc.segment_census(sched, 5, budget=size - 1)
+        fc.segment_census(sched, 5, budget=units - 1)
 
 
 def test_stage_count_law():

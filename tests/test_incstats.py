@@ -145,25 +145,28 @@ def test_normalization_fuzz():
 
 def test_stats_report_budget_covers_every_stage():
     sched = fc.schedule_from_text("C[1/2,1/3] K[pi/3]")
-    work = sum(census_size(sched, stage) for stage in range(5))
-    assert fc.stats_report(sched, 4, budget=work)["factorization_ok"] is True
+    units = sum(fc.work._stage_units(sched, stage, fc.work.BUCKET_UNITS) for stage in range(7))
+    assert units == 15 * 28  # past the 7 stages' 350 units
+    assert fc.stats_report(sched, 6, budget=units)["factorization_ok"] is True
     with pytest.raises(SegmentBudgetExceeded):
-        fc.stats_report(sched, 4, budget=work - 1)
+        fc.stats_report(sched, 6, budget=units - 1)
     # each stage alone is within the budget, their sum is not
     with pytest.raises(SegmentBudgetExceeded):
-        fc.stats_report(koch(), 300)
+        fc.stats_report(koch(), 30_000)
 
 
 def test_census_charge_within_its_bound_sizes_one_stage(monkeypatch):
-    # _census_size never falls as the stage grows, so when stages * the stage-k
-    # size is within the budget the charge accepts without a per-stage loop
+    # _stage_units never falls as the stage grows, so when stages * the stage-k
+    # units are within the budget the charge accepts without a per-stage loop
     calls = []
     size = fc.work._census_size
     monkeypatch.setattr(fc.work, "_census_size",
                         lambda sched, k: calls.append(k) or size(sched, k))
-    fc.work.charge_census(fc.schedule_from_text("C[1/2]"), 999_999, 10**7, stages=10**6)
+    fc.work.charge_census(fc.schedule_from_text("C[1/2]"), 199_999, 10**7, stages=200_000)
     assert len(calls) <= 2
-    # over the bound, the loop still charges the exact sum: 210 over stages 0..6
-    fc.work.charge_census(koch(), 6, 210, stages=7)
+    # over the bound, the loop still charges the exact sum: (s + 1) buckets of
+    # 15 units at stages 0..6, 420 in all
+    binary = fc.schedule_from_text("C[1/2,1/3]")
+    fc.work.charge_census(binary, 6, 420, stages=7)
     with pytest.raises(SegmentBudgetExceeded):
-        fc.work.charge_census(koch(), 6, 209, stages=7)
+        fc.work.charge_census(binary, 6, 419, stages=7)

@@ -263,6 +263,29 @@ def test_dimension_picks_the_exact_method():
         assert lo < hi and hi - lo <= 1e-12 * report.alpha, report
 
 
+def test_binary_closed_form_only_where_it_is_the_root():
+    # r2 == r1 * r1 * rho exactly in floats: the closed form is the spectrum's
+    # root; off it, by however little, the solver answers, within 4 ulps
+    exact = ["C[1/2,1/12] K[pi/3]", "C[1/3,1/27] Q[pi/2]", "C[1/4,1/48] K[pi/3]"]
+    near = ["C[0.5,0.08333333333336] K[pi/3]", "C[0.5,0.08333333333330] K[pi/3]",
+            "C[0.5,0.0833333333334] K[pi/3]"]
+    spectra = [fc.schedule_from_text(text).spectrum() for text in exact + near]
+    rng = random.Random(15)
+    for _ in range(40):
+        r1, copies = rng.uniform(0.2, 0.8), rng.randint(2, 6)
+        rho = rng.uniform(0.05, 1.0 / copies)
+        r2 = r1 * r1 * rho * (1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-15.5, -12))
+        spectra.append(fc.ScaleSpectrum([([r1, r2], 1), ([rho] * copies, 1)]))
+    for index, spectrum in enumerate(spectra):
+        report = fc.dimension(spectrum)
+        if index < len(exact):
+            assert report.method == "binary-analytic"
+        elif index < len(exact + near):
+            assert report.method == "moran-numeric"
+        root = mpmath_root(spectrum.components)
+        assert abs(mpmath.mpf(report.alpha) - root) <= 4 * math.ulp(report.alpha), spectrum
+
+
 def test_dimension_divides_repeats_by_their_gcd():
     koch = [1 / (2 * (1 + math.cos(math.pi / 3)))] * 4
     assert fc.dimension(fc.ScaleSpectrum([(koch, 3)])).alpha == fc.component_dimension(koch)

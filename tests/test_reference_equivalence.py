@@ -15,6 +15,7 @@ import pytest
 import fractalc as fc
 from fractalc import boxcount, census, geometry
 from fractalc.errors import ScaleLadderInvalid
+from fractalc.schedule import Generator, Piece
 from helpers import (
     STATS_CORPUS,
     assert_merged_close,
@@ -524,6 +525,11 @@ def _repeats_a_ratio(sched) -> bool:
     return any(len(set(gen.draw_ratios)) < gen.copies for gen, _ in sched.items)
 
 
+def _fold(ratios) -> tuple[tuple[float, int], ...]:
+    """The fold of a component with these draw ratios, as `Generator` builds it."""
+    return Generator(tuple(Piece(r, 0.0, True) for r in ratios), connected=False).fold
+
+
 @pytest.mark.parametrize(
     "ratios",
     [(0.5,), (1 / 3, 0.25), (0.2, 0.3, 0.25), (1 / 3,) * 4, (0.4, 1e-3, 0.999, 0.1, 0.2),
@@ -534,7 +540,7 @@ def test_component_buckets_match_recursive_reference(ratios):
     # the reference's compositions agree once merged; with no repeated ratio
     # the buckets are bit-identical
     for t in (0, 1, 2, 7, 19):
-        got = census._component_buckets(ratios, t)
+        got = census._component_buckets(_fold(ratios), t)
         want = reference_component_buckets(ratios, t)
         if len(set(ratios)) == len(ratios):
             assert got == want
@@ -552,7 +558,7 @@ def test_binomial_rows_match_math_comb():
 def test_long_rows_match_recursive_reference(ratios, t):
     # beyond census._SHORT_ROW the counts come from rows built by recurrence
     assert t > census._SHORT_ROW
-    assert census._component_buckets(ratios, t) == reference_component_buckets(ratios, t)
+    assert census._component_buckets(_fold(ratios), t) == reference_component_buckets(ratios, t)
 
 
 def _boundary_neighbour(v: float) -> float:
@@ -612,7 +618,7 @@ def test_merge_buckets_matches_reference_bit_for_bit():
         merging += len(want) < len(buckets)
     assert merging > 300
     # C[1/2,1/4,1/8] at stage 100: 5,151 compositions fold into 201 lengths
-    raw = census._component_buckets((0.5, 0.25, 0.125), 100)
+    raw = census._component_buckets(_fold((0.5, 0.25, 0.125)), 100)
     assert len(raw) == 5151
     got = census._merge_buckets(raw)
     assert len(got) == 201
@@ -685,6 +691,19 @@ def test_segment_census_matches_reference():
                 assert got == want
             assert_merged_close(got, want)
     assert folded > 0
+
+
+def test_census_size_is_the_unmerged_cross_product():
+    # the census charge counts, before its digit weight, the buckets the census
+    # builds: each component's compositions over its folded ratios, crossed
+    repeated = ["C[1/3,1/3]", "K[pi/3]", "Q[pi/2]", "K[pi/4]^2 C[1/3,1/3]",
+                "G[(1/4,0,draw);(1/4,pi/2,draw);(1/4,0,gap);(1/4,-pi/2,draw)]",
+                "G[(1/5,0,draw);(1/4,1,draw);(1/5,-1,draw)] C[1/2,1/3]"]
+    cases = [(fc.schedule_from_text(t), k) for t in repeated for k in (0, 1, 2, 5, 11)]
+    for sched, k in fuzz_cases(101, 60) + cases:
+        factors = [census._component_buckets(gen.fold, n * k) for gen, n in sched.items]
+        cross = list(itertools.product(*factors))
+        assert fc.work._census_size(sched, k) == len(cross), (sched, k)
 
 
 def _mpmath_census(sched, k: int, L0: float) -> list:

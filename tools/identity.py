@@ -63,13 +63,15 @@ BUDGET_EDGES = [
       for cmd, out in (("render", ["-o", "out.svg"]), ("validate", []))),
     *((None, ["render", f"C[1/2]^{n}", "--stage", "1", "-o", "out.svg"]) for n in (33333, 33334)),
     (None, ["validate", "C[1/2]^33334", "--stage", "1"]),
-    # census compositions: C(13, 3) = 286 at stage 10; 210 over stages 0..6
-    *((b, ["census", "K[pi/3]", "--stage", "10"]) for b in ("285", "286")),
-    *((b, ["stats", "K[pi/3]", "--stage", "6"]) for b in ("209", "210")),
-    *((b, ["stats", "C[1/2,1/3] K[pi/3]", "--stage", "4"]) for b in ("293", "294")),
+    # census buckets, equal ratios folded: one printed bucket of 95 units at
+    # stage 10; 52,308 units over stages 0..1000 of one bucket, 15 units plus
+    # one per 8 digits of 4^s each; 420 over stages 0..6 of s + 1 buckets
+    *((b, ["census", "K[pi/3]", "--stage", "10"]) for b in ("94", "95")),
+    *((b, ["stats", "K[pi/3]", "--stage", "1000"]) for b in ("52307", "52308")),
+    *((b, ["stats", "C[1/2,1/3] K[pi/3]", "--stage", "6"]) for b in ("419", "420")),
     # census stages: one stage, and 20 one-bucket stages
-    *((b, ["census", "K[pi/3]", "--stage", "1"]) for b in ("9", "10")),
-    *((b, ["stats", "C[1/2]", "--stage", "19"]) for b in ("199", "200", "20")),
+    *((b, ["census", "K[pi/3]", "--stage", "1"]) for b in ("49", "50")),
+    *((b, ["stats", "C[1/2]", "--stage", "19"]) for b in ("999", "1000", "20")),
     # the digits of the census total: 4,300 and 4,301
     *((None, ["census", "C[1/2,1/2]", "--stage", s]) for s in ("14284", "14285")),
     # grid cells of box counting, counted from the segments
@@ -91,6 +93,9 @@ LIMIT_BASES = [
     )
 ]
 
+# censuses that fold equal ratios into few buckets (the first four exited 4
+# while the budget counted compositions before the fold), and one whose total
+# has 602,060 digits; a spectrum 1e-13 off the binary closed form's relation;
 # the exact factorization compare on 0.0 buckets and on dependent ratios;
 # validate's human output; SVG and CSV points that the digit kernel writes
 # itself up to 1e12 and hands to % from there (L0 from 1e3 to 1e13), and CSV
@@ -99,6 +104,12 @@ LIMIT_BASES = [
 # L0 of 1e300; the warning's boundary, where 3^-678 reads 5e-324 and 3^-679
 # reads 0.0
 PATH_EDGES = [
+    (None, ["stats", "C[1/2,1/3] K[pi/3]", "--stage", "60"]),
+    (None, ["stats", "C[1/2,1/4,1/6] K[pi/4] K[pi/3]", "--stage", "12"]),
+    (None, ["census", "K[pi/3]", "--stage", "2000"]),
+    (None, ["stats", "K[pi/3]", "--stage", "3000"]),
+    (None, ["census", "K[pi/3]", "--stage", "1000000"]),
+    (None, ["dim", "C[0.5,0.0833333333334] K[pi/3]"]),
     (None, ["stats", "C[1/1000] C[1/2,1/4]", "--stage", "110"]),
     (None, ["stats", "C[1/2,1/4,1/8] C[1/3,1/9]", "--stage", "6"]),
     (None, ["validate", "K[pi/3]", "--stage", "6", "--human"]),
