@@ -16,7 +16,7 @@ import operator
 from collections.abc import Iterable, Sequence
 
 from . import work
-from .schedule import CompositionSchedule, _check_initiator
+from .schedule import CompositionSchedule, _check_initiator, _check_stage
 
 # relative tolerance for merging census buckets of nearly equal length
 _LENGTH_MERGE_RTOL = 1e-12
@@ -143,11 +143,10 @@ def segment_census(
     count), so each distinct-ratio exponent vector is computed once; the
     composite census is the product across components, times L0, merged by
     length (1e-12 relative). Counts are exact integers; their total is
-    prod_i l_i^(n_i * k). Charges the stage against `budget` first, and
-    raises ValueError unless L0 is positive and finite.
+    prod_i l_i^(n_i * k). Charges the stage against `budget` first, after
+    the stage and initiator rules of `schedule` (InputOutOfRange).
     """
-    if k < 0:
-        raise ValueError("stage must be >= 0")
+    _check_stage(k)
     _check_initiator(L0)
     work.charge_census(schedule, k, budget)
     return build_census(schedule, k, L0)

@@ -184,8 +184,10 @@ def census(expression: str, stage: int, l0: float, human: bool):
     """Exact (length, count) table at a stage, via multinomial expansion."""
     from . import census
     sched = _load_schedule(expression)
-    work.charge_census(sched, stage, _segment_budget(), printed=True)
-    buckets = census.build_census(sched, stage, l0)
+    budget = _segment_budget()
+    # the printed charge first: segment_census's own, unprinted, is never larger
+    work.charge_census(sched, stage, budget, printed=True)
+    buckets = census.segment_census(sched, stage, l0, budget)
     _warn_underflow(buckets, stage)
     total = sum(count for _, count in buckets)
     if human:

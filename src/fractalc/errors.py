@@ -32,8 +32,8 @@ class ScheduleSemanticError(FractalcError):
 
 
 class InputOutOfRange(FractalcError, ValueError):
-    """An input number out of range where it is used (a ratio that reads 0.0 or
-    1.0 as a float, a repeat beyond the float range, ...); also a ValueError."""
+    """An input number outside the range of its rule (a scale factor outside
+    (0, 1) as a float, a negative stage, a repeat count below 1, ...); also a ValueError."""
 
 
 class InvalidAngle(FractalcError):

@@ -18,9 +18,9 @@ import functools
 import math
 from typing import TYPE_CHECKING
 
-from .errors import GeometryOutOfRange, SegmentBudgetExceeded
+from .errors import DegenerateGeometry, GeometryOutOfRange, SegmentBudgetExceeded
 from .frozen import Frozen
-from .schedule import _check_initiator
+from .schedule import _check_initiator, _check_stage
 from .work import DEFAULT_SEGMENT_BUDGET, RENDER_SEGMENT_LIMIT, charge_geometry
 
 # bench/jobs.py calls these three through `geometry.`
@@ -104,8 +104,7 @@ def iterate(
     GeometryOutOfRange when a coordinate, the figure's extent along x or y, or
     its total length is not finite.
     """
-    if k < 0:
-        raise ValueError("stage must be >= 0")
+    _check_stage(k)
     _check_initiator(L0)
     charge_geometry(schedule, k, budget)
     import numpy as np
@@ -319,6 +318,8 @@ def export_svg(s: SegmentSet, path) -> None:
     if n > RENDER_SEGMENT_LIMIT:
         raise SegmentBudgetExceeded(n, RENDER_SEGMENT_LIMIT, "the figure has {count} "
                                     "segments, over the SVG export cap of {limit}")
+    if n == 0:
+        raise DegenerateGeometry("no segments")
     import numpy as np
     coords = s.coords
     pts = coords.reshape(-1, 2)

@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from . import work
 from .moran import dimension
 from .census import build_census, census_product
-from .schedule import CompositionSchedule
+from .schedule import CompositionSchedule, _check_stage
 
 
 def normalization_residual(buckets: Iterable[tuple[float, int]], alpha: float) -> float:
@@ -68,6 +68,7 @@ def stats_and_census(
     schedule: CompositionSchedule, k: int, budget: int = work.DEFAULT_SEGMENT_BUDGET
 ) -> tuple[dict, list[tuple[float, int]]]:
     """`stats_report`'s summary, and the stage-k census it read."""
+    _check_stage(k)
     work.charge_census(schedule, k, budget, stages=k + 1)
     alpha = dimension(schedule.spectrum()).alpha
     max_resid = 0.0

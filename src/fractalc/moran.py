@@ -29,8 +29,13 @@ def _validated_ratios(ratios: Iterable[float]) -> tuple[float, ...]:
         raise ValueError("component needs at least one scale factor")
     for r in out:
         if not 0.0 < r < 1.0:
-            raise ValueError(f"scale factor {r!r} outside (0, 1)")
+            raise InputOutOfRange(f"scale factor {r!r} outside (0, 1)")
     return out
+
+
+def _check_repeat(n: int) -> None:
+    if not (isinstance(n, int) and n >= 1):
+        raise InputOutOfRange(f"repeat count must be a positive integer, got {n!r}")
 
 
 class UniformFractal(Frozen):
@@ -40,9 +45,8 @@ class UniformFractal(Frozen):
 
     def __init__(self, copies: int, ratio: float):
         if not (isinstance(copies, int) and copies >= 1):
-            raise ValueError(f"copies must be a positive integer, got {copies!r}")
-        if not 0.0 < ratio < 1.0:
-            raise ValueError(f"ratio {ratio!r} outside (0, 1)")
+            raise InputOutOfRange(f"copies must be a positive integer, got {copies!r}")
+        _validated_ratios((ratio,))
         super().__init__(copies, ratio)
 
 
@@ -65,8 +69,7 @@ class ScaleSpectrum(Frozen):
     def __init__(self, components: Iterable[tuple[Sequence[float], int]]):
         merged: dict[tuple[float, ...], int] = {}
         for ratios, repeat in components:
-            if not (isinstance(repeat, int) and repeat >= 1):
-                raise ValueError(f"repeat count must be a positive integer, got {repeat!r}")
+            _check_repeat(repeat)
             key = tuple(sorted(_validated_ratios(ratios)))
             merged[key] = merged.get(key, 0) + repeat
         if not merged:
@@ -150,8 +153,7 @@ def composite_dimension_uniform(parts: Sequence[tuple[UniformFractal, int]]) -> 
     num = 0.0
     den = 0.0
     for fractal, repeat in parts:
-        if repeat < 1:
-            raise ValueError("repeat count must be >= 1")
+        _check_repeat(repeat)
         num += repeat * math.log(fractal.copies)
         den += repeat * -math.log(fractal.ratio)
     return num / den
@@ -260,8 +262,7 @@ def binary_special_dimension(r1: float, f: UniformFractal) -> float:
     product to a quadratic in (r1*rho)^alpha, giving
     alpha = ln((-1 + sqrt(1 + 4/N)) / 2) / ln(r1*rho).
     """
-    if not 0.0 < r1 < 1.0:
-        raise ValueError(f"r1 {r1!r} outside (0, 1)")
+    _validated_ratios((r1,))
     x = (-1.0 + math.sqrt(1.0 + 4.0 / f.copies)) / 2.0
     return math.log(x) / math.log(r1 * f.ratio)
 

@@ -14,14 +14,9 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
-from .errors import (
-    InputOutOfRange,
-    InvalidAngle,
-    RatiosExceedUnit,
-    ScheduleSemanticError,
-)
+from .errors import InputOutOfRange, InvalidAngle, RatiosExceedUnit, ScheduleSemanticError
 from .frozen import Frozen
-from .moran import ScaleSpectrum
+from .moran import ScaleSpectrum, _check_repeat, _validated_ratios
 from .parser import ScheduleExpr, parse
 
 
@@ -67,8 +62,7 @@ class CompositionSchedule(Frozen):
         if not items:
             raise ValueError("schedule needs at least one generator")
         for _, repeat in items:
-            if repeat < 1:
-                raise ValueError("repeat count must be >= 1")
+            _check_repeat(repeat)
         super().__init__(items)
 
     def spectrum(self) -> ScaleSpectrum:
@@ -104,17 +98,12 @@ def _quadratic_generator(theta: float) -> Generator:
 
 
 def _cantor_generator(ratios: Sequence[float]) -> Generator:
-    kept = [float(r) for r in ratios]
-    if not kept:
+    if not ratios:
         raise ScheduleSemanticError("Cantor generator needs at least one ratio")
-    for r in kept:
-        if not 0.0 < r < 1.0:  # a fraction that rounds to 0.0 or 1.0
-            raise InputOutOfRange(f"scale factor {r!r} outside (0, 1)")
+    kept = _validated_ratios(ratios)  # a fraction may round to 0.0 or 1.0
     total = math.fsum(kept)
     if total > 1.0:
-        raise RatiosExceedUnit(
-            f"kept ratios sum to {total}, over the unit initiator"
-        )
+        raise RatiosExceedUnit(f"kept ratios sum to {total}, over the unit initiator")
     pieces = []
     gap = (1.0 - total) / (len(kept) - 1) if len(kept) > 1 else 0.0
     for idx, r in enumerate(kept):
@@ -128,9 +117,7 @@ def _custom_generator(pieces: Iterable[tuple[float, float, bool]]) -> Generator:
     built = tuple(Piece(float(r), float(a), bool(d)) for r, a, d in pieces)
     if not any(p.draw for p in built):
         raise ScheduleSemanticError("custom generator keeps no pieces")
-    for p in built:
-        if not 0.0 < p.ratio < 1.0:
-            raise InputOutOfRange(f"scale factor {p.ratio!r} outside (0, 1)")
+    _validated_ratios(p.ratio for p in built)
     # Connected means the nominal chain is gap-free and closes on (1, 0).
     x = y = 0.0
     for p in built:
@@ -172,9 +159,14 @@ def schedule_from_text(text: str) -> CompositionSchedule:
     return build_schedule(parse(text))
 
 
+def _check_stage(k: int) -> None:
+    if k < 0:
+        raise InputOutOfRange("stage must be >= 0")
+
+
 def _check_initiator(L0: float) -> None:
     if not (math.isfinite(L0) and L0 > 0.0):
-        raise ValueError(f"initiator length must be positive and finite, got {L0!r}")
+        raise InputOutOfRange(f"initiator length must be positive and finite, got {L0!r}")
 
 
 def content(schedule: CompositionSchedule, k: int, beta: float, L0: float = 1.0) -> float:
@@ -185,9 +177,10 @@ def content(schedule: CompositionSchedule, k: int, beta: float, L0: float = 1.0)
     log Moran product M, and math.inf when that exceeds the float range; at
     k = 0 it is L0**beta, without the round trip through the logarithm.
     """
+    _check_stage(k)
     _check_initiator(L0)
     if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+        raise InputOutOfRange("beta must be >= 0")
     try:
         if k == 0:
             return L0**beta

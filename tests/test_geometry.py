@@ -8,7 +8,9 @@ import pytest
 
 import fractalc as fc
 from fractalc.errors import (
+    DegenerateGeometry,
     GeometryOutOfRange,
+    InputOutOfRange,
     InvalidAngle,
     RatiosExceedUnit,
     ScheduleSemanticError,
@@ -234,10 +236,19 @@ def test_census_of_equal_ratios_is_one_folded_bucket(text, stage):
 
 def test_census_rejects_bad_initiator_length():
     for L0 in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputOutOfRange):
             fc.segment_census(koch(), 2, L0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputOutOfRange):
             fc.iterate(koch(), 2, L0)
+
+
+@pytest.mark.parametrize("entry", ["iterate", "segment_census", "stats_report", "content"])
+@pytest.mark.parametrize("expression", ["C[1/2,1/3]", "K[pi/3]"])
+def test_negative_stage_rejected_by_every_entry_point(entry, expression):
+    sched = fc.schedule_from_text(expression)
+    args = (1.0,) if entry == "content" else ()
+    with pytest.raises(InputOutOfRange, match="stage must be >= 0"):
+        getattr(fc, entry)(sched, -1, *args)
 
 
 def test_census_stage_zero():
@@ -313,11 +324,18 @@ def test_content_above_the_float_range_is_inf():
 @pytest.mark.parametrize("L0", [-1.0, 0.0, math.nan, math.inf])
 def test_content_and_predicted_length_reject_bad_initiator(L0):
     for k in (0, 2):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputOutOfRange):
             fc.content(koch(), k, 1.5, L0)
 
 
 # --- svg / csv export --------------------------------------------------------------------
+
+
+def test_svg_of_no_segments_is_degenerate(tmp_path):
+    empty = fc.SegmentSet(np.empty((0, 4)), 1.0, np.empty(0))
+    with pytest.raises(DegenerateGeometry, match="no segments"):
+        fc.export_svg(empty, tmp_path / "empty.svg")
+    assert not (tmp_path / "empty.svg").exists()
 
 
 def test_svg_deterministic_and_styled(tmp_path):

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 
 import fractalc as fc
+from fractalc.errors import InputOutOfRange
 from helpers import (
     mpmath_root,
     random_spectrum,
@@ -56,11 +57,11 @@ def test_single_copy_is_zero_dimensional():
 
 
 def test_uniform_fractal_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputOutOfRange):
         fc.UniformFractal(0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputOutOfRange):
         fc.UniformFractal(4, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputOutOfRange):
         fc.UniformFractal(4, 0.0)
 
 
@@ -178,9 +179,9 @@ def test_degenerate_spectrum_returns_zero():
 def test_solver_validation():
     with pytest.raises(ValueError):
         fc.ScaleSpectrum([])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputOutOfRange):
         fc.ScaleSpectrum([([0.5, 1.5], 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputOutOfRange):
         fc.ScaleSpectrum([([0.5], 0)])
 
 
@@ -378,7 +379,7 @@ def test_binary_special_within_bounds():
 
 
 def test_binary_special_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputOutOfRange):
         fc.binary_special_dimension(1.2, fc.UniformFractal(4, 1 / 3))
 
 

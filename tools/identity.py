@@ -24,8 +24,9 @@ grouped by command, one line each:
     line> -> <the same on this tree>
 
 and the tool exits 1 when a line matches no `--allow` pattern (re.search),
-0 otherwise. Run from any directory; it needs git and the numpy of the
-program.
+0 otherwise. The summary line ends with the line count of
+`src/fractalc/*.py` on each tree, as `wc -l` totals it. Run from any
+directory; it needs git and the numpy of the program.
 """
 
 from __future__ import annotations
@@ -158,6 +159,11 @@ def run(src: Path, budget: str | None, args: tuple[str, ...]) -> tuple:
     return (code, out, err, files), seconds
 
 
+def src_lines(tree: Path) -> int:
+    """Newlines in the tree's src/fractalc/*.py, the total of `wc -l`."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "fractalc").glob("*.py"))
+
+
 def _first_line(text: str) -> str:
     return text.splitlines()[0] if text else ""
 
@@ -195,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
                 futures = [(case, pool.submit(run, tree / "src", *case))
                            for case in cases for tree in (base_tree, ROOT)]
                 results = [(case, future.result()) for case, future in futures]
+            lines = src_lines(base_tree), src_lines(ROOT)
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(base_tree)], check=True)
@@ -212,7 +219,8 @@ def main(argv: list[str] | None = None) -> int:
             unexpected += not expected
             print(("   allowed " if expected else "   ") + line)
     print(f"{len(cases)} invocations on {args.base_rev} and this tree; "
-          f"{sum(map(len, groups.values()))} differ, {unexpected} not allowed")
+          f"{sum(map(len, groups.values()))} differ, {unexpected} not allowed; "
+          f"src/ {lines[0]:,} -> {lines[1]:,} lines")
     return 1 if unexpected else 0
 
 
