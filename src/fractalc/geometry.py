@@ -371,13 +371,10 @@ def export_csv(s: SegmentSet, path) -> None:
 
     The rows are formatted and written in chunks of a fixed number of
     segments, so the text is never built whole. The digit kernel `_digit_rows`
-    runs once per point, and writes '%.12g' for zeros and for
-    1e-4 <= |v| < 1e12; it hands near ties and the other values to one %
-    format per chunk. A row whose start equals the end of the row before it,
-    bit for bit (so 0.0 and -0.0 stay apart), reuses that end's text row;
-    `_render` writes each value's separator into its row and joins the rows.
-    A reused row that holds a % specifier is formatted again: a point that
-    falls back is formatted once for each row it appears in.
+    runs once per written value (a point that two rows share is formatted for
+    each) and writes '%.12g' for zeros and for 1e-4 <= |v| < 1e12; it hands
+    near ties and the other values to one % format per chunk. `_render`
+    writes each value's separator into its row and joins the rows.
     """
     import numpy as np
     coords = s.coords
@@ -386,21 +383,9 @@ def export_csv(s: SegmentSet, path) -> None:
     seps[0] = 0
 
     def chunk_text(start: int, stop: int) -> bytes:
-        c = coords[start:stop]
-        bits = c.view(np.int64)
-        fresh = np.ones(stop - start, dtype=bool)
-        fresh[1:] = (bits[1:, 0] != bits[:-1, 2]) | (bits[1:, 1] != bits[:-1, 3])
-        points = np.concatenate((c[fresh, :2], c[:, 2:]))
-        rows, ok = _digit_rows(points.ravel(), *_G12)
-        width = rows.shape[1]
-        # row i: its start point (its own, or the end point of row i - 1), then its end point
-        order = np.empty((stop - start, 2), dtype=np.intp)
-        order[:, 1] = np.arange(len(points) - (stop - start), len(points))
-        order[:, 0] = np.where(fresh, np.cumsum(fresh) - 1, order[:, 1] - 1)
-        order = order.ravel()
-        rows = np.take(rows.reshape(len(points), 2 * width), order, axis=0).reshape(-1, width)
-        fallbacks = np.take(points, order, axis=0)[~np.take(ok.reshape(-1, 2), order, axis=0)]
-        return _render(rows, seps[: 4 * (stop - start)], fallbacks) + b"\n"
+        values = coords[start:stop].ravel()
+        rows, ok = _digit_rows(values, *_G12)
+        return _render(rows, seps[: 4 * (stop - start)], values[~ok]) + b"\n"
 
     _write_chunked(path, b"", len(s), chunk_text, b"")
 

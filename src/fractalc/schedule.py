@@ -11,6 +11,7 @@ this.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
@@ -160,6 +161,10 @@ def schedule_from_text(text: str) -> CompositionSchedule:
 
 
 def _check_stage(k: int) -> None:
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InputOutOfRange(f"stage must be an integer, got {k!r}") from None
     if k < 0:
         raise InputOutOfRange("stage must be >= 0")
 
@@ -179,8 +184,8 @@ def content(schedule: CompositionSchedule, k: int, beta: float, L0: float = 1.0)
     """
     _check_stage(k)
     _check_initiator(L0)
-    if beta < 0.0:
-        raise InputOutOfRange("beta must be >= 0")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise InputOutOfRange(f"beta must be finite and >= 0, got {beta!r}")
     try:
         if k == 0:
             return L0**beta

@@ -249,6 +249,9 @@ def test_negative_stage_rejected_by_every_entry_point(entry, expression):
     args = (1.0,) if entry == "content" else ()
     with pytest.raises(InputOutOfRange, match="stage must be >= 0"):
         getattr(fc, entry)(sched, -1, *args)
+    with pytest.raises(InputOutOfRange, match="stage must be an integer, got 1.5"):
+        getattr(fc, entry)(sched, 1.5, *args)
+    getattr(fc, entry)(sched, np.int64(1), *args)  # any integer type is a stage
 
 
 def test_census_stage_zero():
@@ -326,6 +329,13 @@ def test_content_and_predicted_length_reject_bad_initiator(L0):
     for k in (0, 2):
         with pytest.raises(InputOutOfRange):
             fc.content(koch(), k, 1.5, L0)
+
+
+@pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+def test_content_rejects_bad_beta(beta):
+    for k in (0, 2):
+        with pytest.raises(InputOutOfRange, match="beta must be finite and >= 0"):
+            fc.content(fc.schedule_from_text("C[1/2,1/3]"), k, beta)
 
 
 # --- svg / csv export --------------------------------------------------------------------

@@ -117,6 +117,8 @@ PATH_EDGES = [
     (None, ["render", "K[pi/3]", "--stage", "4", "--l0", "1e12", "-o", "out.svg"]),
     *((None, ["render", "K[pi/3]", "--stage", "4", "--l0", l0, "-o", "out.svg", "--csv", "out.csv"])
       for l0 in ("1e3", "1e9", "1e11", "1e13", "1e-7")),
+    (None, ["render", "C[1/3,1/3] K[pi/3]", "--stage", "3", "--l0", "1e13", "-o", "out.svg",
+            "--csv", "out.csv"]),
     *((None, ["census", "C[1/1000]", "--stage", s, "--l0", "1e300"]) for s in ("110", "100")),
     *((None, ["census", "C[1/3]", "--stage", s]) for s in ("678", "679")),
     (None, ["stats", "C[1/3]", "--stage", "678"]),
