@@ -3,15 +3,18 @@ multinomial expansion. Its buckets are formed, crossed, scaled by L0 and
 merged here. Each component's equal ratios fold first, by its
 `Generator.fold`, so d distinct ratios applied t times give
 C(t + d - 1, d - 1) buckets; `work` charges that count from the same fold,
-weighted by the digits of the stage's counts. A length below the float range
-reads 0.0, and sorts last. `dim` and `limit` never load this module: a test
+weighted by the digits of the stage's counts. Counts read binomials from
+Pascal rows kept for the life of the process up to row 128, and from rows
+built per call by a recurrence above it. The merge is one sort plus one
+ratio pass that proves no near tie; only a census that may hold one goes
+through the leader loop. A length below the float range reads 0.0, and sorts
+last. `dim` and `limit` never load this module: a test
 in `tests/test_cli.py` enforces this.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from collections.abc import Iterable, Sequence
 
@@ -20,18 +23,20 @@ from .schedule import CompositionSchedule, _check_initiator, _check_stage
 
 # relative tolerance for merging census buckets of nearly equal length
 _LENGTH_MERGE_RTOL = 1e-12
+# a computed neighbour ratio below this proves the pair is no near tie
+_NO_TIE = 1 - 2 * _LENGTH_MERGE_RTOL
 _VALUE = operator.itemgetter(0)
 
-# census binomials: math.comb's cost grows with its result, and past rows of about
-# this length building each row once, by C(r, g + 1) = C(r, g) (r - g) / (g + 1)
-# in exact ints, is cheaper (the crossover is near 115 with two distinct ratios,
-# 180 with three)
+# census binomials: rows up to this one are Pascal rows kept for the life of the
+# process, 129 rows of a few hundred KB in all; a component applied more times
+# builds its rows per call, by C(r, g + 1) = C(r, g) (r - g) / (g + 1) in exact
+# ints, and keeps none of them
 _SHORT_ROW = 128
 
 
 class _BinomialRows(dict):
-    """Binomials C(r, g), called like math.comb; each row [C(r, 0), ..., C(r, r)]
-    is built on first use."""
+    """Binomial rows [C(r, 0), ..., C(r, r)] by r, each built on first use by the
+    recurrence along the row."""
 
     def __missing__(self, r: int) -> list[int]:
         row = self[r] = list(
@@ -39,8 +44,18 @@ class _BinomialRows(dict):
         )
         return row
 
-    def __call__(self, r: int, g: int) -> int:
-        return self[r][g]
+
+class _PascalRows(dict):
+    """Binomial rows by r, each built once from the row above as sums of
+    neighbours. setdefault keeps the first row stored, so threads that build a
+    row at once store one of equal rows."""
+
+    def __missing__(self, r: int) -> list[int]:
+        above = self[r - 1]
+        return self.setdefault(r, [1, *map(operator.add, above, above[1:]), 1])
+
+
+_PASCAL = _PascalRows({0: [1]})
 
 
 def _component_buckets(fold: Sequence[tuple[float, int]], t: int) -> list[tuple[float, int]]:
@@ -63,48 +78,58 @@ def _component_buckets(fold: Sequence[tuple[float, int]], t: int) -> list[tuple[
     powers = [[rho**g for g in range(t + 1)] for rho, _ in fold]
     mults = [m for _, m in fold]
     weights = [[m**g for g in range(t + 1)] for m in mults]
-    comb = math.comb if t <= _SHORT_ROW else _BinomialRows()
+    rows = _PASCAL if t <= _SHORT_ROW else _BinomialRows()
     # (applications left, length so far, count so far) per partial composition
     partial = [(t, 1.0, 1)]
     for pw, wt in zip(powers[:-2], weights):
         partial = [
-            (rem - g, value * pw[g], count * wt[g] * comb(rem, g))
+            (rem - g, value * pw[g], count * wt[g] * c)
             for rem, value, count in partial
-            for g in range(rem + 1)
+            for g, c in enumerate(rows[rem])
         ]
     # the last two exponents are chosen together, so each leaf is built once
     pa, pb = powers[-2:]
     wa, wb = weights[-2:]
     if mults[-2:] == [1, 1]:
         return [
-            (value * pa[g] * pb[rem - g], count * comb(rem, g))
+            (value * pa[g] * pb[rem - g], count * c)
             for rem, value, count in partial
-            for g in range(rem + 1)
+            for g, c in enumerate(rows[rem])
         ]
     return [
-        (value * pa[g] * pb[rem - g], count * wa[g] * wb[rem - g] * comb(rem, g))
+        (value * pa[g] * pb[rem - g], count * wa[g] * wb[rem - g] * c)
         for rem, value, count in partial
-        for g in range(rem + 1)
+        for g, c in enumerate(rows[rem])
     ]
 
 
 def _merge_buckets(buckets: Iterable[tuple[float, int]]) -> list[tuple[float, int]]:
     """Sort by decreasing value, stably, and fold each bucket within 1e-12 relative
-    below its group's leader into it. Every bucket before the first neighbour pair
-    within the tolerance leads its own group, so a scan in C finds where to start."""
+    below its group's leader into it.
+
+    A bucket merges only where some neighbour pair a >= b is a near tie,
+    a - b <= 1e-12 a as computed, so one pass in C over the sorted values
+    returns the sort itself when every computed b / a is below 1 - 2e-12
+    (`_NO_TIE`, from the same float 1e-12). That pass is exact. For b > 0:
+    - where b < a / 2, a - b exceeds 1e-12 a by far, so the pair is no tie;
+    - else a - b is exact (Sterbenz), and a tie gives a - b <= 1e-12 a
+      rounded, which is at most 1e-12 a (1 + 2^-53) where 1e-12 a is normal.
+      So b / a >= 1 - 2e-12 exactly, and the rounded quotient is no smaller
+      than the rounded bound, since rounding is monotone;
+    - where 1e-12 a is subnormal it rounds to m ulps of the float range's
+      bottom. A tie then needs m >= 1, so a >= (m - 1/2) 1e12 ulps, and
+      a - b <= m ulps; again b / a >= 1 - 2e-12, with equality at m = 1.
+    A b of 0.0 gives the quotient 0.0, and 0.0 ties only with 0.0; a census
+    whose last value is 0.0 (where a zero a may divide) goes to the loop, as
+    does any census that fails the pass.
+    """
     ordered = sorted(buckets, key=_VALUE, reverse=True)
     values = list(map(_VALUE, ordered))
-    near = map(
-        operator.le,
-        map(operator.sub, values, values[1:]),
-        map(operator.mul, itertools.repeat(_LENGTH_MERGE_RTOL), values),
-    )
-    try:
-        start = operator.indexOf(near, True)
-    except ValueError:
+    ratios = map(operator.truediv, values[1:], values)
+    if values and values[-1] and max(ratios, default=0.0) < _NO_TIE:
         return ordered
-    merged = ordered[:start]
-    for value, count in ordered[start:]:
+    merged: list[tuple[float, int]] = []
+    for value, count in ordered:
         if merged and merged[-1][0] - value <= _LENGTH_MERGE_RTOL * merged[-1][0]:
             merged[-1] = (merged[-1][0], merged[-1][1] + count)
         else:
@@ -152,9 +177,13 @@ def segment_census(
     return build_census(schedule, k, L0)
 
 
+def census_factors(schedule: CompositionSchedule, k: int) -> list[list[tuple[float, int]]]:
+    """Each item's unmerged stage-k buckets, in schedule order: the factors that
+    `build_census` crosses."""
+    return [_component_buckets(gen.fold, repeat * k) for gen, repeat in schedule.items]
+
+
 def build_census(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> list[tuple[float, int]]:
     """segment_census without its checks, for callers that charged the work."""
-    return census_product(
-        (_component_buckets(gen.fold, repeat * k) for gen, repeat in schedule.items), L0
-    )
+    return census_product(census_factors(schedule, k), L0)
 

@@ -31,7 +31,7 @@ from collections.abc import Iterable
 
 from . import work
 from .moran import dimension
-from .census import build_census, census_product
+from .census import census_factors, census_product
 from .schedule import CompositionSchedule, _check_stage
 
 
@@ -73,10 +73,11 @@ def stats_and_census(
     alpha = dimension(schedule.spectrum()).alpha
     max_resid = 0.0
     for stage in range(k + 1):
-        census = build_census(schedule, stage)
+        factors = census_factors(schedule, stage)
+        census = census_product(factors)
         max_resid = max(max_resid, normalization_residual(census, alpha))
-    # the parts' censuses are factors of the joint's, charged with it
-    parts = (build_census(CompositionSchedule((item,)), k) for item in schedule.items)
+    # each part's census is its stage-k factor merged alone, charged with the joint
+    parts = (census_product((factor,)) for factor in factors)
     ok = len(schedule.items) == 1 or census == census_product(parts)
     summary = {
         "alpha": alpha,

@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -551,7 +553,49 @@ def test_binomial_rows_match_math_comb():
     rows = census._BinomialRows()
     for r in [*range(200), 1000, 2000]:
         assert rows[r] == [math.comb(r, g) for g in range(r + 1)]
-    assert rows(2000, 700) == math.comb(2000, 700)
+    assert rows[2000][700] == math.comb(2000, 700)
+
+
+def test_kept_pascal_rows_match_math_comb():
+    for r in range(census._SHORT_ROW + 1):
+        assert census._PASCAL[r] == [math.comb(r, g) for g in range(r + 1)]
+
+
+@pytest.mark.parametrize("ratios", [(1 / 3, 0.25), (0.2, 0.3, 0.25)])
+def test_component_buckets_across_the_kept_rows_boundary(ratios):
+    # t rising grows the kept rows up to census._SHORT_ROW; t falling reads them grown
+    assert census._SHORT_ROW == 128
+    for t in (127, 128, 129, 128, 127):
+        assert census._component_buckets(_fold(ratios), t) == reference_component_buckets(ratios, t)
+
+
+def test_pascal_rows_grown_by_threads_at_once():
+    # two threads climb the rows and two build the last row first, racing on
+    # every row; each row stored must be the binomial row
+    rows = census._PascalRows({0: [1]})
+    top = census._SHORT_ROW
+    orders = (range(top + 1), range(top + 1), range(top, -1, -1), range(top, -1, -1))
+    start = threading.Barrier(len(orders))
+
+    def grow(order):
+        start.wait(timeout=30)
+        for r in order:
+            rows[r]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(order,)) for order in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(rows) == list(range(top + 1))
+    for r in range(top + 1):
+        assert rows[r] == [math.comb(r, g) for g in range(r + 1)]
 
 
 @pytest.mark.parametrize("ratios,t", [((1 / 3, 0.25), 300), ((0.2, 0.3, 0.25), 150)])
@@ -571,11 +615,59 @@ def _boundary_neighbour(v: float) -> float:
     return w
 
 
+def _ulps_from(v: float, steps: int) -> float:
+    """v moved `steps` floats up (steps > 0) or down."""
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.inf if steps > 0 else 0.0)
+    return v
+
+
+def _least_tying_subnormal() -> int:
+    """The least n for which 1e-12 * (n ulps) rounds to one ulp, so that
+    (n ulps, n - 1 ulps) is a near tie; n - 1 ulps ties with nothing below it."""
+    ulp = 5e-324
+    lo, hi = 1, 10**13
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if 1e-12 * (mid * ulp) > 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _proof_edge_bucket_lists():
+    """Lists at the edges of the merge's no-tie pass, whose bound is 1 - 2e-12."""
+    # neighbour ratios a few ulps either side of the bound, as the pass computes them
+    for a in (1.0, 0.7, 1 / 3, 2.0**-40, 1e-300, 3e-310):
+        b = a * (1 - 2 * 1e-12)
+        for steps in range(-3, 4):
+            w = _ulps_from(b, steps)
+            yield [(a, 2), (w, 3), (w * 0.25, 1)]
+            yield [(w * 4.0, 5), (a * 4.0, 1), (0.125 * a, 6)]
+    # subnormal pairs one ulp apart: a tie from n ulps on, none just below
+    ulp = 5e-324
+    n = _least_tying_subnormal()
+    assert 4e11 < n < 6e11
+    for m in (n - 2, n - 1, n, n + 1, n + 2):
+        yield [(m * ulp, 1), ((m - 1) * ulp, 2)]
+        yield [((m - 1) * ulp, 4), (m * ulp, 3), ((m - 2) * ulp, 9), (1e-320, 1)]
+    # a 0.0 tail after positive values, one and two zeros deep
+    yield [(0.5, 1), (0.25, 2), (0.0, 3)]
+    yield [(0.0, 7), (0.5, 1), (0.0, 1), (0.25, 2)]
+    yield [(5e-324, 2), (0.0, 1), (0.0, 4)]
+    # a lone 0.0, and equal values
+    yield [(0.0, 4)]
+    yield [(0.3, 1), (0.3, 2), (0.3, 5)]
+    yield [(0.9, 1), (0.3, 2), (0.3, 5), (0.1, 1)]
+
+
 def _adversarial_bucket_lists():
     """Seeded (value, count) lists whose merge decisions sit at the 1e-12 edge."""
     yield []
     yield [(0.75, 3)]
     yield [(0.0, 1), (0.0, 2), (5e-324, 4), (1e-310, 1), (1e-310 * (1 - 1e-12), 8)]
+    yield from _proof_edge_bucket_lists()
     rng = random.Random(1012)
     for _ in range(300):
         values = []
@@ -608,8 +700,8 @@ def _hexed(buckets):
 
 
 def test_merge_buckets_matches_reference_bit_for_bit():
-    # the merge sorts in C and scans for the first near tie before running the
-    # leader loop; values, counts and order must equal the plain loop's
+    # the merge sorts in C and proves no near tie in one ratio pass before it
+    # runs the leader loop; values, counts and order must equal the plain loop's
     merging = 0
     for buckets in _adversarial_bucket_lists():
         got = census._merge_buckets(iter(buckets))

@@ -103,7 +103,9 @@ LIMIT_BASES = [
 # points in exponent form (L0 1e-7); census's L0 scaling and its underflow
 # warning, past (stage 110) and short of (stage 100) the float range under an
 # L0 of 1e300; the warning's boundary, where 3^-678 reads 5e-324 and 3^-679
-# reads 0.0
+# reads 0.0; censuses whose merge runs the leader loop (a near tie, and equal
+# products), one each side of the kept binomial rows' last row (128), and one
+# with a 0.0 tail
 PATH_EDGES = [
     (None, ["stats", "C[1/2,1/3] K[pi/3]", "--stage", "60"]),
     (None, ["stats", "C[1/2,1/4,1/6] K[pi/4] K[pi/3]", "--stage", "12"]),
@@ -123,6 +125,10 @@ PATH_EDGES = [
     *((None, ["census", "C[1/3]", "--stage", s]) for s in ("678", "679")),
     (None, ["stats", "C[1/3]", "--stage", "678"]),
     (None, ["census", "C[1/2,1/3] K[pi/3]", "--stage", "4", "--l0", "0.001", "--human"]),
+    (None, ["census", "C[0.5,0.4999999999999]", "--stage", "1"]),
+    (None, ["census", "C[1/2,1/4,1/8]", "--stage", "100"]),
+    *((None, ["census", "C[1/3,1/4,1/5]", "--stage", s]) for s in ("128", "129")),
+    (None, ["census", "C[1/2,1/3]", "--stage", "10000"]),
 ]
 
 
