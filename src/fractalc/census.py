@@ -4,12 +4,11 @@ merged here. Each component's equal ratios fold first, by its
 `Generator.fold`, so d distinct ratios applied t times give
 C(t + d - 1, d - 1) buckets; `work` charges that count from the same fold,
 weighted by the digits of the stage's counts. Counts read binomials from
-Pascal rows kept for the life of the process up to row 128, and from rows
-built per call by a recurrence above it. The merge is one sort plus one
-ratio pass that proves no near tie; only a census that may hold one goes
-through the leader loop. A length below the float range reads 0.0, and sorts
-last. `dim` and `limit` never load this module: a test
-in `tests/test_cli.py` enforces this.
+rows kept for the life of the process up to row 128, and from rows built
+per call above it. The merge is one sort plus one ratio pass that proves no
+near tie; only a census that may hold one goes through the leader loop. A
+length below the float range reads 0.0, and sorts last. `dim` and `limit`
+never load this module: a test in `tests/test_cli.py` enforces this.
 """
 
 from __future__ import annotations
@@ -27,16 +26,17 @@ _LENGTH_MERGE_RTOL = 1e-12
 _NO_TIE = 1 - 2 * _LENGTH_MERGE_RTOL
 _VALUE = operator.itemgetter(0)
 
-# census binomials: rows up to this one are Pascal rows kept for the life of the
-# process, 129 rows of a few hundred KB in all; a component applied more times
-# builds its rows per call, by C(r, g + 1) = C(r, g) (r - g) / (g + 1) in exact
-# ints, and keeps none of them
+# census binomials: rows up to this one are kept for the life of the process,
+# 129 rows of a few hundred KB in all; a component applied more times builds
+# its rows per call and keeps none of them. Either way a row is built by
+# C(r, g + 1) = C(r, g) (r - g) / (g + 1) in exact ints
 _SHORT_ROW = 128
 
 
 class _BinomialRows(dict):
     """Binomial rows [C(r, 0), ..., C(r, r)] by r, each built on first use by the
-    recurrence along the row."""
+    recurrence along the row. A row depends on nothing stored, so threads that
+    build a row at once store equal rows."""
 
     def __missing__(self, r: int) -> list[int]:
         row = self[r] = list(
@@ -45,17 +45,7 @@ class _BinomialRows(dict):
         return row
 
 
-class _PascalRows(dict):
-    """Binomial rows by r, each built once from the row above as sums of
-    neighbours. setdefault keeps the first row stored, so threads that build a
-    row at once store one of equal rows."""
-
-    def __missing__(self, r: int) -> list[int]:
-        above = self[r - 1]
-        return self.setdefault(r, [1, *map(operator.add, above, above[1:]), 1])
-
-
-_PASCAL = _PascalRows({0: [1]})
+_KEPT_ROWS = _BinomialRows()
 
 
 def _component_buckets(fold: Sequence[tuple[float, int]], t: int) -> list[tuple[float, int]]:
@@ -78,7 +68,7 @@ def _component_buckets(fold: Sequence[tuple[float, int]], t: int) -> list[tuple[
     powers = [[rho**g for g in range(t + 1)] for rho, _ in fold]
     mults = [m for _, m in fold]
     weights = [[m**g for g in range(t + 1)] for m in mults]
-    rows = _PASCAL if t <= _SHORT_ROW else _BinomialRows()
+    rows = _KEPT_ROWS if t <= _SHORT_ROW else _BinomialRows()
     # (applications left, length so far, count so far) per partial composition
     partial = [(t, 1.0, 1)]
     for pw, wt in zip(powers[:-2], weights):

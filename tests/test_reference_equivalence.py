@@ -550,29 +550,19 @@ def test_component_buckets_match_recursive_reference(ratios):
 
 
 def test_binomial_rows_match_math_comb():
+    # a fresh table, and the rows the census keeps for t <= census._SHORT_ROW
     rows = census._BinomialRows()
-    for r in [*range(200), 1000, 2000]:
-        assert rows[r] == [math.comb(r, g) for g in range(r + 1)]
+    kept = census._KEPT_ROWS
+    for table, rs in ((rows, [*range(200), 1000, 2000]), (kept, range(census._SHORT_ROW + 1))):
+        for r in rs:
+            assert table[r] == [math.comb(r, g) for g in range(r + 1)]
     assert rows[2000][700] == math.comb(2000, 700)
 
 
-def test_kept_pascal_rows_match_math_comb():
-    for r in range(census._SHORT_ROW + 1):
-        assert census._PASCAL[r] == [math.comb(r, g) for g in range(r + 1)]
-
-
-@pytest.mark.parametrize("ratios", [(1 / 3, 0.25), (0.2, 0.3, 0.25)])
-def test_component_buckets_across_the_kept_rows_boundary(ratios):
-    # t rising grows the kept rows up to census._SHORT_ROW; t falling reads them grown
-    assert census._SHORT_ROW == 128
-    for t in (127, 128, 129, 128, 127):
-        assert census._component_buckets(_fold(ratios), t) == reference_component_buckets(ratios, t)
-
-
-def test_pascal_rows_grown_by_threads_at_once():
+def test_binomial_rows_grown_by_threads_at_once():
     # two threads climb the rows and two build the last row first, racing on
     # every row; each row stored must be the binomial row
-    rows = census._PascalRows({0: [1]})
+    rows = census._BinomialRows()
     top = census._SHORT_ROW
     orders = (range(top + 1), range(top + 1), range(top, -1, -1), range(top, -1, -1))
     start = threading.Barrier(len(orders))
@@ -600,9 +590,12 @@ def test_pascal_rows_grown_by_threads_at_once():
 
 @pytest.mark.parametrize("ratios,t", [((1 / 3, 0.25), 300), ((0.2, 0.3, 0.25), 150)])
 def test_long_rows_match_recursive_reference(ratios, t):
-    # beyond census._SHORT_ROW the counts come from rows built by recurrence
-    assert t > census._SHORT_ROW
-    assert census._component_buckets(_fold(ratios), t) == reference_component_buckets(ratios, t)
+    # rows up to census._SHORT_ROW are kept, longer ones built by recurrence:
+    # t rising grows the kept rows, t falling reads them grown, then a long row
+    assert census._SHORT_ROW == 128 < t
+    fold = _fold(ratios)
+    for stage in (127, 128, 129, 128, 127, t):
+        assert census._component_buckets(fold, stage) == reference_component_buckets(ratios, stage)
 
 
 def _boundary_neighbour(v: float) -> float:
