@@ -105,7 +105,7 @@ def _cell_keys(
     # strip and take the row range of the clipped piece
     many = np.flatnonzero(~one)
     idx, i = expand_ranges(np.minimum(i1[many], i2[many]), np.maximum(i1[many], i2[many]))
-    ax, ay, bx, by = coords[many[idx]].T
+    ax, ay, bx, by = np.take(coords, many[idx], axis=0).T
     dx = bx - ax
     dy = by - ay
     # both edges from their index, so the strip edges of scale 2 eps are the

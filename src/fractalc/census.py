@@ -5,10 +5,11 @@ merged here. Each component's equal ratios fold first, by its
 C(t + d - 1, d - 1) buckets; `work` charges that count from the same fold,
 weighted by the digits of the stage's counts. Counts read binomials from
 rows kept for the life of the process up to row 128, and from rows built
-per call above it. The merge is one sort plus one ratio pass that proves no
-near tie; only a census that may hold one goes through the leader loop. A
-length below the float range reads 0.0, and sorts last. `dim` and `limit`
-never load this module: a test in `tests/test_cli.py` enforces this.
+per census above it (per stats check, whose stages share them). The merge
+is one sort plus one ratio pass that proves no near tie; only a census
+that may hold one goes through the leader loop. A length below the float
+range reads 0.0, and sorts last. `dim` and `limit` never load this module:
+a test in `tests/test_cli.py` enforces this.
 """
 
 from __future__ import annotations
@@ -27,29 +28,36 @@ _NO_TIE = 1 - 2 * _LENGTH_MERGE_RTOL
 _VALUE = operator.itemgetter(0)
 
 # census binomials: rows up to this one are kept for the life of the process,
-# 129 rows of a few hundred KB in all; a component applied more times builds
-# its rows per call and keeps none of them. Either way a row is built by
-# C(r, g + 1) = C(r, g) (r - g) / (g + 1) in exact ints
+# 129 rows of a few hundred KB in all. Longer rows go in a table that lives
+# as long as its caller keeps it: one census, or every stage of a stats check
 _SHORT_ROW = 128
 
 
+def _binomial_row(r: int) -> list[int]:
+    """[C(r, 0), ..., C(r, r)] by C(r, g + 1) = C(r, g) (r - g) / (g + 1) in exact ints."""
+    return list(itertools.accumulate(range(r), lambda c, g: c * (r - g) // (g + 1), initial=1))
+
+
 class _BinomialRows(dict):
-    """Binomial rows [C(r, 0), ..., C(r, r)] by r, each built on first use by the
-    recurrence along the row. A row depends on nothing stored, so threads that
-    build a row at once store equal rows."""
+    """Binomial rows by r, each stored on first use: a table other than
+    `_KEPT_ROWS` reads rows up to `_SHORT_ROW` from it, and builds the others.
+    A row depends on nothing stored, so threads that get a row at once store
+    equal rows."""
 
     def __missing__(self, r: int) -> list[int]:
-        row = self[r] = list(
-            itertools.accumulate(range(r), lambda c, g: c * (r - g) // (g + 1), initial=1)
-        )
+        short = r <= _SHORT_ROW and self is not _KEPT_ROWS
+        row = self[r] = _KEPT_ROWS[r] if short else _binomial_row(r)
         return row
 
 
 _KEPT_ROWS = _BinomialRows()
 
 
-def _component_buckets(fold: Sequence[tuple[float, int]], t: int) -> list[tuple[float, int]]:
-    """Lengths and exact counts for one component applied t times.
+def _component_buckets(
+    fold: Sequence[tuple[float, int]], t: int, rows: _BinomialRows | None = None
+) -> list[tuple[float, int]]:
+    """Lengths and exact counts for one component applied t times, its
+    binomials read from `rows` above `_SHORT_ROW` (a fresh table by default).
 
     `fold` is the component's `Generator.fold`: its distinct ratios
     rho_1..rho_d with multiplicities m_1..m_d. Each composition
@@ -68,7 +76,10 @@ def _component_buckets(fold: Sequence[tuple[float, int]], t: int) -> list[tuple[
     powers = [[rho**g for g in range(t + 1)] for rho, _ in fold]
     mults = [m for _, m in fold]
     weights = [[m**g for g in range(t + 1)] for m in mults]
-    rows = _KEPT_ROWS if t <= _SHORT_ROW else _BinomialRows()
+    if t <= _SHORT_ROW:
+        rows = _KEPT_ROWS
+    elif rows is None:
+        rows = _BinomialRows()
     # (applications left, length so far, count so far) per partial composition
     partial = [(t, 1.0, 1)]
     for pw, wt in zip(powers[:-2], weights):
@@ -167,10 +178,12 @@ def segment_census(
     return build_census(schedule, k, L0)
 
 
-def census_factors(schedule: CompositionSchedule, k: int) -> list[list[tuple[float, int]]]:
+def census_factors(
+    schedule: CompositionSchedule, k: int, rows: _BinomialRows | None = None
+) -> list[list[tuple[float, int]]]:
     """Each item's unmerged stage-k buckets, in schedule order: the factors that
-    `build_census` crosses."""
-    return [_component_buckets(gen.fold, repeat * k) for gen, repeat in schedule.items]
+    `build_census` crosses. `rows` is `_component_buckets`'."""
+    return [_component_buckets(gen.fold, repeat * k, rows) for gen, repeat in schedule.items]
 
 
 def build_census(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> list[tuple[float, int]]:

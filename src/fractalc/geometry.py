@@ -132,10 +132,19 @@ def total_length(s: SegmentSet) -> float:
 
 # --- export ------------------------------------------------------------------
 
-# segments formatted per write: bounds the text and arrays held at once. The
-# kernel's arrays take more memory per value than a list of floats, and at
-# 4096 segments a chunk raised the process's peak memory by about 1 MB
-_EXPORT_CHUNK = 1 << 10
+# segments formatted per write: bounds the text and arrays held at once. A
+# `_digit_rows` call has a fixed cost, and its cost per value rises once its
+# arrays leave the cache (best of 7, 2-vCPU Xeon VM, numpy 2.4.6):
+#   %.12g   4,096 values (1,024 CSV segments)     189 us, 46 ns a value
+#   %.12g  16,384 values (4,096 CSV segments)     570 us, 35 ns a value
+#   %.12g  32,768 values (8,192 CSV segments)   2,163 us, 66 ns a value
+#   %.6f    2,048 values (1,024 SVG segments)      53 us, 26 ns a value
+#   %.6f    8,192 values (4,096 SVG segments)     129 us, 16 ns a value
+# so 4,096 segments is the largest chunk short of that cliff. On a
+# 65,536-segment figure it raises export_csv's traced peak from 0.41 MiB
+# (1,024 segments) to 1.63 MiB; export_svg's stays at 1.13 MiB, set by the
+# arrays that find its chain breaks over the whole figure
+_EXPORT_CHUNK = 1 << 12
 
 # the two coordinate formats, as `_digit_rows` takes them: the % spec, which
 # the kernel's text matches byte for byte, "-" of a negative value that
@@ -261,7 +270,7 @@ def _digit_rows(values: np.ndarray, spec: bytes, places: int | None, strip: bool
     # the fraction digits past the format's, all zero, are NUL in the last word
     words[:, -1] &= 0xFFFF_FFFF >> 8 * (3 + 4 * m - fraction)
     rows = words.view(np.uint8)
-    rows[np.signbit(values), 1] = ord("-")
+    rows[:, 1][np.signbit(values)] = ord("-")
     if not ok.all():
         words[~ok] = np.frombuffer((b"\0" + spec).ljust(rows.shape[1], b"\0"), dtype="<u4")
     return rows, ok
@@ -347,12 +356,12 @@ def export_svg(s: SegmentSet, path) -> None:
         # per segment: its start point, kept only where a chain begins, whose
         # x follows the polyline boundary (none for the first), then its end
         # point, whose x follows a space
-        keep = np.ones((stop - start, 2), dtype=bool)
-        keep[:, 0] = breaks[start:stop]
-        points = coords[start:stop].reshape(-1, 2)[keep.ravel()] * flip_y
+        keep = np.ones(2 * (stop - start), dtype=bool)
+        keep[::2] = breaks[start:stop]
+        points = np.compress(keep, coords[start:stop].reshape(-1, 2), axis=0) * flip_y
         seps = np.full((stop - start, 2, 2), ord(","), dtype=np.uint8)
         seps[:, :, 0] = (ord("\n"), ord(" "))
-        seps = seps[keep]
+        seps = np.compress(keep, seps.reshape(-1, 2), axis=0)
         if start == 0:
             seps[0, 0] = 0
         return _fixed6(points.ravel(), seps.ravel()).replace(b"\n", close + polyline)
@@ -482,8 +491,8 @@ def detect_overlap(s: SegmentSet) -> bool:
     # segment a is c[perm[a]], in order of x-start; its eps-padded box, and
     # the offsets of its first and last strips from the lowest strip
     perm = np.argsort(np.minimum(c[:, 0], c[:, 2])).astype(np.int32)
-    lo = np.minimum(c[:, :2], c[:, 2:])[perm] - eps
-    hi = np.maximum(c[:, :2], c[:, 2:])[perm] + eps
+    lo = np.take(np.minimum(c[:, :2], c[:, 2:]), perm, axis=0) - eps
+    hi = np.take(np.maximum(c[:, :2], c[:, 2:]), perm, axis=0) + eps
     j0, j1 = np.floor(lo[:, 1] / h + 0.5), np.floor(hi[:, 1] / h + 0.5)
     # at most 1e6 + 2 strips: int32 offsets
     j0, j1 = (j0 - j0.min()).astype(np.int32), (j1 - j0.min()).astype(np.int32)
@@ -508,16 +517,19 @@ def detect_overlap(s: SegmentSet) -> bool:
     first = np.concatenate(([0], np.cumsum(later, out=later)))
     del later
     shift = 1 - math.frexp(max(extent, s.initiator_length))[1]
-    for p0 in range(0, int(first[-1]), _PAIR_CHUNK):
-        p = np.arange(p0, min(p0 + _PAIR_CHUNK, int(first[-1])))
-        r = np.searchsorted(first, p, side="right") - 1
+    pairs = int(first[-1])
+    for p0 in range(0, pairs, _PAIR_CHUNK):
+        # the chunk's pairs p0..p1 - 1 run through rows r0..r1, first[r0] <= p0
+        # and p1 - 1 < first[r1 + 1]; row r repeats once per pair of it in the chunk
+        p1 = min(p0 + _PAIR_CHUNK, pairs)
+        r0, r1 = np.searchsorted(first, (p0, p1 - 1), side="right") - 1
+        r = np.repeat(np.arange(r0, r1 + 1), np.diff(np.clip(first[r0 : r1 + 2], p0, p1)))
+        p = np.arange(p0, p1)
         a, b = seg[r], seg[r + 1 + (p - first[r])]
         # the lowest strip both cover, and padded y-ranges that meet
         lowest = strip[r] == np.maximum(j0[a], j0[b])
         keep = lowest & (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
-        a, b = perm[a[keep]], perm[b[keep]]
-        if _pairs_overlap(
-            np.ldexp(c[a], shift), np.ldexp(c[b], shift), math.ldexp(eps, shift)
-        ).any():
+        a, b = np.take(c, perm[a[keep]], axis=0), np.take(c, perm[b[keep]], axis=0)
+        if _pairs_overlap(np.ldexp(a, shift), np.ldexp(b, shift), math.ldexp(eps, shift)).any():
             return True
     return False

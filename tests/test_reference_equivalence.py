@@ -245,10 +245,14 @@ def test_overlap_verdicts_match_loop_reference_in_small_chunks(monkeypatch):
     for text, stage in CORPUS:
         for s in _copies(text, stage):
             assert fc.detect_overlap(s) == reference_detect_overlap(s), text
-    rng = random.Random(2027)
-    for _ in range(400):
-        family, s = segment_soup(rng)
-        assert fc.detect_overlap(s) == brute_force_overlap(s), (family, s.coords.tolist())
+    # chunks of one and two pairs put chunk edges on row starts, and rows
+    # without candidates between and inside chunks
+    for chunk in (97, 1, 2):
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        rng = random.Random(2027)
+        for _ in range(400):
+            family, s = segment_soup(rng)
+            assert fc.detect_overlap(s) == brute_force_overlap(s), (chunk, family, s.coords.tolist())
 
 
 def test_box_counts_match_loop_reference_in_small_batches(monkeypatch):
@@ -310,10 +314,11 @@ def _export_figures() -> list[fc.SegmentSet]:
     return figures
 
 
-@pytest.mark.parametrize("chunk", [4096, geometry._EXPORT_CHUNK, 7])
+@pytest.mark.parametrize("chunk", [1024, geometry._EXPORT_CHUNK, 7])
 def test_exports_match_loop_reference(tmp_path, monkeypatch, chunk):
-    # 7 rows per chunk puts chunk boundaries inside and between chains; 4096
-    # holds most corpus figures in one chunk
+    # 7 rows per chunk puts chunk boundaries inside and between chains; 1024
+    # splits the larger corpus figures, which the 4096 of _EXPORT_CHUNK
+    # holds in one chunk
     monkeypatch.setattr(geometry, "_EXPORT_CHUNK", chunk)
     got, want = tmp_path / "got", tmp_path / "want"
     for s in _export_figures():
@@ -491,7 +496,7 @@ def test_g12_kernel_matches_python_format():
 
 
 def test_exports_stream_in_bounded_memory(tmp_path):
-    # 65,536 segments span 64 export chunks; their text is a quarter of the
+    # 65,536 segments span 16 export chunks; their text is a quarter of the
     # stage-9 figure's, for which 10 MiB was the bound, so 2.5 MiB is here.
     # Built whole, the text takes about 11 MB (SVG) and 13.5 MB (CSV).
     s = fc.iterate(fc.schedule_from_text("K[pi/3]"), 8)
@@ -734,6 +739,20 @@ def test_stats_report_matches_reference_on_fuzz():
     for sched, k in fuzz_cases(89, 60):
         for stage in (0, 1, k):
             _same_stats(sched, stage)
+
+
+def test_stats_report_builds_each_long_row_once(monkeypatch):
+    # the stages share one table of rows, which reads the kept rows up to
+    # census._SHORT_ROW: to stage 180 of one component, rows 129-180 are built
+    for r in range(census._SHORT_ROW + 1):
+        census._KEPT_ROWS[r]  # the kept rows, as a warm process holds them
+    built = []
+    build = census._binomial_row
+    monkeypatch.setattr(census, "_binomial_row", lambda r: built.append(r) or build(r))
+    sched = fc.schedule_from_text("C[1/2,1/4,1/8]")
+    got = fc.stats_report(sched, 180, budget=10**9)
+    assert sorted(built) == list(range(census._SHORT_ROW + 1, 181))
+    assert json.dumps(got) == json.dumps(reference_stats_report(sched, 180))
 
 
 @pytest.mark.parametrize("left,right", FACTOR_PAIRS)

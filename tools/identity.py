@@ -105,7 +105,9 @@ LIMIT_BASES = [
 # L0 of 1e300; the warning's boundary, where 3^-678 reads 5e-324 and 3^-679
 # reads 0.0; censuses whose merge runs the leader loop (a near tie, and equal
 # products), one each side of the kept binomial rows' last row (128), and one
-# with a 0.0 tail
+# with a 0.0 tail; a 32,768-segment render over several export chunks whose
+# chains break, and render and validate of a figure whose overlap check stops
+# at its first overlapping chunk and whose segments cross many box columns
 PATH_EDGES = [
     (None, ["stats", "C[1/2,1/3] K[pi/3]", "--stage", "60"]),
     (None, ["stats", "C[1/2,1/4,1/6] K[pi/4] K[pi/3]", "--stage", "12"]),
@@ -129,6 +131,9 @@ PATH_EDGES = [
     (None, ["census", "C[1/2,1/4,1/8]", "--stage", "100"]),
     *((None, ["census", "C[1/3,1/4,1/5]", "--stage", s]) for s in ("128", "129")),
     (None, ["census", "C[1/2,1/3]", "--stage", "10000"]),
+    (None, ["render", "C[1/2,1/3] K[1.4777]", "--stage", "5", "-o", "out.svg", "--csv", "out.csv"]),
+    *((None, [cmd, "G[(0.9,0,draw);(0.5,3.1,gap);(0.5,-0.05,draw)]", "--stage", "12", *out])
+      for cmd, out in (("render", ["-o", "out.svg"]), ("validate", []))),
 ]
 
 
