@@ -182,16 +182,15 @@ def estimate_dimension(
     walked; each coarser count comes from halving the cell indices of the rung
     below. Raises SegmentBudgetExceeded before that walk if it would visit
     more than `budget` cells, and GeometryOutOfRange if the bounding-box
-    diagonal is beyond the float range.
+    diagonal is beyond the float range or, with no `min_scale`, the shortest
+    length reads 0.0.
     """
     if scale_count < 4:
         raise ScaleLadderInvalid("need at least 4 scales")
     if len(s) == 0:
         raise DegenerateGeometry("no segments")
     import numpy as np
-    coords = s.coords
-    x0, x1 = float(coords[:, ::2].min()), float(coords[:, ::2].max())
-    y0, y1 = float(coords[:, 1::2].min()), float(coords[:, 1::2].max())
+    x0, x1, y0, y1, _ = s.frame()
     diag = math.hypot(x1 - x0, y1 - y0)
     if diag == 0.0:
         raise DegenerateGeometry("all points coincident")
@@ -199,7 +198,9 @@ def estimate_dimension(
         raise GeometryOutOfRange(f"the bounding-box diagonal {diag} is beyond the float range")
     if min_scale is None:
         min_scale = float(s.lengths.min())
-    if not (math.isfinite(min_scale) and min_scale > 0.0):
+        if min_scale == 0.0:
+            raise GeometryOutOfRange("the figure's shortest length is below the float range")
+    elif not (math.isfinite(min_scale) and min_scale > 0.0):
         raise ScaleLadderInvalid(f"min_scale must be a finite number > 0, got {min_scale!r}")
 
     eps_top = diag / 4.0
@@ -218,7 +219,7 @@ def estimate_dimension(
 
     # walk the finest rung only and halve its cell indices rung by rung
     nx, ny = _cells_along(x1 - x0, scales[-1]), _cells_along(y1 - y0, scales[-1])
-    keys = _occupied_cells(coords, x0, y0, scales[-1], nx, ny, budget)
+    keys = _occupied_cells(s.coords, x0, y0, scales[-1], nx, ny, budget)
     counts = [len(keys)]
     for eps in reversed(scales[:-1]):
         i, j = np.divmod(keys, ny)

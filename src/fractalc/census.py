@@ -175,18 +175,13 @@ def segment_census(
     _check_stage(k)
     _check_initiator(L0)
     work.charge_census(schedule, k, budget)
-    return build_census(schedule, k, L0)
+    return census_product(census_factors(schedule, k), L0)
 
 
 def census_factors(
     schedule: CompositionSchedule, k: int, rows: _BinomialRows | None = None
 ) -> list[list[tuple[float, int]]]:
     """Each item's unmerged stage-k buckets, in schedule order: the factors that
-    `build_census` crosses. `rows` is `_component_buckets`'."""
+    `census_product` crosses. `rows` is `_component_buckets`'."""
     return [_component_buckets(gen.fold, repeat * k, rows) for gen, repeat in schedule.items]
-
-
-def build_census(schedule: CompositionSchedule, k: int, L0: float = 1.0) -> list[tuple[float, int]]:
-    """segment_census without its checks, for callers that charged the work."""
-    return census_product(census_factors(schedule, k), L0)
 

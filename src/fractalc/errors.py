@@ -71,6 +71,6 @@ class DegenerateGeometry(FractalcError):
 
 
 class GeometryOutOfRange(FractalcError):
-    """A coordinate of the figure, or a size derived from it (its extent along
-    an axis, its total length, its diagonal, its SVG view box), is beyond the
-    float range: the generators grew a huge initiator length past it."""
+    """A coordinate of the figure, or a size derived from it (its extent, total
+    length, diagonal, SVG view box), is beyond the float range; or 1e-12 of its
+    size (`SegmentSet.frame`), or box counting's default finest scale, reads 0.0."""

@@ -59,6 +59,12 @@ class SegmentSet(Frozen):
     def __len__(self) -> int:
         return len(self.coords)
 
+    def frame(self) -> tuple[float, float, float, float, float]:
+        """Bounding box x0, x1, y0, y1, and size max(x1 - x0, y1 - y0, initiator_length)."""
+        x, y = self.coords[:, ::2], self.coords[:, 1::2]
+        x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
+        return x0, x1, y0, y1, max(x1 - x0, y1 - y0, self.initiator_length)
+
 
 # --- iteration ---------------------------------------------------------------
 
@@ -102,7 +108,7 @@ def iterate(
 
     Charges the stage against `budget` first (`work.charge_geometry`). Raises
     GeometryOutOfRange when a coordinate, the figure's extent along x or y, or
-    its total length is not finite.
+    its total length is not finite, or 1e-12 of its size (`frame`) reads 0.0.
     """
     _check_stage(k)
     _check_initiator(L0)
@@ -110,20 +116,20 @@ def iterate(
     import numpy as np
     coords = np.array([[0.0, 0.0, L0, 0.0]])
     lengths = np.array([L0])
-    # the check below reports overflow, not numpy warnings: an overflowed
-    # coordinate stays inf or nan in every later substage and makes its axis's
-    # extent non-finite
+    # overflow shows in the frame and total, not as numpy warnings: an overflowed
+    # coordinate stays inf or nan in every later substage
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(k):
             for gen, repeat in schedule.items:
                 for _ in range(repeat):
                     coords, lengths = _apply_substage(coords, lengths, gen)
-        sizes = np.ptp(coords[:, ::2]), np.ptp(coords[:, 1::2]), lengths.sum()
-    if not np.isfinite(sizes).all():
+        s = SegmentSet(coords, L0, lengths)
+        sizes = (*s.frame(), total_length(s))  # x0, x1, y0, y1, size, total
+    if not all(map(math.isfinite, sizes)) or 1e-12 * sizes[4] == 0.0:
         raise GeometryOutOfRange(
             f"the stage-{k} figure of initiator length {L0:g} leaves the float range"
         )
-    return SegmentSet(coords, L0, lengths)
+    return s
 
 
 def total_length(s: SegmentSet) -> float:
@@ -331,15 +337,13 @@ def export_svg(s: SegmentSet, path) -> None:
         raise DegenerateGeometry("no segments")
     import numpy as np
     coords = s.coords
-    pts = coords.reshape(-1, 2)
-    # flip y so the curve "bumps" point up like the construction sketches
-    xmin, xmax = float(pts[:, 0].min()), float(pts[:, 0].max())
-    ymin, ymax = float(-pts[:, 1].max()), float(-pts[:, 1].min())
-    margin = 0.05 * max(xmax - xmin, ymax - ymin, 1e-9)
-    vb = (xmin - margin, ymin - margin, (xmax - xmin) + 2 * margin, (ymax - ymin) + 2 * margin)
+    x0, x1, y0, y1, size = s.frame()
+    # flip y (to -y1..-y0) so the curve "bumps" point up like the construction sketches
+    margin = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
+    vb = (x0 - margin, -y1 - margin, (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin)
     if not all(map(math.isfinite, vb)):
         raise GeometryOutOfRange(f"the SVG view box {vb} is beyond the float range")
-    join_tol = 1e-9 * max(xmax - xmin, ymax - ymin, s.initiator_length)
+    join_tol = 1e-9 * size
     flip_y = np.array([1.0, -1.0])
     # breaks[i]: a chain boundary lies before segment i (always at 0)
     breaks = np.ones(n, dtype=bool)
@@ -452,9 +456,9 @@ def detect_overlap(s: SegmentSet) -> bool:
     """True iff any two segments share more than an endpoint.
 
     When true, composite dimensions are only upper bounds for the figure's
-    real dimension. Tolerance eps is 1e-12 of max(extent, L0), and the
-    parallel test compares a sine with 1e-12, so the verdict does not depend
-    on the figure's scale.
+    real dimension. Tolerance eps is 1e-12 of the figure's size (`frame`),
+    and the parallel test compares a sine with 1e-12, so the verdict does not
+    depend on the figure's scale.
 
     The broad phase cuts the plane into horizontal strips of height h, the
     largest |dy| of any segment (at least eps and 1e-6 of the extent), so
@@ -475,7 +479,7 @@ def detect_overlap(s: SegmentSet) -> bool:
     x-order, so the working memory beside the chunk is each segment's padded
     box, x-order and first strip, and each row's segment, strip and offset.
     The predicate runs on coordinates scaled by a power of two that brings
-    max(extent, L0) into [1, 2): exact, and no product can overflow.
+    the size into [1, 2): exact, and no product can overflow.
     """
     n = len(s)
     if n > RENDER_SEGMENT_LIMIT:
@@ -485,9 +489,9 @@ def detect_overlap(s: SegmentSet) -> bool:
         return False
     import numpy as np
     c = s.coords
-    extent = float(max(np.ptp(c[:, ::2]), np.ptp(c[:, 1::2])))
-    eps = 1e-12 * max(extent, s.initiator_length)
-    h = max(float(np.abs(c[:, 3] - c[:, 1]).max()), eps, extent * 1e-6)
+    x0, x1, y0, y1, size = s.frame()
+    eps = 1e-12 * size
+    h = max(float(np.abs(c[:, 3] - c[:, 1]).max()), eps, max(x1 - x0, y1 - y0) * 1e-6)
     # segment a is c[perm[a]], in order of x-start; its eps-padded box, and
     # the offsets of its first and last strips from the lowest strip
     perm = np.argsort(np.minimum(c[:, 0], c[:, 2])).astype(np.int32)
@@ -516,7 +520,7 @@ def detect_overlap(s: SegmentSet) -> bool:
     later -= np.arange(1, len(later) + 1)
     first = np.concatenate(([0], np.cumsum(later, out=later)))
     del later
-    shift = 1 - math.frexp(max(extent, s.initiator_length))[1]
+    shift = 1 - math.frexp(size)[1]
     pairs = int(first[-1])
     for p0 in range(0, pairs, _PAIR_CHUNK):
         # the chunk's pairs p0..p1 - 1 run through rows r0..r1, first[r0] <= p0

@@ -88,6 +88,12 @@ def test_scale_ladder_validation():
         fc.estimate_dimension(s, min_scale=10.0)  # above the coarsest rung
     with pytest.raises(ScaleLadderInvalid):
         fc.estimate_dimension(s, min_scale=-1.0)
+    # a shortest length that reads 0.0 is the figure's fault, not min_scale's
+    tiny = fc.iterate(fc.schedule_from_text("C[1/1" + "0" * 322 + ",1/2]"), 3, L0=0.001)
+    assert float(tiny.lengths.min()) == 0.0
+    with pytest.raises(GeometryOutOfRange, match="shortest length"):
+        fc.estimate_dimension(tiny)
+    assert fc.estimate_dimension(tiny, min_scale=1e-5).counts
 
 
 def test_degenerate_geometry_rejected():

@@ -573,10 +573,12 @@ def test_bad_initiator_length_exits_2(args, value):
     assert "--l0" in result.stderr and "Traceback" not in result.output
 
 
-# figures whose coordinates overflow to inf or nan within a few stages
+# figures whose coordinates overflow to inf or nan within a few stages, and
+# one so small that 1e-12 of its size, the overlap check's eps, reads 0.0
 _HUGE_FIGURES = [
     ("G[(0.9,3.1,draw);(0.9,0,draw)]", "3", "1.5e308"),
     ("G[(0.9,1.5,draw);(0.9,-1.5,draw)]", "4", "1.7e308"),
+    ("K[pi/3]", "2", "5e-324"),
 ]
 
 # figures with one long piece beside tens of thousands of short ones: an
@@ -693,6 +695,16 @@ def test_segment_budget_must_be_a_positive_integer(monkeypatch, value):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: FRACTALC_SEGMENT_BUDGET must be an integer >= 1")
+
+
+def test_validate_underflowed_shortest_length_names_no_option():
+    # the shortest stage-3 length, about 1e-966 * 0.001, reads 0.0, and no
+    # --min-scale was set
+    args = ["validate", "C[1/1" + "0" * 322 + ",1/2]", "--stage", "3", "--l0", "0.001"]
+    result = run_cli(args)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == "error: the figure's shortest length is below the float range\n"
+    assert run_cli(args + ["--min-scale", "1e-5"]).exit_code == 0
 
 
 def test_validate_box_grid_over_budget_exits_4():

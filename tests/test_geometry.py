@@ -380,6 +380,14 @@ def test_figure_beyond_float_range_rejected(tmp_path):
     with pytest.raises(GeometryOutOfRange):
         fc.iterate(koch(), 3, L0=1e308)
     assert fc.total_length(fc.iterate(koch(), 2, L0=1e308)) == pytest.approx(16 / 9 * 1e308)
+    # below it: 1e-12 of the figure's size, the overlap check's eps, reads 0.0
+    # at L0 = 5e-324, and 1e-322 at L0 = 1e-310, where the figure still answers
+    with pytest.raises(GeometryOutOfRange, match="leaves the float range"):
+        fc.iterate(koch(), 2, L0=5e-324)
+    small = fc.iterate(koch(), 2, L0=1e-310)
+    assert fc.total_length(small) == pytest.approx(16 / 9 * 1e-310, rel=1e-9)
+    assert not fc.detect_overlap(small)
+    fc.export_svg(small, tmp_path / "small.svg")
     # a finite figure whose SVG view box, with its 5% margins, is not
     out = tmp_path / "wide.svg"
     with pytest.raises(GeometryOutOfRange):

@@ -107,7 +107,10 @@ LIMIT_BASES = [
 # products), one each side of the kept binomial rows' last row (128), and one
 # with a 0.0 tail; a 32,768-segment render over several export chunks whose
 # chains break, and render and validate of a figure whose overlap check stops
-# at its first overlapping chunk and whose segments cross many box columns
+# at its first overlapping chunk and whose segments cross many box columns;
+# render and validate of a figure too small for its tolerances (L0 5e-324),
+# render of one just large enough (L0 1e-310), and validate of a figure whose
+# shortest length reads 0.0
 PATH_EDGES = [
     (None, ["stats", "C[1/2,1/3] K[pi/3]", "--stage", "60"]),
     (None, ["stats", "C[1/2,1/4,1/6] K[pi/4] K[pi/3]", "--stage", "12"]),
@@ -134,6 +137,10 @@ PATH_EDGES = [
     (None, ["render", "C[1/2,1/3] K[1.4777]", "--stage", "5", "-o", "out.svg", "--csv", "out.csv"]),
     *((None, [cmd, "G[(0.9,0,draw);(0.5,3.1,gap);(0.5,-0.05,draw)]", "--stage", "12", *out])
       for cmd, out in (("render", ["-o", "out.svg"]), ("validate", []))),
+    *((None, [cmd, "K[pi/3]", "--stage", "2", "--l0", "5e-324", *out])
+      for cmd, out in (("render", ["-o", "out.svg"]), ("validate", []))),
+    (None, ["render", "K[pi/3]", "--stage", "2", "--l0", "1e-310", "-o", "out.svg"]),
+    (None, ["validate", "C[1/1" + "0" * 322 + ",1/2]", "--stage", "3", "--l0", "0.001"]),
 ]
 
 
