@@ -15,9 +15,11 @@ per strip) allow a segment to cross any number of gridlines, as segments
 longer than the box size do. Occupied cells are distinct int64 keys
 `i * ny + j`. Before the walk, the cells it visits, sum(|di| + |dj| + 1), are
 checked against the segment budget; no coarser rung would visit more. The
-walk takes batches of whole segments of about _CELL_BATCH cells, so beside
-one batch's temporaries it holds only each segment's endpoint cells (four
-floats, built in place) and running cell count, and the occupied keys.
+walk takes batches of whole segments of about _CELL_BATCH cells, and each
+batch computes its own segments' endpoint cells, as does the pass before it
+that counts the cells each segment walks. So beside one batch's temporaries
+the walk holds only each segment's running cell count (one float) and the
+occupied keys.
 
 Each coarser rung is derived from the keys of the rung below: cell (i, j) at
 eps lies in cell (min(i >> 1, nx' - 1), min(j >> 1, ny' - 1)) at 2 eps, where
@@ -51,8 +53,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 _KEY_LIMIT = 2**63 - 1  # the largest int64
-# grid cells walked per batch of segments: bounds the batch's clipped pieces,
-# row ranges and cell keys, about 130 bytes per cell
+# grid cells walked per batch of segments: bounds the batch's endpoint cells,
+# clipped pieces, row ranges and cell keys, about 130 bytes per cell; also the
+# segments per batch of the pass that counts the cells each segment walks
 _CELL_BATCH = 1 << 13
 
 
@@ -88,13 +91,25 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
+def _endpoint_cells(coords: np.ndarray, x0: float, y0: float, eps: float, nx: int,
+                    ny: int) -> np.ndarray:
+    """Endpoint cells (i1, j1, i2, j2) per segment, clamped to the grid, as
+    floats: int64 could overflow before the budget and key checks."""
+    import numpy as np
+    cells = coords - [x0, y0, x0, y0]
+    cells *= 1.0 / eps
+    np.floor(cells, out=cells)
+    np.clip(cells, 0.0, [float(nx - 1), float(ny - 1), float(nx - 1), float(ny - 1)], out=cells)
+    return cells
+
+
 def _cell_keys(
-    coords, cells, x0: float, y0: float, eps: float, nx: int, ny: int
+    coords: np.ndarray, x0: float, y0: float, eps: float, nx: int, ny: int
 ) -> np.ndarray:
     """Distinct keys i * ny + j of the cells the segments pass through."""
     import numpy as np
     inv = 1.0 / eps
-    i1, j1, i2, j2 = cells.astype(np.int64).T
+    i1, j1, i2, j2 = _endpoint_cells(coords, x0, y0, eps, nx, ny).astype(np.int64).T
     # single column: rows between the endpoint rows, all touched
     one = i1 == i2
     cols = [i1[one]]
@@ -135,13 +150,16 @@ def _occupied_cells(
 ) -> np.ndarray:
     """Sorted distinct keys i * ny + j of the occupied cells at one rung."""
     import numpy as np
-    # endpoint cells (i1, j1, i2, j2) per segment, clamped to the grid and
-    # built in place; floats until the checks below rule out int64 overflow
-    cells = coords - [x0, y0, x0, y0]
-    cells *= 1.0 / eps
-    np.floor(cells, out=cells)
-    np.clip(cells, 0.0, [float(nx - 1), float(ny - 1), float(nx - 1), float(ny - 1)], out=cells)
-    ends = np.cumsum(np.abs(cells[:, 2] - cells[:, 0]) + np.abs(cells[:, 3] - cells[:, 1]) + 1.0)
+    # the cells each segment walks, |di| + |dj| + 1, written into `ends` and
+    # summed there into running totals; endpoint cells are built per batch
+    ends = np.empty(len(coords))
+    for a in range(0, len(coords), _CELL_BATCH):
+        cells = _endpoint_cells(coords[a : a + _CELL_BATCH], x0, y0, eps, nx, ny)
+        width = ends[a : a + _CELL_BATCH]
+        np.abs(np.subtract(cells[:, 2], cells[:, 0], out=width), out=width)
+        width += np.abs(cells[:, 3] - cells[:, 1])
+        width += 1.0
+    np.cumsum(ends, out=ends)
     if ends[-1] > budget:
         raise SegmentBudgetExceeded(
             int(ends[-1]), budget,
@@ -156,8 +174,9 @@ def _occupied_cells(
     # non-decreasing, so the first of each run of equal starts; np.unique
     # would load numpy.ma for its masked-array check
     bounds = np.append(starts[np.diff(starts, prepend=-1) > 0], len(coords))
+    del ends
     keys = [
-        _cell_keys(coords[a:b], cells[a:b], x0, y0, eps, nx, ny)
+        _cell_keys(coords[a:b], x0, y0, eps, nx, ny)
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
     return _distinct(np.concatenate(keys))

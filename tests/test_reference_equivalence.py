@@ -495,6 +495,15 @@ def test_g12_kernel_matches_python_format():
         assert geometry._render(rows, seps, values[~ok]) == want.encode()
 
 
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_exports_stream_in_bounded_memory(tmp_path):
     # 65,536 segments span 16 export chunks; their text is a quarter of the
     # stage-9 figure's, for which 10 MiB was the bound, so 2.5 MiB is here.
@@ -503,29 +512,29 @@ def test_exports_stream_in_bounded_memory(tmp_path):
     small = fc.iterate(fc.schedule_from_text("K[pi/3]"), 4)
     for export in (fc.export_svg, fc.export_csv):
         export(small, tmp_path / "out")  # the cached digit tables are not the export's memory
-        tracemalloc.start()
-        try:
-            export(s, tmp_path / "out")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: export(s, tmp_path / "out"))
         assert peak < 10 * 2**20 // 4, (export.__name__, peak)
 
 
+def test_digit_tables_build_in_bounded_memory():
+    # the tables take 168 KB; a build through int64 temporaries traces 2.5 MiB
+    geometry._digit_tables()  # numpy imported: its import is not the build's memory
+    assert _traced_peak(geometry._digit_tables.__wrapped__) < 2**20 // 2
+
+
 def test_overlap_check_and_box_counting_run_in_bounded_memory():
-    # transient arrays per segment of the figure, whose own coordinates take
-    # 32 bytes; the candidate chunks and cell batches are fixed in size
-    s = fc.iterate(fc.schedule_from_text("K[pi/3]"), 8)
-    small = fc.iterate(fc.schedule_from_text("K[pi/3]"), 4)
-    for check, bound in ((fc.detect_overlap, 150), (fc.estimate_dimension, 90)):
+    # peak traced bytes per segment of the figure, whose own coordinates and
+    # lengths take 40 bytes; the candidate chunks and cell batches are fixed
+    # in size. iterate reads about 64 and box counting about 33 at stage 8
+    sched = fc.schedule_from_text("K[pi/3]")
+    s = fc.iterate(sched, 8)
+    small = fc.iterate(sched, 4)
+    for check, bound in ((fc.detect_overlap, 150), (fc.estimate_dimension, 45)):
         check(small)  # lazy imports are not the check's working memory
-        tracemalloc.start()
-        try:
-            check(s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: check(s))
         assert peak <= bound * len(s), (check.__name__, peak / len(s))
+    peak = _traced_peak(lambda: fc.iterate(sched, 8))
+    assert peak <= 80 * len(s), ("iterate", peak / len(s))
 
 
 def _repeats_a_ratio(sched) -> bool:

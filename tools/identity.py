@@ -110,7 +110,9 @@ LIMIT_BASES = [
 # at its first overlapping chunk and whose segments cross many box columns;
 # render and validate of a figure too small for its tolerances (L0 5e-324),
 # render of one just large enough (L0 1e-310), and validate of a figure whose
-# shortest length reads 0.0
+# shortest length reads 0.0; validate of figures whose box-count walk spans
+# many batches: 262,144 Koch segments, and 65,536 segments of walks up to 474
+# columns long
 PATH_EDGES = [
     (None, ["stats", "C[1/2,1/3] K[pi/3]", "--stage", "60"]),
     (None, ["stats", "C[1/2,1/4,1/6] K[pi/4] K[pi/3]", "--stage", "12"]),
@@ -141,6 +143,8 @@ PATH_EDGES = [
       for cmd, out in (("render", ["-o", "out.svg"]), ("validate", []))),
     (None, ["render", "K[pi/3]", "--stage", "2", "--l0", "1e-310", "-o", "out.svg"]),
     (None, ["validate", "C[1/1" + "0" * 322 + ",1/2]", "--stage", "3", "--l0", "0.001"]),
+    (None, ["validate", "K[pi/3]", "--stage", "9"]),
+    (None, ["validate", "G[(0.9,0,draw);(0.5,3.1,gap);(0.5,-0.05,draw)]", "--stage", "16"]),
 ]
 
 
