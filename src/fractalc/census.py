@@ -4,8 +4,8 @@ merged here. Each component's equal ratios fold first, by its
 `Generator.fold`, so d distinct ratios applied t times give
 C(t + d - 1, d - 1) buckets; `work` charges that count from the same fold,
 weighted by the digits of the stage's counts. Counts read binomials from
-rows kept for the life of the process up to row 128, and from rows built
-per census above it (per stats check, whose stages share them). The merge
+rows kept for the life of the process up to row 256, and above it from
+rows built for the one component's census that needs them. The merge
 is one sort plus one ratio pass that proves no near tie; only a census
 that may hold one goes through the leader loop. A length below the float
 range reads 0.0, and sorts last. `dim` and `limit` never load this module:
@@ -28,9 +28,13 @@ _NO_TIE = 1 - 2 * _LENGTH_MERGE_RTOL
 _VALUE = operator.itemgetter(0)
 
 # census binomials: rows up to this one are kept for the life of the process,
-# 129 rows of a few hundred KB in all. Longer rows go in a table that lives
-# as long as its caller keeps it: one census, or every stage of a stats check
-_SHORT_ROW = 128
+# each built on first use; all 257 take 1.61 MiB (0.35 MiB to row 128). At
+# the default budget a stats check on one component of 3 distinct ratios
+# reaches t = 140 at repeat 1 and 208 at repeat 4, so it reads kept rows only;
+# at repeat 12 its last stages reach 288 and build rows 257 and up, each
+# stage its own. A longer row lives in a table of the one
+# `_component_buckets` call that needs it
+_SHORT_ROW = 256
 
 
 def _binomial_row(r: int) -> list[int]:
@@ -53,11 +57,10 @@ class _BinomialRows(dict):
 _KEPT_ROWS = _BinomialRows()
 
 
-def _component_buckets(
-    fold: Sequence[tuple[float, int]], t: int, rows: _BinomialRows | None = None
-) -> list[tuple[float, int]]:
+def _component_buckets(fold: Sequence[tuple[float, int]], t: int) -> list[tuple[float, int]]:
     """Lengths and exact counts for one component applied t times, its
-    binomials read from `rows` above `_SHORT_ROW` (a fresh table by default).
+    binomials read from the kept rows, and above `_SHORT_ROW` from a table
+    built for this call alone.
 
     `fold` is the component's `Generator.fold`: its distinct ratios
     rho_1..rho_d with multiplicities m_1..m_d. Each composition
@@ -76,10 +79,7 @@ def _component_buckets(
     powers = [[rho**g for g in range(t + 1)] for rho, _ in fold]
     mults = [m for _, m in fold]
     weights = [[m**g for g in range(t + 1)] for m in mults]
-    if t <= _SHORT_ROW:
-        rows = _KEPT_ROWS
-    elif rows is None:
-        rows = _BinomialRows()
+    rows = _KEPT_ROWS if t <= _SHORT_ROW else _BinomialRows()
     # (applications left, length so far, count so far) per partial composition
     partial = [(t, 1.0, 1)]
     for pw, wt in zip(powers[:-2], weights):
@@ -178,10 +178,8 @@ def segment_census(
     return census_product(census_factors(schedule, k), L0)
 
 
-def census_factors(
-    schedule: CompositionSchedule, k: int, rows: _BinomialRows | None = None
-) -> list[list[tuple[float, int]]]:
+def census_factors(schedule: CompositionSchedule, k: int) -> list[list[tuple[float, int]]]:
     """Each item's unmerged stage-k buckets, in schedule order: the factors that
-    `census_product` crosses. `rows` is `_component_buckets`'."""
-    return [_component_buckets(gen.fold, repeat * k, rows) for gen, repeat in schedule.items]
+    `census_product` crosses."""
+    return [_component_buckets(gen.fold, repeat * k) for gen, repeat in schedule.items]
 

@@ -31,7 +31,7 @@ from collections.abc import Iterable
 
 from . import work
 from .moran import dimension
-from .census import _BinomialRows, census_factors, census_product
+from .census import census_factors, census_product
 from .schedule import CompositionSchedule, _check_stage
 
 
@@ -72,10 +72,8 @@ def stats_and_census(
     work.charge_census(schedule, k, budget, stages=k + 1)
     alpha = dimension(schedule.spectrum()).alpha
     max_resid = 0.0
-    # one table of binomial rows for every stage: the largest stage's rows
-    rows = _BinomialRows()
     for stage in range(k + 1):
-        factors = census_factors(schedule, stage, rows)
+        factors = census_factors(schedule, stage)
         census = census_product(factors)
         max_resid = max(max_resid, normalization_residual(census, alpha))
     # each part's census is its stage-k factor merged alone, charged with the joint

@@ -100,6 +100,8 @@ def test_degenerate_geometry_rejected():
     degenerate = segment_set([[1.0, 1.0, 1.0, 1.0]])
     with pytest.raises(DegenerateGeometry):
         fc.estimate_dimension(degenerate)
+    with pytest.raises(DegenerateGeometry, match="no segments"):
+        fc.estimate_dimension(segment_set(np.empty((0, 4))))
 
 
 def test_diagonal_beyond_float_range_rejected():

@@ -808,9 +808,14 @@ def test_limit_tiny_base_ratio():
     assert payload["error"] == pytest.approx(1.5 - float(want), rel=1e-15)
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     assert run_cli(["dim"]).exit_code == 2
     assert run_cli(["nonsense"]).exit_code == 2
+    # an output path that names an existing directory is argparse's error
+    for out in (["-o", str(tmp_path)], ["-o", "out.svg", "--csv", str(tmp_path)]):
+        result = run_cli(["render", "K[pi/3]", *out])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert f"{str(tmp_path)!r} is a directory" in result.stderr
 
 
 # --- one boundary maps library errors to exits; any other exception is a bug -----

@@ -63,6 +63,8 @@ def test_uniform_fractal_validation():
         fc.UniformFractal(4, 1.0)
     with pytest.raises(InputOutOfRange):
         fc.UniformFractal(4, 0.0)
+    with pytest.raises(ValueError, match="at least one component"):
+        fc.composite_dimension_uniform([])
 
 
 # --- composite_dimension_uniform ----------------------------------------------
@@ -183,6 +185,8 @@ def test_solver_validation():
         fc.ScaleSpectrum([([0.5, 1.5], 1)])
     with pytest.raises(InputOutOfRange):
         fc.ScaleSpectrum([([0.5], 0)])
+    with pytest.raises(ValueError, match="at least one scale factor"):
+        fc.component_dimension(())
 
 
 # --- log_moran ------------------------------------------------------------------

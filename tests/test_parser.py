@@ -78,6 +78,7 @@ def test_round_trip_fuzz():
         again = fc.parse(text)
         assert again == expr
         assert fc.format(again) == text  # idempotent on strings
+        assert str(expr) == text
 
 
 # --- syntax errors ---------------------------------------------------------------
@@ -126,6 +127,11 @@ def test_malformed_number():
 def test_empty_ratio_list_is_rejected():
     with pytest.raises(ScheduleSyntaxError):
         fc.parse("C[]")
+    # the library builders refuse what the grammar cannot write
+    with pytest.raises(ScheduleSemanticError, match="at least one ratio"):
+        fc.builtin_generator("C", [])
+    with pytest.raises(ValueError, match="at least one generator"):
+        fc.CompositionSchedule(())
 
 
 # --- semantic errors --------------------------------------------------------------

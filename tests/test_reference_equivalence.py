@@ -602,13 +602,13 @@ def test_binomial_rows_grown_by_threads_at_once():
         assert rows[r] == [math.comb(r, g) for g in range(r + 1)]
 
 
-@pytest.mark.parametrize("ratios,t", [((1 / 3, 0.25), 300), ((0.2, 0.3, 0.25), 150)])
-def test_long_rows_match_recursive_reference(ratios, t):
+@pytest.mark.parametrize("ratios,above", [((1 / 3, 0.25), 300), ((0.2, 0.3, 0.25), 150)])
+def test_long_rows_match_recursive_reference(ratios, above):
     # rows up to census._SHORT_ROW are kept, longer ones built by recurrence:
     # t rising grows the kept rows, t falling reads them grown, then a long row
-    assert census._SHORT_ROW == 128 < t
+    top = census._SHORT_ROW
     fold = _fold(ratios)
-    for stage in (127, 128, 129, 128, 127, t):
+    for stage in (top - 1, top, top + 1, top, top - 1, top + above):
         assert census._component_buckets(fold, stage) == reference_component_buckets(ratios, stage)
 
 
@@ -751,17 +751,33 @@ def test_stats_report_matches_reference_on_fuzz():
 
 
 def test_stats_report_builds_each_long_row_once(monkeypatch):
-    # the stages share one table of rows, which reads the kept rows up to
-    # census._SHORT_ROW: to stage 180 of one component, rows 129-180 are built
-    for r in range(census._SHORT_ROW + 1):
-        census._KEPT_ROWS[r]  # the kept rows, as a warm process holds them
+    # the stages read the kept rows, up to census._SHORT_ROW: from a cold
+    # table, to stage 180 of one component, rows 0-180 are built once each
+    assert census._SHORT_ROW >= 180
+    monkeypatch.setattr(census, "_KEPT_ROWS", census._BinomialRows())
     built = []
     build = census._binomial_row
     monkeypatch.setattr(census, "_binomial_row", lambda r: built.append(r) or build(r))
     sched = fc.schedule_from_text("C[1/2,1/4,1/8]")
     got = fc.stats_report(sched, 180, budget=10**9)
-    assert sorted(built) == list(range(census._SHORT_ROW + 1, 181))
+    assert sorted(built) == list(range(181))
     assert json.dumps(got) == json.dumps(reference_stats_report(sched, 180))
+
+
+def test_stats_report_at_the_default_budget_reads_kept_rows_only(monkeypatch):
+    # stage 52 of repeat 4 is the default budget's last, at t = 208: every
+    # stage reads census._KEPT_ROWS and builds no table of its own
+    tables = []
+
+    class CountedRows(census._BinomialRows):
+        def __init__(self):
+            tables.append(self)
+
+    monkeypatch.setattr(census, "_BinomialRows", CountedRows)
+    sched = fc.schedule_from_text("C[1/2,1/4,1/8]^4")
+    got = fc.stats_report(sched, 52)
+    assert tables == []
+    assert json.dumps(got) == json.dumps(reference_stats_report(sched, 52))
 
 
 @pytest.mark.parametrize("left,right", FACTOR_PAIRS)

@@ -134,7 +134,9 @@ PATH_EDGES = [
     (None, ["census", "C[1/2,1/3] K[pi/3]", "--stage", "4", "--l0", "0.001", "--human"]),
     (None, ["census", "C[0.5,0.4999999999999]", "--stage", "1"]),
     (None, ["census", "C[1/2,1/4,1/8]", "--stage", "100"]),
-    *((None, ["census", "C[1/3,1/4,1/5]", "--stage", s]) for s in ("128", "129")),
+    *((None, ["census", "C[1/3,1/4,1/5]", "--stage", s]) for s in ("128", "129", "256", "257")),
+    (None, ["stats", "C[1/2,1/4,1/8]^4", "--stage", "52"]),
+    (None, ["stats", "C[1/2,1/4,1/8]^12", "--stage", "24"]),
     (None, ["census", "C[1/2,1/3]", "--stage", "10000"]),
     (None, ["render", "C[1/2,1/3] K[1.4777]", "--stage", "5", "-o", "out.svg", "--csv", "out.csv"]),
     *((None, [cmd, "G[(0.9,0,draw);(0.5,3.1,gap);(0.5,-0.05,draw)]", "--stage", "12", *out])
