@@ -5,18 +5,20 @@ merged here. Each component's equal ratios fold first, by its
 C(t + d - 1, d - 1) buckets; `work` charges that count from the same fold,
 weighted by the digits of the stage's counts. Counts read binomials from
 rows kept for the life of the process up to row 256, and above it from
-rows built for the one component's census that needs them. The merge
-is one sort plus one ratio pass that proves no near tie; only a census
-that may hold one goes through the leader loop. A length below the float
-range reads 0.0, and sorts last. `dim` and `limit` never load this module:
-a test in `tests/test_cli.py` enforces this.
+rows built for the one component's census that needs them. A `stats`
+check's stages share each multi-ratio component's power tables, built once
+per call (`stage_factors`). The merge is one sort plus one ratio pass that
+proves no near tie; only a census that may hold one goes through the
+leader loop. A length below the float range reads 0.0, and sorts last.
+`dim` and `limit` never load this module: a test in `tests/test_cli.py`
+enforces this.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import work
 from .schedule import CompositionSchedule, _check_initiator, _check_stage
@@ -57,7 +59,23 @@ class _BinomialRows(dict):
 _KEPT_ROWS = _BinomialRows()
 
 
-def _component_buckets(fold: Sequence[tuple[float, int]], t: int) -> list[tuple[float, int]]:
+def _power_tables(fold: Sequence[tuple[float, int]], t: int) -> tuple[list, list] | None:
+    """A component's tables to exponent t: each distinct ratio's powers
+    rho**0..rho**t, and each multiplicity's weights m**0..m**t, one list of
+    ones standing for every m of 1. None for a single distinct ratio, which
+    takes its one rho**t and m**t: a table of its m**g would hold O(t**2)
+    digits."""
+    if len(fold) == 1:
+        return None
+    ones = [1] * (t + 1)
+    powers = [[rho**g for g in range(t + 1)] for rho, _ in fold]
+    weights = [[m**g for g in range(t + 1)] if m > 1 else ones for _, m in fold]
+    return powers, weights
+
+
+def _component_buckets(
+    fold: Sequence[tuple[float, int]], t: int, tables: tuple[list, list] | None
+) -> list[tuple[float, int]]:
     """Lengths and exact counts for one component applied t times, its
     binomials read from the kept rows, and above `_SHORT_ROW` from a table
     built for this call alone.
@@ -69,16 +87,16 @@ def _component_buckets(fold: Sequence[tuple[float, int]], t: int) -> list[tuple[
     multinomial(t; h) * prod_j m_j**h_j. Compositions come out in
     lexicographic order. A single distinct ratio gives [(rho**t, m**t)]; with
     no repeated ratio this is the plain multinomial expansion over the pieces.
+    Powers and weights are read from `tables`, `_power_tables` of the fold to
+    an exponent of at least t.
     """
-    if len(fold) == 1:
+    if tables is None:
         (rho, m), = fold
         try:
             return [(rho**t, m**t)]
         except OverflowError:  # t beyond the float range: rho**t underflows to 0.0
             return [(0.0, m**t)]
-    powers = [[rho**g for g in range(t + 1)] for rho, _ in fold]
-    mults = [m for _, m in fold]
-    weights = [[m**g for g in range(t + 1)] for m in mults]
+    powers, weights = tables
     rows = _KEPT_ROWS if t <= _SHORT_ROW else _BinomialRows()
     # (applications left, length so far, count so far) per partial composition
     partial = [(t, 1.0, 1)]
@@ -91,7 +109,7 @@ def _component_buckets(fold: Sequence[tuple[float, int]], t: int) -> list[tuple[
     # the last two exponents are chosen together, so each leaf is built once
     pa, pb = powers[-2:]
     wa, wb = weights[-2:]
-    if mults[-2:] == [1, 1]:
+    if fold[-2][1] == fold[-1][1] == 1:
         return [
             (value * pa[g] * pb[rem - g], count * c)
             for rem, value, count in partial
@@ -181,5 +199,20 @@ def segment_census(
 def census_factors(schedule: CompositionSchedule, k: int) -> list[list[tuple[float, int]]]:
     """Each item's unmerged stage-k buckets, in schedule order: the factors that
     `census_product` crosses."""
-    return [_component_buckets(gen.fold, repeat * k) for gen, repeat in schedule.items]
+    return [_component_buckets(gen.fold, repeat * k, _power_tables(gen.fold, repeat * k))
+            for gen, repeat in schedule.items]
 
+
+def stage_factors(
+    schedule: CompositionSchedule, k: int
+) -> Iterator[list[list[tuple[float, int]]]]:
+    """`census_factors(schedule, stage)` for stages 0..k in turn.
+
+    Each item's power tables are built once, at its stage-k exponent, and
+    every stage reads them.
+    """
+    items = schedule.items
+    tables = [_power_tables(gen.fold, repeat * k) for gen, repeat in items]
+    for stage in range(k + 1):
+        yield [_component_buckets(gen.fold, repeat * stage, table)
+               for (gen, repeat), table in zip(items, tables)]

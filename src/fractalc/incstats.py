@@ -31,7 +31,7 @@ from collections.abc import Iterable
 
 from . import work
 from .moran import dimension
-from .census import census_factors, census_product
+from .census import census_product, stage_factors
 from .schedule import CompositionSchedule, _check_stage
 
 
@@ -72,8 +72,7 @@ def stats_and_census(
     work.charge_census(schedule, k, budget, stages=k + 1)
     alpha = dimension(schedule.spectrum()).alpha
     max_resid = 0.0
-    for stage in range(k + 1):
-        factors = census_factors(schedule, stage)
+    for factors in stage_factors(schedule, k):
         census = census_product(factors)
         max_resid = max(max_resid, normalization_residual(census, alpha))
     # each part's census is its stage-k factor merged alone, charged with the joint

@@ -62,9 +62,10 @@ class ScaleSpectrum(Frozen):
     """
 
     # components: ((sorted ratios), n_i) pairs; _log_terms, derived from them:
-    # per component (n_i, ln m_i, ln(r_ij / m_i) of the other ratios), m_i = max_j r_ij
+    # per component (n_i, ln m_i, ln(r_ij / m_i) of the other ratios), m_i = max_j r_ij;
+    # _solved: the report of `solve_moran`, kept from its first call
     _fields = ("components",)
-    __slots__ = (*_fields, "_log_terms")
+    __slots__ = (*_fields, "_log_terms", "_solved")
 
     def __init__(self, components: Iterable[tuple[Sequence[float], int]]):
         merged: dict[tuple[float, ...], int] = {}
@@ -80,6 +81,7 @@ class ScaleSpectrum(Frozen):
         logs = [(n, [math.log(r) for r in ratios]) for ratios, n in canon]
         terms = tuple((n, lg[-1], tuple(x - lg[-1] for x in lg[:-1])) for n, lg in logs)
         object.__setattr__(self, "_log_terms", terms)
+        object.__setattr__(self, "_solved", None)
 
     def log_moran(self, alpha: float) -> float:
         """ln of the Moran product at `alpha` >= 0; strictly decreasing.
@@ -236,7 +238,10 @@ def solve_moran(s: ScaleSpectrum) -> DimensionReport:
     log, exp and log1p within 1 ulp, in its running sums total_i and d_i terms
     t_ij = exp(alpha x_ij) of sum s_i. The walk ends: ln M(0) = sum_i n_i ln
     l_i > 0, and ln M falls linearly while the bound grows as 2^-52 times it.
+    The report is kept on `s`, so a later call returns it.
     """
+    if s._solved is not None:
+        return s._solved
     _check_repeats(s)
     lo = min(math.log(len(ratios)) / -math.log(ratios[0]) for ratios, _ in s.components)
     hi = max(math.log(len(ratios)) / -math.log(ratios[-1]) for ratios, _ in s.components)
@@ -252,7 +257,9 @@ def solve_moran(s: ScaleSpectrum) -> DimensionReport:
         else:
             hi = mid
     # ln 1 = 0 puts a degenerate spectrum's search, and root, at [0, 0]
-    return _report(s, "closed-form" if s.is_degenerate else "moran-numeric", lo, hi, iterations)
+    report = _report(s, "closed-form" if s.is_degenerate else "moran-numeric", lo, hi, iterations)
+    object.__setattr__(s, "_solved", report)
+    return report
 
 
 def binary_special_dimension(r1: float, f: UniformFractal) -> float:

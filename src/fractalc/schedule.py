@@ -55,9 +55,14 @@ class Generator(Frozen):
 
 
 class CompositionSchedule(Frozen):
-    """One period of the composition: ordered (generator, repeat count) items."""
+    """One period of the composition: ordered (generator, repeat count) items.
 
-    __slots__ = _fields = ("items",)
+    `spectrum()` is built on first call and kept in `_spectrum`, which is no
+    field: ==, hash, repr, copy and pickle read the items alone.
+    """
+
+    _fields = ("items",)
+    __slots__ = (*_fields, "_spectrum")
 
     def __init__(self, items: tuple[tuple[Generator, int], ...]):
         if not items:
@@ -65,9 +70,13 @@ class CompositionSchedule(Frozen):
         for _, repeat in items:
             _check_repeat(repeat)
         super().__init__(items)
+        object.__setattr__(self, "_spectrum", None)
 
     def spectrum(self) -> ScaleSpectrum:
-        return ScaleSpectrum([(gen.draw_ratios, n) for gen, n in self.items])
+        if self._spectrum is None:
+            spectrum = ScaleSpectrum([(gen.draw_ratios, n) for gen, n in self.items])
+            object.__setattr__(self, "_spectrum", spectrum)
+        return self._spectrum
 
     def predicted_count(self, k: int) -> int:
         """Exact segment count after k stages: prod_i l_i^(n_i * k)."""

@@ -124,3 +124,18 @@ def test_derived_attributes_are_not_fields():
     assert "draw_ratios" not in repr(_GEN)
     spectrum = moran.ScaleSpectrum([([0.5, 0.25], 1), ([0.25, 0.5], 1)])
     assert repr(spectrum) == "ScaleSpectrum(components=(((0.25, 0.5), 2),))"
+    # a schedule's spectrum, and the report of solve_moran on it, are built on
+    # first call and kept outside the fields
+    for text, gcd in (("C[1/2,1/3] K[pi/5]", 1), ("C[1/2,1/3]^2 K[pi/5]^2", 2)):
+        sched = schedule.schedule_from_text(text)
+        spectrum = sched.spectrum()
+        solved = moran.solve_moran(spectrum)
+        assert sched.spectrum() is spectrum and moran.solve_moran(spectrum) is solved
+        # dimension solves the spectrum itself only where its repeats have gcd 1
+        assert (moran.dimension(spectrum) is solved) == (gcd == 1)
+        fresh = (schedule.schedule_from_text(text), moran.ScaleSpectrum(spectrum.components))
+        for kept, new in zip((sched, spectrum), fresh):
+            assert (kept == new, hash(kept), repr(kept)) == (True, hash(new), repr(new))
+            for copied in (copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
+                assert (copied == kept, hash(copied), repr(copied)) == (
+                    True, hash(kept), repr(kept))

@@ -5,7 +5,7 @@ import pytest
 
 import fractalc as fc
 from fractalc.errors import SegmentBudgetExceeded
-from fractalc.incstats import normalization_residual
+from fractalc.incstats import normalization_residual, stats_and_census
 from helpers import (
     census_feasible_stage,
     census_size,
@@ -170,3 +170,19 @@ def test_census_charge_within_its_bound_sizes_one_stage(monkeypatch):
     fc.work.charge_census(binary, 6, 420, stages=7)
     with pytest.raises(SegmentBudgetExceeded):
         fc.work.charge_census(binary, 6, 419, stages=7)
+
+
+@pytest.mark.parametrize("text,k", [
+    # a fold with a multiplicity of 2, its weights read from tables built at k
+    ("G[(0.3,0,draw);(0.3,0.2,draw);(0.2,-0.2,draw)]^3", 6),
+    # a near tie, which the merge folds
+    ("C[0.5,0.4999999999999] K[pi/3]", 5),
+    # a single-ratio item, one power per stage, beside a two-ratio one
+    ("K[pi/3] C[1/2,1/3]", 12),
+])
+def test_stats_census_at_stage_k_is_the_segment_census(text, k):
+    # every stage reads power tables built once, at stage k
+    sched = fc.schedule_from_text(text)
+    assert stats_and_census(sched, k)[1] == fc.segment_census(sched, k)
+    shared = list(fc.census.stage_factors(sched, k))
+    assert shared == [fc.census.census_factors(sched, stage) for stage in range(k + 1)]

@@ -546,6 +546,11 @@ def _fold(ratios) -> tuple[tuple[float, int], ...]:
     return Generator(tuple(Piece(r, 0.0, True) for r in ratios), connected=False).fold
 
 
+def _buckets(fold, t: int) -> list[tuple[float, int]]:
+    """`census._component_buckets` of `fold` applied t times, with its own tables."""
+    return census._component_buckets(fold, t, census._power_tables(fold, t))
+
+
 @pytest.mark.parametrize(
     "ratios",
     [(0.5,), (1 / 3, 0.25), (0.2, 0.3, 0.25), (1 / 3,) * 4, (0.4, 1e-3, 0.999, 0.1, 0.2),
@@ -556,7 +561,7 @@ def test_component_buckets_match_recursive_reference(ratios):
     # the reference's compositions agree once merged; with no repeated ratio
     # the buckets are bit-identical
     for t in (0, 1, 2, 7, 19):
-        got = census._component_buckets(_fold(ratios), t)
+        got = _buckets(_fold(ratios), t)
         want = reference_component_buckets(ratios, t)
         if len(set(ratios)) == len(ratios):
             assert got == want
@@ -609,7 +614,7 @@ def test_long_rows_match_recursive_reference(ratios, above):
     top = census._SHORT_ROW
     fold = _fold(ratios)
     for stage in (top - 1, top, top + 1, top, top - 1, top + above):
-        assert census._component_buckets(fold, stage) == reference_component_buckets(ratios, stage)
+        assert _buckets(fold, stage) == reference_component_buckets(ratios, stage)
 
 
 def _boundary_neighbour(v: float) -> float:
@@ -717,7 +722,7 @@ def test_merge_buckets_matches_reference_bit_for_bit():
         merging += len(want) < len(buckets)
     assert merging > 300
     # C[1/2,1/4,1/8] at stage 100: 5,151 compositions fold into 201 lengths
-    raw = census._component_buckets(_fold((0.5, 0.25, 0.125)), 100)
+    raw = _buckets(_fold((0.5, 0.25, 0.125)), 100)
     assert len(raw) == 5151
     got = census._merge_buckets(raw)
     assert len(got) == 201
@@ -830,7 +835,7 @@ def test_census_size_is_the_unmerged_cross_product():
                 "G[(1/5,0,draw);(1/4,1,draw);(1/5,-1,draw)] C[1/2,1/3]"]
     cases = [(fc.schedule_from_text(t), k) for t in repeated for k in (0, 1, 2, 5, 11)]
     for sched, k in fuzz_cases(101, 60) + cases:
-        factors = [census._component_buckets(gen.fold, n * k) for gen, n in sched.items]
+        factors = census.census_factors(sched, k)
         cross = list(itertools.product(*factors))
         assert fc.work._census_size(sched, k) == len(cross), (sched, k)
 

@@ -112,7 +112,10 @@ LIMIT_BASES = [
 # render of one just large enough (L0 1e-310), and validate of a figure whose
 # shortest length reads 0.0; validate of figures whose box-count walk spans
 # many batches: 262,144 Koch segments, and 65,536 segments of walks up to 474
-# columns long
+# columns long; stats over power tables shared by its stages, with a weight
+# table for a multiplicity of 2, and with a single-ratio item, which takes one
+# power per stage, over many stages; dim --check on numeric spectra whose
+# repeats have gcd 1 (one solve serves both reports) and gcd 2 (two solves)
 PATH_EDGES = [
     (None, ["stats", "C[1/2,1/3] K[pi/3]", "--stage", "60"]),
     (None, ["stats", "C[1/2,1/4,1/6] K[pi/4] K[pi/3]", "--stage", "12"]),
@@ -147,6 +150,10 @@ PATH_EDGES = [
     (None, ["validate", "C[1/1" + "0" * 322 + ",1/2]", "--stage", "3", "--l0", "0.001"]),
     (None, ["validate", "K[pi/3]", "--stage", "9"]),
     (None, ["validate", "G[(0.9,0,draw);(0.5,3.1,gap);(0.5,-0.05,draw)]", "--stage", "16"]),
+    (None, ["stats", "G[(0.3,0,draw);(0.3,0.2,draw);(0.2,-0.2,draw)]^3", "--stage", "12"]),
+    (None, ["stats", "K[pi/3] C[1/2,1/3]", "--stage", "40"]),
+    *((None, ["dim", text, "--check"]) for text in ("C[1/2,1/3] K[pi/5]",
+                                                     "C[1/2,1/3]^2 K[pi/5]^2")),
 ]
 
 
