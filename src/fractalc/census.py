@@ -4,14 +4,13 @@ merged here. Each component's equal ratios fold first, by its
 `Generator.fold`, so d distinct ratios applied t times give
 C(t + d - 1, d - 1) buckets; `work` charges that count from the same fold,
 weighted by the digits of the stage's counts. Counts read binomials from
-rows kept for the life of the process up to row 256, and above it from
-rows built for the one component's census that needs them. A `stats`
-check's stages share each multi-ratio component's power tables, built once
-per call (`stage_factors`). The merge is one sort plus one ratio pass that
-proves no near tie; only a census that may hold one goes through the
-leader loop. A length below the float range reads 0.0, and sorts last.
-`dim` and `limit` never load this module: a test in `tests/test_cli.py`
-enforces this.
+rows kept for the life of the process up to row 256. All else a census
+reads, each multi-ratio component's powers, weights and longer rows, is
+built once per call (`stage_factors`), and a `stats` check's stages share
+it. The merge is one sort plus one ratio pass that proves no near tie;
+only a census that may hold one goes through the leader loop. A length
+below the float range reads 0.0, and sorts last. `dim` and `limit` never
+load this module: a test in `tests/test_cli.py` enforces this.
 """
 
 from __future__ import annotations
@@ -33,9 +32,8 @@ _VALUE = operator.itemgetter(0)
 # each built on first use; all 257 take 1.61 MiB (0.35 MiB to row 128). At
 # the default budget a stats check on one component of 3 distinct ratios
 # reaches t = 140 at repeat 1 and 208 at repeat 4, so it reads kept rows only;
-# at repeat 12 its last stages reach 288 and build rows 257 and up, each
-# stage its own. A longer row lives in a table of the one
-# `_component_buckets` call that needs it
+# at repeat 12 its last stages reach 288, and the call builds rows 257-288
+# once, in a table of its own that its stages share
 _SHORT_ROW = 256
 
 
@@ -59,26 +57,25 @@ class _BinomialRows(dict):
 _KEPT_ROWS = _BinomialRows()
 
 
-def _power_tables(fold: Sequence[tuple[float, int]], t: int) -> tuple[list, list] | None:
-    """A component's tables to exponent t: each distinct ratio's powers
-    rho**0..rho**t, and each multiplicity's weights m**0..m**t, one list of
-    ones standing for every m of 1. None for a single distinct ratio, which
-    takes its one rho**t and m**t: a table of its m**g would hold O(t**2)
-    digits."""
+def _tables(fold: Sequence[tuple[float, int]], t: int) -> tuple[list, list, _BinomialRows] | None:
+    """A component's tables to exponent t, for one census call: each distinct
+    ratio's powers rho**0..rho**t, each multiplicity's weights m**0..m**t (one
+    list of ones standing for every m of 1), and the binomial rows: `_KEPT_ROWS`
+    to t = `_SHORT_ROW`, and above it the call's own table. None for a single
+    distinct ratio, which takes its one rho**t and m**t: a table of its m**g
+    would hold O(t**2) digits."""
     if len(fold) == 1:
         return None
     ones = [1] * (t + 1)
     powers = [[rho**g for g in range(t + 1)] for rho, _ in fold]
     weights = [[m**g for g in range(t + 1)] if m > 1 else ones for _, m in fold]
-    return powers, weights
+    return powers, weights, _KEPT_ROWS if t <= _SHORT_ROW else _BinomialRows()
 
 
 def _component_buckets(
-    fold: Sequence[tuple[float, int]], t: int, tables: tuple[list, list] | None
+    fold: Sequence[tuple[float, int]], t: int, tables: tuple[list, list, _BinomialRows] | None
 ) -> list[tuple[float, int]]:
-    """Lengths and exact counts for one component applied t times, its
-    binomials read from the kept rows, and above `_SHORT_ROW` from a table
-    built for this call alone.
+    """Lengths and exact counts for one component applied t times.
 
     `fold` is the component's `Generator.fold`: its distinct ratios
     rho_1..rho_d with multiplicities m_1..m_d. Each composition
@@ -87,8 +84,8 @@ def _component_buckets(
     multinomial(t; h) * prod_j m_j**h_j. Compositions come out in
     lexicographic order. A single distinct ratio gives [(rho**t, m**t)]; with
     no repeated ratio this is the plain multinomial expansion over the pieces.
-    Powers and weights are read from `tables`, `_power_tables` of the fold to
-    an exponent of at least t.
+    Powers, weights and binomial rows are read from `tables`, `_tables` of
+    the fold to an exponent of at least t.
     """
     if tables is None:
         (rho, m), = fold
@@ -96,8 +93,7 @@ def _component_buckets(
             return [(rho**t, m**t)]
         except OverflowError:  # t beyond the float range: rho**t underflows to 0.0
             return [(0.0, m**t)]
-    powers, weights = tables
-    rows = _KEPT_ROWS if t <= _SHORT_ROW else _BinomialRows()
+    powers, weights, rows = tables
     # (applications left, length so far, count so far) per partial composition
     partial = [(t, 1.0, 1)]
     for pw, wt in zip(powers[:-2], weights):
@@ -193,26 +189,22 @@ def segment_census(
     _check_stage(k)
     _check_initiator(L0)
     work.charge_census(schedule, k, budget)
-    return census_product(census_factors(schedule, k), L0)
-
-
-def census_factors(schedule: CompositionSchedule, k: int) -> list[list[tuple[float, int]]]:
-    """Each item's unmerged stage-k buckets, in schedule order: the factors that
-    `census_product` crosses."""
-    return [_component_buckets(gen.fold, repeat * k, _power_tables(gen.fold, repeat * k))
-            for gen, repeat in schedule.items]
+    [factors] = stage_factors(schedule, (k,))
+    return census_product(factors, L0)
 
 
 def stage_factors(
-    schedule: CompositionSchedule, k: int
+    schedule: CompositionSchedule, stages: Sequence[int]
 ) -> Iterator[list[list[tuple[float, int]]]]:
-    """`census_factors(schedule, stage)` for stages 0..k in turn.
+    """Each item's unmerged buckets, in schedule order, at each of `stages` in
+    turn: the factors that `census_product` crosses.
 
-    Each item's power tables are built once, at its stage-k exponent, and
-    every stage reads them.
+    Each item's tables (`_tables`) are built once, to its exponent at the
+    largest stage, and every stage reads them.
     """
     items = schedule.items
-    tables = [_power_tables(gen.fold, repeat * k) for gen, repeat in items]
-    for stage in range(k + 1):
+    top = max(stages)
+    tables = [_tables(gen.fold, repeat * top) for gen, repeat in items]
+    for stage in stages:
         yield [_component_buckets(gen.fold, repeat * stage, table)
                for (gen, repeat), table in zip(items, tables)]

@@ -72,7 +72,7 @@ def stats_and_census(
     work.charge_census(schedule, k, budget, stages=k + 1)
     alpha = dimension(schedule.spectrum()).alpha
     max_resid = 0.0
-    for factors in stage_factors(schedule, k):
+    for factors in stage_factors(schedule, range(k + 1)):
         census = census_product(factors)
         max_resid = max(max_resid, normalization_residual(census, alpha))
     # each part's census is its stage-k factor merged alone, charged with the joint

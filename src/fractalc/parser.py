@@ -26,6 +26,7 @@ from __future__ import annotations
 import collections
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ScheduleSemanticError, ScheduleSyntaxError
@@ -46,7 +47,7 @@ class Angle(Frozen):
         if self.pi_k is not None:
             sign = "-" if math.copysign(1.0, self.value) < 0 else ""  # -0.0 from -pi/huge
             return f"{sign}pi" if self.pi_k == 1 else f"{sign}pi/{self.pi_k}"
-        return repr(self.value)
+        return _format_number(self.value)
 
 
 class PieceExpr(Frozen):
@@ -59,7 +60,7 @@ class PieceExpr(Frozen):
 
     def __str__(self) -> str:
         pen = "draw" if self.draw else "gap"
-        return f"({_format_ratio(self.ratio)},{self.angle},{pen})"
+        return f"({_format_number(self.ratio)},{self.angle},{pen})"
 
 
 class ScheduleItem(Frozen):
@@ -81,7 +82,7 @@ class ScheduleItem(Frozen):
         if self.kind in ("K", "Q"):
             body = str(self.angle)
         elif self.kind == "C":
-            body = ",".join(_format_ratio(r) for r in self.ratios)
+            body = ",".join(_format_number(r) for r in self.ratios)
         else:
             body = ";".join(str(p) for p in self.pieces)
         text = f"{self.kind}[{body}]"
@@ -102,10 +103,11 @@ class ScheduleExpr(Frozen):
         return format(self)
 
 
-def _format_ratio(r: Ratio) -> str:
+def _format_number(r: Ratio) -> str:
+    """n/d, or a finite float's repr digits without the exponent DECIMAL lacks (0.00001)."""
     if isinstance(r, Fraction):
         return f"{r.numerator}/{r.denominator}"
-    return repr(r)
+    return f"{Decimal(repr(r)):f}" if math.isfinite(r) else repr(r)
 
 
 def format(e: ScheduleExpr) -> str:
@@ -256,7 +258,7 @@ class _Parser:
         else:
             self.fail({"number"}, "expected a ratio")
         if not 0 < value < 1:
-            self.semantic(f"scale factor {_format_ratio(value)} outside (0, 1)")
+            self.semantic(f"scale factor {_format_number(value)} outside (0, 1)")
         return value
 
     def parse_angle(self) -> Angle:

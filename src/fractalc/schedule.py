@@ -88,12 +88,12 @@ class CompositionSchedule(Frozen):
 
 def koch_scale(theta: float) -> float:
     """Scale factor closing the 4-piece Koch chain over the unit segment."""
+    if not 0.0 < theta < math.pi / 2:
+        raise InvalidAngle(f"Koch angle must lie in (0, pi/2), got {theta!r}")
     return 1.0 / (2.0 * (1.0 + math.cos(theta)))
 
 
 def _koch_generator(theta: float) -> Generator:
-    if not 0.0 < theta < math.pi / 2:
-        raise InvalidAngle(f"Koch angle must lie in (0, pi/2), got {theta!r}")
     rho = koch_scale(theta)
     pieces = tuple(Piece(rho, a, True) for a in (0.0, theta, -theta, 0.0))
     return Generator(pieces, connected=True)

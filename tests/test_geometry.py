@@ -81,6 +81,10 @@ def test_generator_validation():
         fc.builtin_generator("K", 1.6)
     with pytest.raises(InvalidAngle):
         fc.builtin_generator("K", 0.0)
+    # the public scale law keeps the same rule, not a bad float or a division by zero
+    for theta in (math.pi, 3.0, math.nan, math.inf):
+        with pytest.raises(InvalidAngle, match=r"Koch angle must lie in \(0, pi/2\)"):
+            fc.koch_scale(theta)
     with pytest.raises(InvalidAngle):
         fc.builtin_generator("Q", 1.0)
     with pytest.raises(RatiosExceedUnit):

@@ -181,8 +181,9 @@ def test_census_charge_within_its_bound_sizes_one_stage(monkeypatch):
     ("K[pi/3] C[1/2,1/3]", 12),
 ])
 def test_stats_census_at_stage_k_is_the_segment_census(text, k):
-    # every stage reads power tables built once, at stage k
+    # every stage reads tables built once, at stage k
     sched = fc.schedule_from_text(text)
     assert stats_and_census(sched, k)[1] == fc.segment_census(sched, k)
-    shared = list(fc.census.stage_factors(sched, k))
-    assert shared == [fc.census.census_factors(sched, stage) for stage in range(k + 1)]
+    shared = list(fc.census.stage_factors(sched, range(k + 1)))
+    alone = [f for stage in range(k + 1) for f in fc.census.stage_factors(sched, (stage,))]
+    assert shared == alone

@@ -67,7 +67,12 @@ def test_format_normalizes_whitespace():
 
 
 def test_format_keeps_decimal_and_negative_forms():
-    assert fc.format(fc.parse("K[-pi/4] C[0.125]")) == "K[-pi/4] C[0.125]"
+    # decimals below 1e-4 too, which repr would write with an exponent
+    for text in ("K[-pi/4] C[0.125]", "C[0.00001]", "K[0.0000001]", "G[(0.5,0.00001,draw)]",
+                 "K[-0.00001]"):
+        expr = fc.parse(text)
+        assert fc.format(expr) == text
+        assert fc.parse(fc.format(expr)) == expr
 
 
 def test_round_trip_fuzz():
@@ -157,6 +162,10 @@ def test_angle_at_or_beyond_pi():
         fc.parse("K[3.5]")
     with pytest.raises(ScheduleSemanticError):
         fc.parse("K[-pi/1]")
+    # the message writes the angle without an exponent, and one past the float range as inf
+    for digits, shown in (("1" + "0" * 23, "1" + "0" * 23), ("9" * 400, "inf")):
+        with pytest.raises(ScheduleSemanticError, match=f"angle {shown} outside"):
+            fc.parse(f"K[{digits}]")
 
 
 def test_quadratic_only_supports_right_angle():

@@ -548,7 +548,7 @@ def _fold(ratios) -> tuple[tuple[float, int], ...]:
 
 def _buckets(fold, t: int) -> list[tuple[float, int]]:
     """`census._component_buckets` of `fold` applied t times, with its own tables."""
-    return census._component_buckets(fold, t, census._power_tables(fold, t))
+    return census._component_buckets(fold, t, census._tables(fold, t))
 
 
 @pytest.mark.parametrize(
@@ -756,17 +756,20 @@ def test_stats_report_matches_reference_on_fuzz():
 
 
 def test_stats_report_builds_each_long_row_once(monkeypatch):
-    # the stages read the kept rows, up to census._SHORT_ROW: from a cold
-    # table, to stage 180 of one component, rows 0-180 are built once each
-    assert census._SHORT_ROW >= 180
-    monkeypatch.setattr(census, "_KEPT_ROWS", census._BinomialRows())
+    # the stages read the kept rows up to census._SHORT_ROW, and the call's
+    # own rows above it: from a cold kept table, a check that reaches t builds
+    # rows 0..t once each; the second check's rows cross the kept rows' end
+    assert 180 <= census._SHORT_ROW < 288
     built = []
     build = census._binomial_row
     monkeypatch.setattr(census, "_binomial_row", lambda r: built.append(r) or build(r))
-    sched = fc.schedule_from_text("C[1/2,1/4,1/8]")
-    got = fc.stats_report(sched, 180, budget=10**9)
-    assert sorted(built) == list(range(181))
-    assert json.dumps(got) == json.dumps(reference_stats_report(sched, 180))
+    for text, stage, t in (("C[1/2,1/4,1/8]", 180, 180), ("C[1/2,1/4,1/8]^12", 24, 288)):
+        monkeypatch.setattr(census, "_KEPT_ROWS", census._BinomialRows())
+        built.clear()
+        sched = fc.schedule_from_text(text)
+        got = fc.stats_report(sched, stage, budget=10**9)
+        assert sorted(built) == list(range(t + 1)), text
+        assert json.dumps(got) == json.dumps(reference_stats_report(sched, stage))
 
 
 def test_stats_report_at_the_default_budget_reads_kept_rows_only(monkeypatch):
@@ -835,7 +838,7 @@ def test_census_size_is_the_unmerged_cross_product():
                 "G[(1/5,0,draw);(1/4,1,draw);(1/5,-1,draw)] C[1/2,1/3]"]
     cases = [(fc.schedule_from_text(t), k) for t in repeated for k in (0, 1, 2, 5, 11)]
     for sched, k in fuzz_cases(101, 60) + cases:
-        factors = census.census_factors(sched, k)
+        [factors] = census.stage_factors(sched, (k,))
         cross = list(itertools.product(*factors))
         assert fc.work._census_size(sched, k) == len(cross), (sched, k)
 

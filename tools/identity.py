@@ -104,18 +104,19 @@ LIMIT_BASES = [
 # warning, past (stage 110) and short of (stage 100) the float range under an
 # L0 of 1e300; the warning's boundary, where 3^-678 reads 5e-324 and 3^-679
 # reads 0.0; censuses whose merge runs the leader loop (a near tie, and equal
-# products), one each side of the kept binomial rows' last row (128), and one
-# with a 0.0 tail; a 32,768-segment render over several export chunks whose
-# chains break, and render and validate of a figure whose overlap check stops
-# at its first overlapping chunk and whose segments cross many box columns;
-# render and validate of a figure too small for its tolerances (L0 5e-324),
-# render of one just large enough (L0 1e-310), and validate of a figure whose
-# shortest length reads 0.0; validate of figures whose box-count walk spans
-# many batches: 262,144 Koch segments, and 65,536 segments of walks up to 474
-# columns long; stats over power tables shared by its stages, with a weight
-# table for a multiplicity of 2, and with a single-ratio item, which takes one
-# power per stage, over many stages; dim --check on numeric spectra whose
-# repeats have gcd 1 (one solve serves both reports) and gcd 2 (two solves)
+# products), one each side of row 128 and of the kept binomial rows' last row
+# (256), and one with a 0.0 tail; a 32,768-segment render over several export
+# chunks whose chains break, and render and validate of a figure whose
+# overlap check stops at its first overlapping chunk and whose segments cross
+# many box columns; render and validate of a figure too small for its
+# tolerances (L0 5e-324), render of one just large enough (L0 1e-310), and
+# validate of a figure whose shortest length reads 0.0; validate of figures
+# whose box-count walk spans many batches: 262,144 Koch segments, and 65,536
+# segments of walks up to 474 columns long; stats over the call's tables
+# shared by its stages, with a weight table for a multiplicity of 2, and with
+# a single-ratio item, which takes one power per stage, over many stages;
+# dim --check on numeric spectra whose repeats have gcd 1 (one solve serves
+# both reports) and gcd 2 (two solves)
 PATH_EDGES = [
     (None, ["stats", "C[1/2,1/3] K[pi/3]", "--stage", "60"]),
     (None, ["stats", "C[1/2,1/4,1/6] K[pi/4] K[pi/3]", "--stage", "12"]),
